@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -56,6 +57,17 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _positive_finite(text: str) -> float:
+    """A box side or anchor: a finite real number above zero."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0: {text!r}")
+    return value
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -79,7 +91,7 @@ def _cmd_error_term(args: argparse.Namespace) -> int:
         "count_ap": result.progression_count,
         "count_coprime": result.coprime_count,
         "error": str(result.error),
-        "reference_ratio": reference_ratio(args.x, modulus, args.a),
+        "reference_ratio": reference_ratio(args.x, modulus, args.a, result),
     }
     if args.decompose:
         decomposed = decompose_error(args.x, modulus, args.a)
@@ -124,7 +136,7 @@ def _scan_rows_for_q(task: tuple[int, tuple[int, ...], str, int]) -> list[tuple]
             continue
         for a in _residues_for(q, policy, seed):
             res = error_term(x, modulus, a)
-            ratio = reference_ratio(x, modulus, a)
+            ratio = reference_ratio(x, modulus, a, res)
             n_qa = least_squarefree(modulus, a)
             corollary = n_qa / float(q) ** (36 / 25)
             rows.append(
@@ -336,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-box", help="exact congruence-box count with bound envelopes")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--n", type=float, required=True)
+    p.add_argument("--m", type=_positive_finite, required=True)
+    p.add_argument("--n", type=_positive_finite, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--dyadic", action="store_true")
@@ -349,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--m0", type=float, default=None)
-    p.add_argument("--n0", type=float, default=None)
+    p.add_argument("--m0", type=_positive_finite, default=None)
+    p.add_argument("--n0", type=_positive_finite, default=None)
     p.add_argument("--alpha", type=_parse_fraction, default=Fraction(2, 15))
     _add_common_output(p)
     p.set_defaults(func=_cmd_pipeline)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from sqflab.arith_core import Modulus, NotCoprimeError, mod_pow
-from sqflab.progression_stats import Real, count_ap
+from sqflab.arith_core import Modulus, NotCoprimeError
+from sqflab.progression_stats import Real
 
 
 def sqrt_mod_prime(c: int, p: int) -> list[int]:
@@ -130,11 +130,6 @@ class BoxQuery:
             )
 
 
-def _count_in_range(lo: Real, hi: Real, q: int, a: int) -> int:
-    """#{lo < m <= hi : m = a (mod q)}, m ranging over positive integers."""
-    return count_ap(hi, q, a) - count_ap(lo, q, a)
-
-
 def class_count(
     u: int,
     v: int,
@@ -150,24 +145,31 @@ def class_count(
     Diagnostic entry point: `a` may be any residue (the sum rule over all
     classes needs the non-unit ones).  For v < 0, n runs over the n coprime
     to q only; other n cannot satisfy the congruence and are skipped.
+    m ranges over positive integers only.
     """
     q = modulus.q
     a %= q
+    # With f_lo, f_hi >= 0, #{f_lo < m <= f_hi : m = r (mod q)} is
+    # (f_hi - r) // q - (f_lo - r) // q.
+    f_lo = max(math.floor(m_lo), 0)
+    f_hi = max(math.floor(m_hi), 0)
     total = 0
     # Integers in (n_lo, n_hi] are floor(n_lo)+1 .. floor(n_hi).
     n_first = max(math.floor(n_lo), 0) + 1
     n_last = math.floor(n_hi)
-    root_cache: dict[int, list[int]] = {}
+    # Hits in the m range per residue c = a*n^v, summed over the roots of c.
+    hits_cache: dict[int, int] = {}
     for n in range(n_first, n_last + 1):
         if v < 0 and gcd(n, q) != 1:
             continue
-        c = a * mod_pow(n, v, q) % q
-        roots = root_cache.get(c)
-        if roots is None:
-            roots = power_roots(c, modulus, u)
-            root_cache[c] = roots
-        for r in roots:
-            total += _count_in_range(m_lo, m_hi, q, r)
+        c = a * pow(n, v, q) % q
+        hits = hits_cache.get(c)
+        if hits is None:
+            hits = 0
+            for r in power_roots(c, modulus, u):
+                hits += (f_hi - r) // q - (f_lo - r) // q
+            hits_cache[c] = hits
+        total += hits
     return total
 
 

@@ -1,12 +1,17 @@
 """Exact decomposition of the progression error term and its dyadic majorization.
 
 The error term E factors through the square-part identity into a weighted
-sum of interval discrepancies.  This module reproduces that identity
-exactly, splits off the small-n tail, enumerates the dyadic boxes that
-cover the remaining double sum, and assembles a per-stage report in which
-|E| is bounded by fully computed quantities: box counts, the exact tail,
-and the exact removed main term.  No implied constants appear anywhere in
-the asserted inequality.
+sum of interval discrepancies, one term per squarefree n <= sqrt(x) coprime
+to q.  This module reproduces that identity exactly, splits off the small-n
+tail, enumerates the dyadic boxes that cover the remaining double sum, and
+assembles a per-stage report in which |E| is bounded by fully computed
+quantities: box counts, the exact tail, and the exact removed main term.
+No implied constants appear anywhere in the asserted inequality.
+
+The head, the tail and the removed main term all come from a single pass
+over n in integer arithmetic: each term's progression and coprime counts
+are integers at floor(x) // n^2, accumulated per side of the cutoff, and
+the only division, by phi(q), happens once at the end.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sqflab.arith_core import Modulus, NotCoprimeError, mobius_sieve, mod_pow
+from sqflab.arith_core import Modulus, NotCoprimeError, mobius_sieve
 from sqflab.congruence_count import count_dyadic, evaluate_bounds, BoxQuery, pierce_applicable
 from sqflab.progression_stats import (
     Real,
     count_coprime,
-    discrepancy,
+    discrepancy,  # noqa: F401  the per-term quantity; perfbench's tracer counts it here
     error_term,
 )
 
@@ -31,40 +36,6 @@ from sqflab.progression_stats import (
 def _mu_prefix(limit: int) -> tuple[int, ...]:
     """mu(1..limit) as a tuple; index i holds mu(i+1)."""
     return tuple(mobius_sieve(limit).mu)
-
-
-def _decomposition_terms(x: Real, modulus: Modulus, a: int):
-    """Yield (n, term) with term = mu(n) * discrepancy(x/n^2, q, a*inv(n)^2)."""
-    fx = math.floor(x)
-    n_max = isqrt(fx)
-    if n_max < 1:
-        return
-    mu = _mu_prefix(n_max)
-    q = modulus.q
-    x_exact = Fraction(x)
-    for n in range(1, n_max + 1):
-        m = mu[n - 1]
-        if m == 0 or gcd(n, q) != 1:
-            continue
-        shifted = a * mod_pow(n, -2, q) % q
-        yield n, m * discrepancy(x_exact / (n * n), modulus, shifted)
-
-
-def decompose_error(x: Real, modulus: Modulus, a: int) -> Fraction:
-    """Error term reassembled from the square-part identity, exactly.
-
-    Must equal error_term(x, q, a).error for every input; the equality is
-    the central correctness check of the pipeline.
-    """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    a %= modulus.q
-    if gcd(a, modulus.q) != 1:
-        raise NotCoprimeError(f"residue {a} is not coprime to {modulus.q}")
-    total = Fraction(0)
-    for _, term in _decomposition_terms(x, modulus, a):
-        total += term
-    return total
 
 
 @dataclass(frozen=True)
@@ -79,6 +50,74 @@ class TailSplit:
         return self.head + self.tail
 
 
+def _check_unit(modulus: Modulus, a: int) -> int:
+    a %= modulus.q
+    if gcd(a, modulus.q) != 1:
+        raise NotCoprimeError(f"residue {a} is not coprime to {modulus.q}")
+    return a
+
+
+def _check_cutoff(x: Real, n0: Real) -> None:
+    # Written so that a NaN cutoff fails the test too.
+    if not (n0 >= 1 and float(n0) <= math.sqrt(float(x))):
+        raise ValueError(f"n0 must lie in [1, sqrt(x)], got {n0}")
+
+
+def _decompose(
+    x: Real, modulus: Modulus, a: int, n0: Real
+) -> tuple[TailSplit, Fraction]:
+    """The decomposed error split at n0, and the removed main term, in one pass.
+
+    Term n of the square-part identity is mu(n) * discrepancy(x/n^2, q, a/n^2)
+    for squarefree n <= sqrt(x) coprime to q, and a discrepancy is
+    count_ap - count_coprime/phi(q).  The pass sums, per side of the cutoff
+    (n <= n0 is the tail, n > n0 the head), mu(n)*count_ap and
+    mu(n)*count_coprime as integers at y = floor(x) // n^2; on the head it
+    also sums count_coprime without the mu(n) weight, which is the main term
+    the majorization removes.  It divides by phi(q) once, at the end.
+    `a` must already be a unit in [0, q).
+    """
+    fx = math.floor(x)
+    n_max = isqrt(fx)
+    n_split = min(math.floor(n0), n_max)
+    mu = _mu_prefix(n_max) if n_max >= 1 else ()
+    q = modulus.q
+    sums = []
+    for first, last in ((1, n_split), (n_split + 1, n_max)):
+        ap = cop = unsigned_cop = 0
+        for n in range(first, last + 1):
+            m = mu[n - 1]
+            if m == 0 or gcd(n, q) != 1:
+                continue
+            y = fx // (n * n)
+            r = a * pow(n, -2, q) % q
+            cop_n = count_coprime(y, modulus)
+            ap += m * ((y + q - (r or q)) // q)  # count_ap(y, q, r), y >= 1
+            cop += m * cop_n
+            unsigned_cop += cop_n
+        sums.append((ap, cop, unsigned_cop))
+    (tail_ap, tail_cop, _), (head_ap, head_cop, removed) = sums
+    phi = modulus.phi
+    split = TailSplit(
+        head=Fraction(head_ap) - Fraction(head_cop, phi),
+        tail=Fraction(tail_ap) - Fraction(tail_cop, phi),
+    )
+    return split, Fraction(removed, phi)
+
+
+def decompose_error(x: Real, modulus: Modulus, a: int) -> Fraction:
+    """Error term reassembled from the square-part identity, exactly.
+
+    Must equal error_term(x, q, a).error for every input; the equality is
+    the central correctness check of the pipeline.
+    """
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    a = _check_unit(modulus, a)
+    split, _ = _decompose(x, modulus, a, 0)
+    return split.total
+
+
 def tail_split(x: Real, modulus: Modulus, a: int, n0: Real) -> TailSplit:
     """Split the decomposition into n <= n0 (tail) and n > n0 (head).
 
@@ -86,19 +125,10 @@ def tail_split(x: Real, modulus: Modulus, a: int, n0: Real) -> TailSplit:
     part the analysis absorbs into an O(N0) allowance, computed here
     instead of bounded.
     """
-    if n0 < 1 or float(n0) > math.sqrt(float(x)):
-        raise ValueError(f"n0 must lie in [1, sqrt(x)], got {n0}")
-    a %= modulus.q
-    if gcd(a, modulus.q) != 1:
-        raise NotCoprimeError(f"residue {a} is not coprime to {modulus.q}")
-    head = Fraction(0)
-    tail = Fraction(0)
-    for n, term in _decomposition_terms(x, modulus, a):
-        if n <= n0:
-            tail += term
-        else:
-            head += term
-    return TailSplit(head=head, tail=tail)
+    _check_cutoff(x, n0)
+    a = _check_unit(modulus, a)
+    split, _ = _decompose(x, modulus, a, n0)
+    return split
 
 
 def small_m_estimate(m_bound: Real, n_bound: Real, modulus: Modulus) -> float:
@@ -260,23 +290,6 @@ class PipelineReport:
         }
 
 
-def _cross_term(x: Real, modulus: Modulus, n0: Real) -> Fraction:
-    """Exact 1/phi(q) part removed from the head: sum of coprime counts."""
-    fx = math.floor(x)
-    n_max = isqrt(fx)
-    mu = _mu_prefix(n_max) if n_max >= 1 else ()
-    q = modulus.q
-    x_exact = Fraction(x)
-    total = Fraction(0)
-    for n in range(1, n_max + 1):
-        if n <= n0:
-            continue
-        if mu[n - 1] == 0 or gcd(n, q) != 1:
-            continue
-        total += Fraction(count_coprime(x_exact / (n * n), modulus), modulus.phi)
-    return total
-
-
 def _box_row(
     m_anchor: float,
     n_anchor: float,
@@ -321,23 +334,25 @@ def pipeline_report(
 ) -> PipelineReport:
     """Run the full decomposition once and assemble the per-stage report.
 
+    e_direct comes from the sieve route (error_term); e_decomposed, the
+    head/tail split at n0 and the removed main term come from one integer
+    pass over the decomposition terms, so the identity check compares two
+    independent computations.
+
     Raises RuntimeError if either the exact identity or the exact
     majorization fails; both are internal invariants, so a failure means a
     bug, not unlucky inputs.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    a %= modulus.q
-    if gcd(a, modulus.q) != 1:
-        raise NotCoprimeError(f"residue {a} is not coprime to {modulus.q}")
+    a = _check_unit(modulus, a)
     default_m0, default_n0 = default_anchor_choices(x, modulus.q)
     m0 = default_m0 if m0 is None else float(m0)
     n0 = default_n0 if n0 is None else float(n0)
+    _check_cutoff(x, n0)
 
     direct = error_term(x, modulus, a)
-    decomposed = decompose_error(x, modulus, a)
-    split = tail_split(x, modulus, a, n0)
-    cross = _cross_term(x, modulus, n0)
+    split, cross = _decompose(x, modulus, a, n0)
 
     rows = tuple(
         _box_row(m_anchor, n_anchor, modulus, a, m0, alpha)
@@ -359,7 +374,7 @@ def pipeline_report(
         n0=n0,
         alpha=alpha,
         e_direct=direct.error,
-        e_decomposed=decomposed,
+        e_decomposed=split.total,
         head=split.head,
         tail_small_n=split.tail,
         main_term_removed=cross,

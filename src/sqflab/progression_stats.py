@@ -85,24 +85,33 @@ def _flag_prefix(limit: int) -> bytes:
     return bytes(squarefree_flags(1, limit))
 
 
-def _iter_flag_segments(limit: int) -> Iterable[tuple[int, bytes]]:
-    """Yield (start, flags) pairs covering [1, limit] in bounded memory."""
+def _iter_flag_segments(limit: int) -> Iterable[tuple[int, bytes | bytearray]]:
+    """Yield (start, flags) pairs covering [1, limit] in bounded memory.
+
+    Segments are handed out as the sieve built them, without a copy; callers
+    only read them.
+    """
     if limit <= _FLAG_CACHE_MAX:
         yield 1, _flag_prefix(limit)
         return
     primes = primes_up_to(isqrt(limit))
     for start in range(1, limit + 1, _SEGMENT):
         seg_len = min(_SEGMENT, limit + 1 - start)
-        yield start, bytes(squarefree_flags(start, seg_len, primes))
+        yield start, squarefree_flags(start, seg_len, primes)
+
+
+def _count_ones(flags: bytes | bytearray, offset: int, stride: int) -> int:
+    """Set flags at offset, offset + stride, ...; stride 1 counts without a copy."""
+    if stride == 1:
+        return flags.count(1, offset)
+    return flags[offset::stride].count(1)
 
 
 def _count_squarefree_in_class(limit: int, q: int, a: int) -> int:
     """Squarefree n <= limit with n = a (mod q); a already in [0, q)."""
     total = 0
     for start, flags in _iter_flag_segments(limit):
-        offset = (a - start) % q
-        if offset < len(flags):
-            total += sum(flags[offset::q])
+        total += _count_ones(flags, (a - start) % q, q)
     return total
 
 
@@ -135,10 +144,7 @@ def _squarefree_coprime_cached(limit: int, modulus: Modulus) -> int:
     total = 0
     for start, flags in _iter_flag_segments(limit):
         for d, mu_d in modulus.squarefree_divisors():
-            first = ((start + d - 1) // d) * d
-            offset = first - start
-            if offset < len(flags):
-                total += mu_d * sum(flags[offset::d])
+            total += mu_d * _count_ones(flags, -start % d, d)
     return total
 
 
@@ -182,15 +188,22 @@ def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
     )
 
 
-def reference_ratio(x: Real, modulus: Modulus, a: int) -> float:
+def reference_ratio(
+    x: Real, modulus: Modulus, a: int, result: ErrorTermResult | None = None
+) -> float:
     """|error| divided by the classical envelope sqrt(x/q) + sqrt(q).
 
     Monitoring quantity for the implied constant of the square-root error
-    term; reported, never asserted against.
+    term; reported, never asserted against.  A caller that already holds
+    error_term(x, modulus, a) passes it as `result` instead of having it
+    computed again.
     """
-    res = error_term(x, modulus, a)
+    if result is None:
+        result = error_term(x, modulus, a)
+    elif (result.x, result.modulus, result.residue) != (x, modulus, a % modulus.q):
+        raise ValueError("result was computed for a different (x, q, a)")
     denom = math.sqrt(float(x) / modulus.q) + math.sqrt(modulus.q)
-    return abs(float(res.error)) / denom
+    return abs(float(result.error)) / denom
 
 
 def least_squarefree(modulus: Modulus, a: int, ceiling: int | None = None) -> int:

@@ -1,0 +1,48 @@
+"""The names perfbench's tracer wraps must exist in sqflab.
+
+`perfbench/tracer.py` wraps layer-entry functions by name and patches the
+term counters into `decomposition_pipeline`'s namespace; `install()` raises
+when one of those names is gone.  Running it here turns a refactor that
+would break the traced benchmark run into a failing unit test.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from sqflab import cli_runner, decomposition_pipeline, progression_stats
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    import tracer
+
+    return tracer
+
+
+def test_tracer_installs_counts_and_restores(tracer):
+    originals = {
+        name: getattr(decomposition_pipeline, name)
+        for name in ("count_coprime", "discrepancy", "tail_split", "decompose_error")
+    }
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert decomposition_pipeline.count_coprime is not progression_stats.count_coprime
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_runner.main(["pipeline", "--x", "10000", "--q", "101", "--a", "3"])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.counters["decomposition_pipeline.term_evals"] > 0
+    assert t.counters["decomposition_pipeline.boxes"] > 0
+    assert {s[1] for s in t.spans} >= {"main", "pipeline_report", "error_term", "count_box"}
+    for name, fn in originals.items():
+        assert getattr(decomposition_pipeline, name) is fn

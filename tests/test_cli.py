@@ -116,6 +116,29 @@ def test_count_box(capsys):
     assert payload["bounds"]["trivial"] == pytest.approx(100 / 7 + 10)
 
 
+BOX = ["count-box", "--u", "1", "--v", "-2", "--q", "7", "--a", "1"]
+PIPELINE = ["pipeline", "--x", "1000000", "--q", "3981", "--a", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BOX + ["--m", "inf", "--n", "10"],
+        BOX + ["--m", "nan", "--n", "10"],
+        BOX + ["--m", "10", "--n", "-3"],
+        PIPELINE + ["--n0", "nan"],
+        PIPELINE + ["--m0", "0"],
+    ],
+)
+def test_box_and_anchor_bounds_must_be_finite_and_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be finite and > 0" in captured.err
+
+
 def test_pipeline_report_json(capsys):
     code, out, _ = run_cli(
         capsys, "pipeline", "--x", "10000", "--q", "101", "--a", "3"

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqflab.arith_core import (
     Modulus,
@@ -113,6 +115,28 @@ def test_count_box_positive_v_oracle():
         u, v = rng.choice(((1, 1), (1, 2), (2, 1)))
         got = count_box(BoxQuery(u, v, mb, nb, m, a))
         assert got == double_loop_oracle(u, v, mb, nb, m.q, a)
+
+
+# Bounds on a half-integer grid: floors of x.5 and x.0 both occur.
+_BOUND = st.integers(min_value=0, max_value=48).map(lambda k: k / 2)
+
+
+@given(
+    uv=st.sampled_from([(1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]),
+    m_lo=_BOUND,
+    m_len=_BOUND,
+    n_lo=_BOUND,
+    n_len=_BOUND,
+    q=st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 30, 31]),
+    a=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_class_count_against_double_loop(uv, m_lo, m_len, n_lo, n_len, q, a):
+    u, v = uv
+    m = factor_modulus(q)
+    m_hi, n_hi = m_lo + m_len, n_lo + n_len
+    got = class_count(u, v, m_lo, m_hi, n_lo, n_hi, m, a)
+    assert got == double_loop_oracle(u, v, m_hi, n_hi, q, a % q, m_lo=m_lo, n_lo=n_lo)
 
 
 def test_residue_sum_rule():

@@ -6,10 +6,13 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqflab.arith_core import factor_modulus, mod_pow
 from sqflab.congruence_count import count_dyadic
 from sqflab.decomposition_pipeline import (
+    _decompose,
     covering_boxes,
     decompose_error,
     enumerate_boxes,
@@ -18,7 +21,12 @@ from sqflab.decomposition_pipeline import (
     small_m_estimate,
     tail_split,
 )
-from sqflab.progression_stats import discrepancy, error_term, squarefree_moduli
+from sqflab.progression_stats import (
+    count_coprime,
+    discrepancy,
+    error_term,
+    squarefree_moduli,
+)
 
 
 def test_decompose_spec_examples():
@@ -66,6 +74,71 @@ def test_tail_split_range_validation():
         tail_split(30, m5, 1, 0.5)
     with pytest.raises(ValueError):
         tail_split(30, m5, 1, 6)
+    with pytest.raises(ValueError):
+        tail_split(30, m5, 1, float("nan"))
+    with pytest.raises(ValueError):
+        pipeline_report(30, m5, 1, n0=float("nan"))
+
+
+def mobius_oracle(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def decomposition_oracle(x, m, a, n0):
+    """(head, tail, removed main term) summed term by term from discrepancies."""
+    head = tail = removed = Fraction(0)
+    for n in range(1, isqrt(math.floor(x)) + 1):
+        mu = mobius_oracle(n)
+        if mu == 0 or gcd(n, m.q) != 1:
+            continue
+        term = mu * discrepancy(Fraction(x) / (n * n), m, a * mod_pow(n, -2, m.q))
+        if n <= n0:
+            tail += term
+        else:
+            head += term
+            removed += Fraction(count_coprime(Fraction(x) / (n * n), m), m.phi)
+    return head, tail, removed
+
+
+_MODULI = [factor_modulus(q) for q in (1, 2, 3, 5, 6, 7, 30, 97, 101, 210, 2310)]
+
+
+@st.composite
+def decomposition_inputs(draw):
+    x = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**5),
+            st.fractions(min_value=1, max_value=10**5, max_denominator=7),
+        )
+    )
+    m = draw(st.sampled_from(_MODULI))
+    a = draw(st.sampled_from([c for c in range(m.q) if gcd(c, m.q) == 1]))
+    root = isqrt(math.floor(x))
+    n0 = draw(
+        st.one_of(
+            st.just(1),
+            st.just(root),
+            st.integers(min_value=1, max_value=root),
+            st.floats(min_value=1, max_value=math.sqrt(x)),
+        )
+    )
+    return x, m, a, n0
+
+
+@given(decomposition_inputs())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_against_term_by_term_sum(inputs):
+    x, m, a, n0 = inputs
+    split, removed = _decompose(x, m, a, n0)
+    assert (split.head, split.tail, removed) == decomposition_oracle(x, m, a, n0)
 
 
 def test_enumerate_boxes_exhaustive_small():

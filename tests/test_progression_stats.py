@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqflab import progression_stats
 from sqflab.arith_core import NotCoprimeError, factor_modulus
 from sqflab.progression_stats import (
     SearchCeilingError,
@@ -138,6 +139,35 @@ def test_squarefree_counts_against_oracle():
         assert squarefree_count_coprime(x, m) == expected_cop
 
 
+_SQUAREFREE_UP_TO_3000 = [False] + [squarefree_oracle(n) for n in range(1, 3001)]
+
+
+@given(
+    x=st.integers(min_value=1, max_value=3000),
+    q=st.sampled_from([1, 2, 3, 5, 6, 7, 10, 30, 42, 210, 2310]),
+    a=st.integers(min_value=0, max_value=3000),
+    segment=st.integers(min_value=1, max_value=200),
+    cache_max=st.sampled_from([0, 10, 1000]),
+)
+@settings(max_examples=150, deadline=None)
+def test_stride_counts_against_trial_division(x, q, a, segment, cache_max):
+    # Small segment and cache sizes send most limits down the segmented path.
+    m = factor_modulus(q)
+    a = 0 if q == 1 else next(c for c in range(a, a + q) if gcd(c, q) == 1) % q
+    flags = _SQUAREFREE_UP_TO_3000
+    want_ap = sum(1 for n in range(1, x + 1) if n % q == a and flags[n])
+    want_cop = sum(1 for n in range(1, x + 1) if gcd(n, q) == 1 and flags[n])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(progression_stats, "_SEGMENT", segment)
+        mp.setattr(progression_stats, "_FLAG_CACHE_MAX", cache_max)
+        progression_stats._squarefree_coprime_cached.cache_clear()
+        try:
+            assert squarefree_count_ap(x, m, a) == want_ap
+            assert squarefree_count_coprime(x, m) == want_cop
+        finally:
+            progression_stats._squarefree_coprime_cached.cache_clear()
+
+
 def test_error_term_examples():
     m5 = factor_modulus(5)
     res = error_term(30, m5, 1)
@@ -162,6 +192,11 @@ def test_reference_ratio_examples():
     expected = (5 / 4) / (math.sqrt(6) + math.sqrt(5))
     assert reference_ratio(30, m5, 1) == pytest.approx(expected, rel=1e-12)
     assert reference_ratio(1000, factor_modulus(1), 0) == 0.0
+    # An existing result is reused, and must belong to the same (x, q, a).
+    res = error_term(30, m5, 6)
+    assert reference_ratio(30, m5, 6, res) == reference_ratio(30, m5, 1)
+    with pytest.raises(ValueError):
+        reference_ratio(31, m5, 1, res)
 
 
 def test_least_squarefree_examples():
