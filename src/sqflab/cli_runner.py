@@ -27,6 +27,8 @@ from sqflab.arith_core import (
 from sqflab.congruence_count import BoxQuery, check_symmetry, evaluate_bounds
 from sqflab.decomposition_pipeline import decompose_error, pipeline_report
 from sqflab.exponent_calculus import (
+    BLEND,
+    COROLLARY,
     MENUS,
     compute_theta,
     corollary_exponent,
@@ -138,7 +140,7 @@ def _scan_rows_for_q(task: tuple[int, tuple[int, ...], str, int]) -> list[tuple]
             res = error_term(x, modulus, a)
             ratio = reference_ratio(x, modulus, a, res)
             n_qa = least_squarefree(modulus, a)
-            corollary = n_qa / float(q) ** (36 / 25)
+            corollary = n_qa / float(q) ** float(COROLLARY)
             rows.append(
                 (
                     x,
@@ -161,6 +163,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError(f"bad q range [{args.q_min}, {args.q_max}]")
     if any(x < 1 for x in args.x):
         raise ValueError("x values must be >= 1")
+    if args.start_row < 0:
+        raise ValueError(f"--start-row must be >= 0, got {args.start_row}")
+    if args.a.startswith("sample:") and int(args.a.removeprefix("sample:")) < 1:
+        raise ValueError(f"sample size must be >= 1, got {args.a!r}")
     x_values = tuple(sorted(set(args.x)))
     flags = squarefree_flags(1, args.q_max)
     q_list = [q for q in range(args.q_min, args.q_max + 1) if flags[q - 1]]
@@ -195,15 +201,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_count_box(args: argparse.Namespace) -> int:
     modulus = factor_modulus(args.q)
-    query = BoxQuery(
-        u=args.u,
-        v=args.v,
-        m_bound=args.m,
-        n_bound=args.n,
-        modulus=modulus,
-        residue=args.a,
-        dyadic=args.dyadic,
-    )
+    query = BoxQuery(args.u, args.v, args.m, args.n, modulus, args.a, args.dyadic)
     report = evaluate_bounds(query, args.alpha)
     payload = {
         "u": args.u,
@@ -225,7 +223,7 @@ def _cmd_count_box(args: argparse.Namespace) -> int:
         "ratios": report.ratios(),
     }
     if args.v < 0:
-        sym = check_symmetry(query)
+        sym = check_symmetry(query, report.count)
         payload["symmetry"] = {
             "mirrored_count": sym.mirrored_count,
             "equal": sym.equal,
@@ -353,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--dyadic", action="store_true")
-    p.add_argument("--alpha", type=_parse_fraction, default=Fraction(2, 15))
+    p.add_argument("--alpha", type=_parse_fraction, default=BLEND.alpha)
     _add_common_output(p)
     p.set_defaults(func=_cmd_count_box)
 
@@ -363,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--m0", type=_positive_finite, default=None)
     p.add_argument("--n0", type=_positive_finite, default=None)
-    p.add_argument("--alpha", type=_parse_fraction, default=Fraction(2, 15))
+    p.add_argument("--alpha", type=_parse_fraction, default=BLEND.alpha)
     _add_common_output(p)
     p.set_defaults(func=_cmd_pipeline)
 

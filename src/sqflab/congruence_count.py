@@ -14,13 +14,18 @@ to make of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from sqflab.arith_core import Modulus, NotCoprimeError
+from sqflab.exponent_calculus import AMPLIFICATION_MN, AMPLIFICATION_RANGE, BLEND
 from sqflab.progression_stats import Real
+
+# The analysis exponents as the floats the bound envelopes use.
+_AMP_M, _AMP_N = map(float, AMPLIFICATION_MN)
+_AMP_RANGE = float(AMPLIFICATION_RANGE)
 
 
 def sqrt_mod_prime(c: int, p: int) -> list[int]:
@@ -129,6 +134,13 @@ class BoxQuery:
                 f"residue {self.residue} is not coprime to {self.modulus.q}"
             )
 
+    @property
+    def ranges(self) -> tuple[Real, Real, Real, Real]:
+        """(m_lo, m_hi, n_lo, n_hi): the box is (m_lo, m_hi] x (n_lo, n_hi]."""
+        if self.dyadic:
+            return self.m_bound, 2 * self.m_bound, self.n_bound, 2 * self.n_bound
+        return 0, self.m_bound, 0, self.n_bound
+
 
 def class_count(
     u: int,
@@ -176,20 +188,13 @@ def class_count(
 def _assert_count_caps(query: BoxQuery, count: int) -> None:
     """Hard caps provable without implied constants; violation is a bug."""
     q = query.modulus.q
-    if query.dyadic:
-        m_span = math.floor(2 * query.m_bound) - math.floor(query.m_bound)
-        n_span = math.floor(2 * query.n_bound) - math.floor(query.n_bound)
-        m_per_class = m_span // q + 1
-        n_per_class = n_span // q + 1
-    else:
-        m_span = math.floor(query.m_bound)
-        n_span = math.floor(query.n_bound)
-        m_per_class = m_span // q + 1
-        n_per_class = n_span // q + 1
+    m_lo, m_hi, n_lo, n_hi = query.ranges
+    m_span = math.floor(m_hi) - math.floor(m_lo)
+    n_span = math.floor(n_hi) - math.floor(n_lo)
     if (query.u, query.v) == (1, -2):
-        cap = m_per_class * n_span
+        cap = (m_span // q + 1) * n_span
     elif (query.u, query.v) == (2, -1):
-        cap = (1 << query.modulus.omega) * n_per_class * m_span
+        cap = (1 << query.modulus.omega) * (n_span // q + 1) * m_span
     else:
         return
     if count > max(cap, 0):
@@ -200,45 +205,14 @@ def _assert_count_caps(query: BoxQuery, count: int) -> None:
 
 def count_box(query: BoxQuery) -> int:
     """Exact solution count for the box described by `query`."""
-    if query.dyadic:
-        count = class_count(
-            query.u,
-            query.v,
-            query.m_bound,
-            2 * query.m_bound,
-            query.n_bound,
-            2 * query.n_bound,
-            query.modulus,
-            query.residue,
-        )
-    else:
-        count = class_count(
-            query.u,
-            query.v,
-            0,
-            query.m_bound,
-            0,
-            query.n_bound,
-            query.modulus,
-            query.residue,
-        )
+    count = class_count(query.u, query.v, *query.ranges, query.modulus, query.residue)
     _assert_count_caps(query, count)
     return count
 
 
 def count_dyadic(m_anchor: Real, n_anchor: Real, modulus: Modulus, a: int) -> int:
     """Solutions of m*n^2 = a (mod q) with m in (M, 2M], n in (N, 2N]."""
-    return count_box(
-        BoxQuery(
-            u=1,
-            v=-2,
-            m_bound=m_anchor,
-            n_bound=n_anchor,
-            modulus=modulus,
-            residue=a,
-            dyadic=True,
-        )
-    )
+    return count_box(BoxQuery(1, -2, m_anchor, n_anchor, modulus, a, dyadic=True))
 
 
 @dataclass(frozen=True)
@@ -255,28 +229,23 @@ class SymmetryCheck:
         return self.count == self.mirrored_count
 
 
-def check_symmetry(query: BoxQuery) -> SymmetryCheck:
+def check_symmetry(query: BoxQuery, count: int | None = None) -> SymmetryCheck:
     """Compare a count against its mirror with (u, v) -> (-v, -u) and M, N swapped.
 
     The mirror only exists for v < 0 (otherwise the mirrored u would not be
     positive).  The two exact counts must always agree; the pair is returned
-    for reporting.
+    for reporting.  A caller already holding count_box(query) passes it as
+    `count`, so only the mirror is counted.
     """
     if query.v >= 0:
         raise ValueError("symmetry mirror requires v < 0")
-    mirrored = BoxQuery(
-        u=-query.v,
-        v=-query.u,
-        m_bound=query.n_bound,
-        n_bound=query.m_bound,
-        modulus=query.modulus,
-        residue=query.residue,
-        dyadic=query.dyadic,
+    mirrored = replace(
+        query, u=-query.v, v=-query.u, m_bound=query.n_bound, n_bound=query.m_bound
     )
     return SymmetryCheck(
         query=query,
         mirrored=mirrored,
-        count=count_box(query),
+        count=count_box(query) if count is None else count,
         mirrored_count=count_box(mirrored),
     )
 
@@ -310,19 +279,28 @@ class BoundReport:
 
 
 def pierce_applicable(m_bound: float, n_bound: float, q: int) -> bool:
-    """Amplification range: 1 <= M <= q^(3/4) and 1 <= N < q/2."""
-    return 1 <= m_bound <= q**0.75 and 1 <= n_bound < q / 2
+    """Amplification range: 1 <= M <= q^AMPLIFICATION_RANGE and 1 <= N < q/2."""
+    return 1 <= m_bound <= q**_AMP_RANGE and 1 <= n_bound < q / 2
 
 
-def evaluate_bounds(query: BoxQuery, alpha: Fraction = Fraction(2, 15)) -> BoundReport:
-    """Evaluate every bound envelope for a box, plus the measured count.
-
-    alpha interpolates between the two amplification orientations; at the
-    endpoints it reproduces them exactly, and alpha = 2/15 turns the product
-    into a pure power of M*N^2.
-    """
+def check_alpha(alpha: Fraction) -> None:
+    """Reject interpolation weights outside [0, 1]."""
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def evaluate_bounds(query: BoxQuery, alpha: Fraction = BLEND.alpha) -> BoundReport:
+    """Evaluate every bound envelope for a box, plus the measured count.
+
+    This is the one place a box bound is evaluated; the pipeline's box table
+    reads its count, envelopes and applicability from here.  The box is
+    counted once.  The amplification bound M^e * N^f takes (e, f) from
+    AMPLIFICATION_MN, and its swap gives the (N, M) orientation.  alpha
+    interpolates between the two; at the endpoints it reproduces them
+    exactly, and the default BLEND.alpha turns the product into a pure
+    power of M*N^2.
+    """
+    check_alpha(alpha)
     m = float(query.m_bound)
     n = float(query.n_bound)
     q = query.modulus.q
@@ -331,8 +309,8 @@ def evaluate_bounds(query: BoxQuery, alpha: Fraction = Fraction(2, 15)) -> Bound
     weil = m * n / q + (m + n) / math.sqrt(q) + math.sqrt(q)
     mn_ok = pierce_applicable(m, n, q)
     nm_ok = pierce_applicable(n, m, q)
-    pierce_mn = m ** (2 / 3) * n ** 0.25 if mn_ok else None
-    pierce_nm = m ** 0.25 * n ** (2 / 3) if nm_ok else None
+    pierce_mn = m**_AMP_M * n**_AMP_N if mn_ok else None
+    pierce_nm = m**_AMP_N * n**_AMP_M if nm_ok else None
     interpolated = None
     if mn_ok and nm_ok:
         af = float(alpha)
@@ -350,11 +328,15 @@ def evaluate_bounds(query: BoxQuery, alpha: Fraction = Fraction(2, 15)) -> Bound
 
 def geometric_grid(
     q: int,
-    lo_exponent: float = 0.25,
-    hi_exponent: float = 0.75,
+    lo_exponent: float = 1 - _AMP_RANGE,
+    hi_exponent: float = _AMP_RANGE,
     ratio: float = 2.0,
 ) -> list[tuple[float, float]]:
-    """(M, N) lattice with both sides running over q^lo..q^hi geometrically."""
+    """(M, N) lattice with both sides running over q^lo..q^hi geometrically.
+
+    By default the sides run up to the amplification range and down as far
+    below sqrt(q) as that is above it.
+    """
     if ratio <= 1:
         raise ValueError("ratio must exceed 1")
     sides = []
@@ -372,20 +354,12 @@ def scan_boxes(
     boxes: Iterable[tuple[Real, Real]],
     u: int = 1,
     v: int = -2,
-    alpha: Fraction = Fraction(2, 15),
+    alpha: Fraction = BLEND.alpha,
     dyadic: bool = False,
 ) -> list[tuple[BoxQuery, BoundReport]]:
     """Evaluate bounds over a grid of boxes, ordered by (M, N)."""
     rows = []
     for m_bound, n_bound in sorted(boxes):
-        query = BoxQuery(
-            u=u,
-            v=v,
-            m_bound=m_bound,
-            n_bound=n_bound,
-            modulus=modulus,
-            residue=a,
-            dyadic=dyadic,
-        )
+        query = BoxQuery(u, v, m_bound, n_bound, modulus, a, dyadic)
         rows.append((query, evaluate_bounds(query, alpha)))
     return rows

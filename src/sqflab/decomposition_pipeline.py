@@ -17,13 +17,14 @@ the only division, by phi(q), happens once at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from sqflab.arith_core import Modulus, NotCoprimeError, mobius_sieve
-from sqflab.congruence_count import count_dyadic, evaluate_bounds, BoxQuery, pierce_applicable
+from sqflab.congruence_count import BoxQuery, check_alpha, evaluate_bounds
+from sqflab.exponent_calculus import BLEND, M_ANCHOR, N_ANCHOR
 from sqflab.progression_stats import (
     Real,
     count_coprime,
@@ -182,15 +183,7 @@ class BoxRow:
     amplification_applicable: bool
 
     def as_dict(self) -> dict:
-        return {
-            "m_anchor": self.m_anchor,
-            "n_anchor": self.n_anchor,
-            "count": self.count,
-            "regime": self.regime,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "amplification_applicable": self.amplification_applicable,
-        }
+        return asdict(self)
 
 
 def covering_boxes(x: Real, n0: Real) -> list[tuple[float, float]]:
@@ -218,13 +211,15 @@ def covering_boxes(x: Real, n0: Real) -> list[tuple[float, float]]:
 def default_anchor_choices(x: Real, q: int) -> tuple[float, float]:
     """Default (m0, n0): the exponent-optimal anchors, clamped to validity.
 
-    m0 = 2*max(x*q^(-3/2), 1) and n0 = 2*sqrt(x)*q^(-3/8); n0 is clamped
-    into [1, sqrt(x)] since tiny q pushes the formula outside the region
-    where a tail split makes sense.
+    m0 = 2*max(x * q^c, 1) with c the q-exponent of M_ANCHOR, and
+    n0 = 2*sqrt(x) * q^c with c that of N_ANCHOR; n0 is clamped into
+    [1, sqrt(x)] since tiny q pushes the formula outside the region where
+    a tail split makes sense.  sqrt(x) is math.sqrt, not a float power,
+    because the two round differently.
     """
     xf = float(x)
-    m0 = 2.0 * max(xf * q**-1.5, 1.0)
-    n0 = 2.0 * math.sqrt(xf) * q**-0.375
+    m0 = 2.0 * max(xf * q ** float(M_ANCHOR.coeff_rho), 1.0)
+    n0 = 2.0 * math.sqrt(xf) * q ** float(N_ANCHOR.coeff_rho)
     n0 = min(max(n0, 1.0), math.sqrt(xf))
     return m0, n0
 
@@ -298,29 +293,28 @@ def _box_row(
     m0: float,
     alpha: Fraction,
 ) -> BoxRow:
-    count = count_dyadic(m_anchor, n_anchor, modulus, a)
-    applicable = pierce_applicable(m_anchor, n_anchor, modulus.q)
+    """One covering box: its exact count and the bound that governs it.
+
+    The count, the amplification applicability and the amplified and
+    trivial bounds of the dyadic box all come from evaluate_bounds.  Boxes
+    with M < m0 are held to the crude small_m_estimate instead.
+    """
+    query = BoxQuery(1, -2, m_anchor, n_anchor, modulus, a, dyadic=True)
+    report = evaluate_bounds(query, alpha)
     if m_anchor < m0:
-        regime = "crude"
-        bound = small_m_estimate(m_anchor, n_anchor, modulus)
-    elif applicable and pierce_applicable(n_anchor, m_anchor, modulus.q):
-        regime = "amplified"
-        af = float(alpha)
-        bound = (m_anchor ** (2 / 3) * n_anchor**0.25) ** af * (
-            m_anchor**0.25 * n_anchor ** (2 / 3)
-        ) ** (1 - af)
+        regime, bound = "crude", small_m_estimate(m_anchor, n_anchor, modulus)
+    elif report.interpolated is not None:
+        regime, bound = "amplified", report.interpolated
     else:
-        regime = "trivial"
-        bound = m_anchor * n_anchor / modulus.q + min(m_anchor, n_anchor)
-    ratio = count / bound if bound > 0 else float("inf")
+        regime, bound = "trivial", report.trivial
     return BoxRow(
         m_anchor=m_anchor,
         n_anchor=n_anchor,
-        count=count,
+        count=report.count,
         regime=regime,
         bound=bound,
-        ratio=ratio,
-        amplification_applicable=applicable,
+        ratio=report.count / bound if bound > 0 else float("inf"),
+        amplification_applicable=report.pierce_mn is not None,
     )
 
 
@@ -330,7 +324,7 @@ def pipeline_report(
     a: int,
     m0: float | None = None,
     n0: float | None = None,
-    alpha: Fraction = Fraction(2, 15),
+    alpha: Fraction = BLEND.alpha,
 ) -> PipelineReport:
     """Run the full decomposition once and assemble the per-stage report.
 
@@ -345,6 +339,7 @@ def pipeline_report(
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
+    check_alpha(alpha)
     a = _check_unit(modulus, a)
     default_m0, default_n0 = default_anchor_choices(x, modulus.q)
     m0 = default_m0 if m0 is None else float(m0)

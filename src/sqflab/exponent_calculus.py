@@ -72,6 +72,17 @@ class ExponentForm:
 
 ZERO_FORM = ExponentForm(Fraction(0), Fraction(0), "one")
 
+# The analysis exponents, read by every other module; BLEND, DEFAULT_MENU,
+# THETA and COROLLARY are derived from them below.  AMPLIFICATION_MN is
+# (e, f) of the amplification bound M^e * N^f, whose swap is the other
+# orientation; it holds for M <= q^AMPLIFICATION_RANGE.  The anchors are
+# the sizes of m0 and n0 up to their constant factor 2.
+AMPLIFICATION_MN = (Fraction(2, 3), Fraction(1, 4))
+AMPLIFICATION_RANGE = Fraction(3, 4)
+M_ANCHOR = ExponentForm(Fraction(1), Fraction(-3, 2), "m-anchor")
+N_ANCHOR = ExponentForm(Fraction(1, 2), Fraction(-3, 8), "n-anchor")
+EQUIDISTRIBUTION_TARGET = ExponentForm(Fraction(1), Fraction(-1), "equidistribution-target")
+
 
 @dataclass(frozen=True)
 class AlphaResult:
@@ -250,7 +261,7 @@ class ThetaResult:
 
 def compute_theta(
     terms: Sequence[ExponentForm],
-    target: ExponentForm = ExponentForm(Fraction(1), Fraction(-1), "equidistribution-target"),
+    target: ExponentForm = EQUIDISTRIBUTION_TARGET,
     rho_min: RationalLike = Fraction(1, 2),
     rho_max: RationalLike = Fraction(1),
 ) -> ThetaResult:
@@ -308,14 +319,14 @@ def corollary_exponent(theta: RationalLike) -> Fraction:
 def anchor_exponents(rho: RationalLike) -> tuple[Fraction, Fraction, bool]:
     """(m0, n0) anchor exponents at a given rho, plus the m0 floor flag.
 
-    m0 = max(1 - 3 rho/2, 0): the max picks up the constant floor once
-    rho > 2/3.  n0 = 1/2 - 3 rho/8.
+    m0 = max(M_ANCHOR, 0): the max picks up the constant floor once the
+    anchor form turns negative.  n0 = N_ANCHOR.
     """
     rho = _frac(rho)
-    raw_m0 = 1 - Fraction(3, 2) * rho
+    raw_m0 = M_ANCHOR.value_at(rho)
     floored = raw_m0 < 0
     m0 = max(raw_m0, Fraction(0))
-    n0 = Fraction(1, 2) - Fraction(3, 8) * rho
+    n0 = N_ANCHOR.value_at(rho)
     return m0, n0, floored
 
 
@@ -357,7 +368,8 @@ def verify_choices(rho: RationalLike) -> ChoiceReport:
     """Check the anchor choices against every side condition they must meet.
 
     Everything is exact: threshold comparisons, range inclusion, and the
-    two box-supremum comparisons against the amplification range 3 rho/4.
+    two box-supremum comparisons against the amplification range
+    AMPLIFICATION_RANGE * rho.
     The constant factor 2 in the anchors provides the strict versions of
     the threshold inequalities; at exponent level they appear as >=.
     """
@@ -365,25 +377,16 @@ def verify_choices(rho: RationalLike) -> ChoiceReport:
     if not Fraction(1, 2) <= rho < 1:
         raise ValueError(f"rho must lie in [1/2, 1), got {rho}")
     m0, n0, floored = anchor_exponents(rho)
-    amp = Fraction(3, 4) * rho
+    amp = AMPLIFICATION_RANGE * rho
+    amp_label = f"{AMPLIFICATION_RANGE.numerator}*rho/{AMPLIFICATION_RANGE.denominator}"
     checks = []
-
-    threshold_m = 1 - Fraction(3, 2) * rho
-    checks.append(
-        ChoiceCheck(
-            "m-anchor-exceeds-threshold",
-            m0 >= threshold_m,
-            f"m0={m0} vs X*q^(-3/2) exponent {threshold_m} (factor 2 gives strictness)",
-        )
-    )
-    threshold_n = Fraction(1, 2) - Fraction(3, 8) * rho
-    checks.append(
-        ChoiceCheck(
-            "n-anchor-exceeds-threshold",
-            n0 >= threshold_n,
-            f"n0={n0} vs X^(1/2)*q^(-3/8) exponent {threshold_n} (factor 2 gives strictness)",
-        )
-    )
+    for name, value, form, size in (
+        ("m", m0, M_ANCHOR, f"X*q^({M_ANCHOR.coeff_rho})"),
+        ("n", n0, N_ANCHOR, f"X^({N_ANCHOR.coeff_x})*q^({N_ANCHOR.coeff_rho})"),
+    ):
+        threshold = form.value_at(rho)
+        detail = f"{name}0={value} vs {size} exponent {threshold} (factor 2 gives strictness)"
+        checks.append(ChoiceCheck(f"{name}-anchor-exceeds-threshold", value >= threshold, detail))
     checks.append(
         ChoiceCheck("m-anchor-range", 0 <= m0 <= 1, f"need 0 <= {m0} <= 1")
     )
@@ -399,7 +402,7 @@ def verify_choices(rho: RationalLike) -> ChoiceReport:
             sup_form = sup_box_exponent(coeffs[0], coeffs[1], constraints, rho)
             sup_val = sup_form.value_at(rho)
             checks.append(
-                ChoiceCheck(name, sup_val <= amp, f"sup={sup_val} vs 3*rho/4={amp}")
+                ChoiceCheck(name, sup_val <= amp, f"sup={sup_val} vs {amp_label}={amp}")
             )
         except InfeasibleError:
             checks.append(ChoiceCheck(name, False, "region empty"))
@@ -415,22 +418,27 @@ def verify_choices(rho: RationalLike) -> ChoiceReport:
 # ---------------------------------------------------------------------------
 # Term menus.
 
+# The two amplification orientations blended into a pure power of M*N^2,
+# whose supremum over boxes with M*N^2 <= X heads the default menu.
+BLEND = best_alpha(AMPLIFICATION_MN, AMPLIFICATION_MN[::-1])
 DEFAULT_MENU: tuple[ExponentForm, ...] = (
-    ExponentForm(Fraction(11, 36), Fraction(0), "box-supremum"),
-    ExponentForm(Fraction(1), Fraction(-3, 2), "m-anchor"),
-    ExponentForm(Fraction(1, 2), Fraction(-3, 8), "n-anchor"),
+    ExponentForm(BLEND.exponent, Fraction(0), "box-supremum"),
+    M_ANCHOR,
+    N_ANCHOR,
 )
+THETA = compute_theta(DEFAULT_MENU).theta
+COROLLARY = corollary_exponent(THETA)
 
 # Single-orientation variant: only the (M, N)-ordered amplification bound is
 # available, so the box supremum comes from the vertex (3*rho/4, 1/2-3*rho/8)
-# of the same region, and the cross term over the n-anchor is kept.  This is
-# an exploratory reproduction attempt; it tops out at 28/45, short of the
-# 9/13 known from a different argument.
+# of the same region, and the cross term x/(n0*q) over the n-anchor is kept.
+# This is an exploratory reproduction attempt; it tops out at 28/45, short
+# of the 9/13 known from a different argument.
 ONE_SIDED_MENU: tuple[ExponentForm, ...] = (
     ExponentForm(Fraction(1, 8), Fraction(13, 32), "box-supremum-one-sided"),
     ExponentForm(Fraction(0), Fraction(0), "m-anchor-floor"),
-    ExponentForm(Fraction(1, 2), Fraction(-3, 8), "n-anchor"),
-    ExponentForm(Fraction(1, 2), Fraction(-5, 8), "cross-term"),
+    N_ANCHOR,
+    EQUIDISTRIBUTION_TARGET.plus(N_ANCHOR.scaled(-1), label="cross-term"),
 )
 
 MENUS: dict[str, tuple[ExponentForm, ...]] = {
@@ -443,7 +451,7 @@ def parse_term_menu(text: str) -> list[ExponentForm]:
     """Parse a declarative term menu: one `label coeff_x coeff_rho` per line.
 
     Blank lines and '#' comments are skipped; coefficients are rationals
-    like 11/36 or -3/2.
+    like 7/12 or -5/8.
     """
     terms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -24,6 +24,7 @@ from sqflab.arith_core import (
     primes_up_to,
     squarefree_flags,
 )
+from sqflab.exponent_calculus import COROLLARY
 
 Real = int | float | Fraction
 
@@ -282,7 +283,7 @@ def least_squarefree_ratio_max(
     residues_per_q: int = 8,
     seed: int = 0,
 ) -> tuple[float, tuple[int, int, int]]:
-    """Max of n(q, a) / q**(36/25) over a seeded residue sample, q squarefree.
+    """Max of n(q, a) / q**COROLLARY over a seeded residue sample, q squarefree.
 
     Returns (value, (q, a, n)).  Monitored regression quantity for the
     least-squarefree growth exponent.
@@ -293,7 +294,7 @@ def least_squarefree_ratio_max(
     for modulus in squarefree_moduli(q_max):
         for a in _sample_units(modulus, residues_per_q, rng):
             n = least_squarefree(modulus, a)
-            ratio = n / float(modulus.q) ** (36 / 25)
+            ratio = n / float(modulus.q) ** float(COROLLARY)
             if ratio > best:
                 best = ratio
                 argmax = (modulus.q, a, n)

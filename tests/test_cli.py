@@ -1,11 +1,15 @@
 """CLI surface: exit codes, output schemas, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from sqflab import cli_runner
+from sqflab import cli_runner, congruence_count
 from sqflab.cli_runner import CSV_HEADER, main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +107,12 @@ def test_scan_bad_range(capsys):
     assert "q range" in err
 
 
-def test_count_box(capsys):
+def test_count_box(capsys, monkeypatch):
+    counted = []
+    count_box = congruence_count.count_box
+    monkeypatch.setattr(
+        congruence_count, "count_box", lambda query: counted.append(query) or count_box(query)
+    )
     code, out, _ = run_cli(
         capsys,
         "count-box",
@@ -114,6 +123,8 @@ def test_count_box(capsys):
     assert payload["count"] == 15
     assert payload["symmetry"]["equal"] is True
     assert payload["bounds"]["trivial"] == pytest.approx(100 / 7 + 10)
+    # The box is counted once and its mirror once.
+    assert [(q.u, q.v) for q in counted] == [(1, -2), (2, -1)]
 
 
 BOX = ["count-box", "--u", "1", "--v", "-2", "--q", "7", "--a", "1"]
@@ -137,6 +148,35 @@ def test_box_and_anchor_bounds_must_be_finite_and_positive(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "must be finite and > 0" in captured.err
+
+
+SCAN = ["scan", "--x", "1000", "--q-max", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (PIPELINE + ["--alpha", "5"], "alpha must lie in [0, 1]"),
+        (PIPELINE + ["--alpha", "-1"], "alpha must lie in [0, 1]"),
+        (SCAN + ["--start-row", "-3"], "--start-row must be >= 0"),
+        (SCAN + ["--a", "sample:0"], "sample size must be >= 1"),
+    ],
+)
+def test_out_of_range_options_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_readme_commands_match_golden_digests(capsys):
+    """The README commands print the bytes recorded in perfbench/golden.json."""
+    for case in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        code, out, _ = run_cli(capsys, *case["command"].split())
+        data = out.encode("utf-8")
+        assert code == 0, case["command"]
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            case["bytes"], case["sha256"]
+        ), case["command"]
 
 
 def test_pipeline_report_json(capsys):

@@ -159,6 +159,9 @@ def test_symmetry_examples_and_sweep():
     m7 = factor_modulus(7)
     sym = check_symmetry(BoxQuery(1, -2, 10, 10, m7, 1))
     assert sym.equal and sym.count == 15
+    # A count the caller holds is reused; only the mirror is counted.
+    held = check_symmetry(BoxQuery(1, -2, 10, 10, m7, 1), count=14)
+    assert (held.count, held.mirrored_count, held.equal) == (14, 15, False)
     for (u, v), mb, nb, m, a in random_instances(60, seed=9, q_max=150, side_max=80):
         assert check_symmetry(BoxQuery(u, v, mb, nb, m, a)).equal
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab.arith_core import factor_modulus, mod_pow
-from sqflab.congruence_count import count_dyadic
+from sqflab.congruence_count import BoxQuery, count_dyadic, evaluate_bounds
 from sqflab.decomposition_pipeline import (
     _decompose,
     covering_boxes,
@@ -220,6 +220,21 @@ def test_pipeline_report_asserts_and_reports():
     assert rep.sup_box_count == max(r.count for r in rep.boxes)
     regimes = {row.regime for row in rep.boxes}
     assert regimes <= {"crude", "amplified", "trivial"}
+    # Every non-crude row's bound is evaluate_bounds' on the same dyadic box.
+    wide = pipeline_report(10**6, factor_modulus(3981), 7)
+    assert any(row.regime == "amplified" for row in wide.boxes)
+    for report in (rep, wide):
+        for row in report.boxes:
+            query = BoxQuery(
+                1, -2, row.m_anchor, row.n_anchor, report.modulus, report.residue, dyadic=True
+            )
+            bounds = evaluate_bounds(query)
+            assert row.count == bounds.count
+            assert row.amplification_applicable == (bounds.pierce_mn is not None)
+            if row.regime != "crude":
+                amplified = bounds.interpolated is not None
+                assert row.regime == ("amplified" if amplified else "trivial")
+                assert row.bound == (bounds.interpolated if amplified else bounds.trivial)
 
 
 def test_pipeline_report_degenerate_modulus():
@@ -252,3 +267,6 @@ def test_pipeline_rejects_bad_inputs():
         pipeline_report(30, m5, 5)  # non-coprime residue
     with pytest.raises(ValueError):
         pipeline_report(0.5, m5, 1)
+    # Rejected up front, although x = 1 has no boxes to evaluate.
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        pipeline_report(1, m5, 1, alpha=Fraction(5))

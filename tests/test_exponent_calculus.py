@@ -6,7 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from sqflab.exponent_calculus import (
+    BLEND,
+    COROLLARY,
     DEFAULT_MENU,
+    THETA,
     MENUS,
     ONE_SIDED_MENU,
     AlphaInfeasibleError,
@@ -31,6 +34,8 @@ def test_best_alpha_amplification_pair():
     res = best_alpha((F(2, 3), F(1, 4)), (F(1, 4), F(2, 3)))
     assert res.alpha == F(2, 15)
     assert res.exponent == F(11, 36)
+    assert BLEND == res
+    assert DEFAULT_MENU[0].coeff_x == BLEND.exponent
 
 
 def test_best_alpha_simple_pair():
@@ -171,6 +176,8 @@ def test_compute_theta_reproduces_target_menu():
     res = compute_theta(DEFAULT_MENU)
     assert res.feasible
     assert res.theta == F(25, 36)
+    assert THETA == F(25, 36)
+    assert COROLLARY == F(36, 25)
     assert res.binding_constraint == "box-supremum"
     assert res.slack_at_theta["box-supremum"] == 0
     assert all(v >= 0 for v in res.slack_at_theta.values())
