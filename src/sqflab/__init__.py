@@ -8,6 +8,7 @@ envelopes and monitoring ratios, where it is clearly labelled.
 
 from sqflab.arith_core import (
     InsufficientPrimesError,
+    InvariantError,
     Modulus,
     NotCoprimeError,
     NotSquarefreeError,

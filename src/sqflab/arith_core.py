@@ -29,6 +29,10 @@ class InsufficientPrimesError(ValueError):
     """Raised when a prime table does not cover the sieve window."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug signal, never an input error."""
+
+
 def primes_up_to(n: int) -> list[int]:
     """Primes <= n by Eratosthenes on a bytearray."""
     if n < 2:

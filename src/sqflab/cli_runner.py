@@ -19,6 +19,7 @@ from multiprocessing import Pool
 from typing import Sequence
 
 from sqflab.arith_core import (
+    InvariantError,
     NotCoprimeError,
     NotSquarefreeError,
     factor_modulus,
@@ -111,25 +112,40 @@ def _cmd_error_term(args: argparse.Namespace) -> int:
 # scan
 
 
-def _residues_for(q: int, policy: str, seed: int) -> list[int]:
+def _scan_policy(text: str) -> tuple[str, int]:
+    """scan's --a as ("all", 0), ("sample", k) or ("unit", a)."""
+    if text == "all":
+        return "all", 0
+    kind = "sample" if text.startswith("sample:") else "unit"
+    try:
+        value = int(text.removeprefix("sample:"))
+    except ValueError:
+        raise ValueError(
+            f"--a must be an integer, 'all' or 'sample:K', got {text!r}"
+        ) from None
+    if kind == "sample" and value < 1:
+        raise ValueError(f"sample size must be >= 1, got {text!r}")
+    return kind, value
+
+
+def _residues_for(q: int, policy: tuple[str, int], seed: int) -> list[int]:
     if q == 1:
         return [0]
-    if policy == "all":
-        return [a for a in range(1, q) if gcd(a, q) == 1]
-    if policy.startswith("sample:"):
-        k = int(policy.split(":", 1)[1])
-        rng = random.Random(f"{seed}:{q}")
-        units = [a for a in range(1, q) if gcd(a, q) == 1]
-        if len(units) <= k:
-            return units
-        return sorted(rng.sample(units, k))
-    a = int(policy) % q
-    if gcd(a, q) != 1:
-        raise NotCoprimeError(f"residue {a} is not coprime to {q}")
-    return [a]
+    kind, value = policy
+    if kind == "unit":
+        a = value % q
+        if gcd(a, q) != 1:
+            raise NotCoprimeError(f"residue {a} is not coprime to {q}")
+        return [a]
+    units = [a for a in range(1, q) if gcd(a, q) == 1]
+    if kind == "all" or len(units) <= value:
+        return units
+    return sorted(random.Random(f"{seed}:{q}").sample(units, value))
 
 
-def _scan_rows_for_q(task: tuple[int, tuple[int, ...], str, int]) -> list[tuple]:
+def _scan_rows_for_q(
+    task: tuple[int, tuple[int, ...], tuple[str, int], int],
+) -> list[tuple]:
     q, x_values, policy, seed = task
     modulus = factor_modulus(q)
     rows = []
@@ -165,12 +181,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("x values must be >= 1")
     if args.start_row < 0:
         raise ValueError(f"--start-row must be >= 0, got {args.start_row}")
-    if args.a.startswith("sample:") and int(args.a.removeprefix("sample:")) < 1:
-        raise ValueError(f"sample size must be >= 1, got {args.a!r}")
+    policy = _scan_policy(args.a)
     x_values = tuple(sorted(set(args.x)))
     flags = squarefree_flags(1, args.q_max)
     q_list = [q for q in range(args.q_min, args.q_max + 1) if flags[q - 1]]
-    tasks = [(q, x_values, args.a, args.seed) for q in q_list]
+    tasks = [(q, x_values, policy, args.seed) for q in q_list]
     if args.workers > 1 and len(tasks) > 1:
         with Pool(processes=args.workers) as pool:
             per_q = pool.map(_scan_rows_for_q, tasks)
@@ -271,7 +286,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "feasible": result.feasible,
     }
     if result.feasible:
-        assert result.theta is not None
+        if result.theta is None:
+            raise InvariantError("a feasible menu returned no theta")
         choice = verify_choices(result.theta) if result.theta < 1 else None
         payload.update(
             {

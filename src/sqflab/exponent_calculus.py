@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from sqflab.arith_core import InvariantError
+
 RationalLike = Fraction | int | str
 
 
@@ -126,7 +128,8 @@ def best_alpha(
             )
     exponent = alpha * e1 + (1 - alpha) * e2
     # The defining equation must hold on re-substitution.
-    assert alpha * f1 + (1 - alpha) * f2 == 2 * exponent
+    if alpha * f1 + (1 - alpha) * f2 != 2 * exponent:
+        raise InvariantError(f"weight {alpha} does not solve F(alpha) = 2*E(alpha)")
     return AlphaResult(alpha=alpha, exponent=exponent)
 
 

@@ -4,6 +4,13 @@ The discrepancy and error-term values are `fractions.Fraction`, never floats:
 downstream identity checks require exact equality.  The only floating-point
 output here is the monitoring ratio against the classical square-root
 error envelope.
+
+`error_term` sieves [1, x] once, in segments of squarefree flags.  The same
+walk counts the class a mod q (its flags at stride q) and the squarefree
+n <= x coprime to q, as a signed sum of prefix counts at the cut points
+x // m for the m built from primes of q (`_coprime_cut_points`).  This
+route uses neither Mobius values nor the square-part decomposition, so the
+decomposition can be checked against it.
 """
 
 from __future__ import annotations
@@ -15,8 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable
+from zlib import adler32
 
 from sqflab.arith_core import (
+    InvariantError,
     Modulus,
     NotCoprimeError,
     factor_modulus,
@@ -101,52 +110,105 @@ def _iter_flag_segments(limit: int) -> Iterable[tuple[int, bytes | bytearray]]:
         yield start, squarefree_flags(start, seg_len, primes)
 
 
-def _count_ones(flags: bytes | bytearray, offset: int, stride: int) -> int:
-    """Set flags at offset, offset + stride, ...; stride 1 counts without a copy."""
-    if stride == 1:
-        return flags.count(1, offset)
-    return flags[offset::stride].count(1)
+# adler32's low half is 1 + (byte sum) mod 65521, which on 0/1 flags is one
+# plus the number of set flags in any run shorter than 65521 bytes.
+_ADLER_RUN = 1 << 15
 
 
-def _count_squarefree_in_class(limit: int, q: int, a: int) -> int:
-    """Squarefree n <= limit with n = a (mod q); a already in [0, q)."""
-    total = 0
+def _ones(flags: bytes | bytearray, lo: int, hi: int) -> int:
+    """Set flags in flags[lo:hi], counted in place by adler32 over short runs."""
+    view = memoryview(flags)
+    return sum(
+        (adler32(view[i : min(i + _ADLER_RUN, hi)]) & 0xFFFF) - 1
+        for i in range(lo, hi, _ADLER_RUN)
+    )
+
+
+def _unit_residue(modulus: Modulus, a: int) -> int:
+    """a reduced into [0, q); raises NotCoprimeError unless it is a unit."""
+    a %= modulus.q
+    if gcd(a, modulus.q) != 1:
+        raise NotCoprimeError(f"residue {a} is not coprime to {modulus.q}")
+    return a
+
+
+def _coprime_cut_points(limit: int, modulus: Modulus) -> list[tuple[int, int]]:
+    """Pairs (y, w), y ascending, with #{squarefree n <= limit, (n, q) = 1} = sum w*Q(y).
+
+    Q(y) counts squarefree n <= y.  Since prod over p | q of (1 + p^-s)^-1
+    is the sum of lambda(m) m^-s over m whose primes all divide q, each such
+    m <= limit adds its Liouville sign (-1)^Omega(m) at y = limit // m;
+    equal cut points are merged and zero weights dropped.
+    """
+    terms = [(1, 1)]
+    for p in modulus.prime_factors:
+        for m, sign in terms[:]:
+            while (m := m * p) <= limit:
+                sign = -sign
+                terms.append((m, sign))
+    weights: dict[int, int] = {}
+    for m, sign in terms:
+        weights[limit // m] = weights.get(limit // m, 0) + sign
+    return sorted((y, w) for y, w in weights.items() if w)
+
+
+_COPRIME_CACHE_SIZE = 64
+_coprime_counts: dict[tuple[int, Modulus], int] = {}
+
+
+def _squarefree_counts(limit: int, modulus: Modulus, a: int | None) -> tuple[int, int]:
+    """(class count, coprime count) of squarefree n <= limit from one segment walk.
+
+    The class count (0 when a is None) reads the flags of a mod q at stride
+    q.  The coprime count sums w * Q(y) over _coprime_cut_points, with Q
+    kept as a running count of the flags up to each cut point, so every
+    byte is counted once and in place.  No Mobius table and no
+    decomposition code is used, which keeps this route independent of the
+    one it is checked against.  The coprime count is cached per (limit, q):
+    a repeat walks the class only, and a coprime-only repeat not at all.
+    """
+    if limit < 1:
+        return 0, 0
+    if modulus.q == 1 and a is not None:  # the one class mod 1 holds every n
+        coprime = _squarefree_counts(limit, modulus, None)[1]
+        return coprime, coprime
+    key = (limit, modulus)
+    coprime = _coprime_counts.get(key)
+    if coprime is not None and a is None:
+        return 0, coprime
+    cuts = [] if coprime is not None else _coprime_cut_points(limit, modulus)
+    q = modulus.q
+    in_class = running = total = i = 0
     for start, flags in _iter_flag_segments(limit):
-        total += _count_ones(flags, (a - start) % q, q)
-    return total
+        if a is not None:
+            strided = flags[(a - start) % q :: q]
+            in_class += _ones(strided, 0, len(strided))
+        pos = 0
+        while i < len(cuts) and cuts[i][0] < start + len(flags):
+            y, weight = cuts[i]
+            running += _ones(flags, pos, y + 1 - start)
+            pos = y + 1 - start
+            total += weight * running
+            i += 1
+        if i < len(cuts):
+            running += _ones(flags, pos, len(flags))
+    if coprime is None:
+        coprime = total
+        if len(_coprime_counts) >= _COPRIME_CACHE_SIZE:
+            del _coprime_counts[next(iter(_coprime_counts))]
+        _coprime_counts[key] = coprime
+    return in_class, coprime
 
 
 def squarefree_count_ap(x: Real, modulus: Modulus, a: int) -> int:
     """Exact count of squarefree n <= x in the class a mod q (a must be a unit)."""
-    q = modulus.q
-    a %= q
-    if gcd(a, q) != 1:
-        raise NotCoprimeError(f"residue {a} is not coprime to {q}")
-    fx = _floor(x)
-    if fx < 1:
-        return 0
-    return _count_squarefree_in_class(fx, q, a)
+    a = _unit_residue(modulus, a)
+    return _squarefree_counts(_floor(x), modulus, a)[0]
 
 
 def squarefree_count_coprime(x: Real, modulus: Modulus) -> int:
-    """Exact count of squarefree n <= x coprime to q.
-
-    Inclusion-exclusion over the squarefree divisors d of q: multiples of d
-    that are squarefree are read off the flag windows with stride d.
-    """
-    fx = _floor(x)
-    if fx < 1:
-        return 0
-    return _squarefree_coprime_cached(fx, modulus)
-
-
-@lru_cache(maxsize=64)
-def _squarefree_coprime_cached(limit: int, modulus: Modulus) -> int:
-    total = 0
-    for start, flags in _iter_flag_segments(limit):
-        for d, mu_d in modulus.squarefree_divisors():
-            total += mu_d * _count_ones(flags, -start % d, d)
-    return total
+    """Exact count of squarefree n <= x coprime to q (see _coprime_cut_points)."""
+    return _squarefree_counts(_floor(x), modulus, None)[1]
 
 
 @dataclass(frozen=True)
@@ -165,19 +227,18 @@ class ErrorTermResult:
 
     def __post_init__(self) -> None:
         fx = _floor(self.x)
-        if self.progression_count > fx // self.modulus.q + 1:
-            raise ValueError("progression count exceeds its hard cap")
-        if self.coprime_count > fx:
-            raise ValueError("coprime count exceeds the interval length")
+        if not 0 <= self.progression_count <= fx // self.modulus.q + 1:
+            raise InvariantError("progression count lies outside [0, x // q + 1]")
+        if not self.progression_count <= self.coprime_count <= fx:
+            raise InvariantError("coprime count lies outside [count_ap, x]")
 
 
 def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
     """Exact error of the squarefree count in a progression against the coprime average."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    a %= modulus.q
-    prog = squarefree_count_ap(x, modulus, a)
-    cop = squarefree_count_coprime(x, modulus)
+    a = _unit_residue(modulus, a)
+    prog, cop = _squarefree_counts(_floor(x), modulus, a)
     err = Fraction(prog) - Fraction(cop, modulus.phi)
     return ErrorTermResult(
         x=x,
@@ -214,9 +275,7 @@ def least_squarefree(modulus: Modulus, a: int, ceiling: int | None = None) -> in
     which at desk scale would indicate a bug rather than a genuine miss.
     """
     q = modulus.q
-    a %= q
-    if gcd(a, q) != 1:
-        raise NotCoprimeError(f"residue {a} is not coprime to {q}")
+    a = _unit_residue(modulus, a)
     if ceiling is None:
         ceiling = max(q * q, 16)
     n = a if a >= 1 else q

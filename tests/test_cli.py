@@ -61,6 +61,23 @@ def test_identity_violation_is_exit_3(capsys, monkeypatch):
     assert "internal error" in err
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((8, 15), "progression count lies outside [0, x // q + 1]"),  # cap 30 // 5 + 1 = 7
+        ((5, 31), "coprime count lies outside [count_ap, x]"),
+        ((5, 4), "coprime count lies outside [count_ap, x]"),
+    ],
+)
+def test_count_over_its_cap_is_exit_3(capsys, monkeypatch, counts, message):
+    from sqflab import progression_stats
+
+    monkeypatch.setattr(progression_stats, "_squarefree_counts", lambda *a: counts)
+    code, out, err = run_cli(capsys, "error-term", "--x", "30", "--q", "5", "--a", "1")
+    assert (code, out) == (3, "")
+    assert f"internal error: {message}" in err
+
+
 def test_scan_header_and_rows(capsys):
     code, out, _ = run_cli(capsys, "scan", "--x", "1000", "--q-max", "10", "--a", "all")
     assert code == 0
@@ -160,6 +177,8 @@ SCAN = ["scan", "--x", "1000", "--q-max", "5"]
         (PIPELINE + ["--alpha", "-1"], "alpha must lie in [0, 1]"),
         (SCAN + ["--start-row", "-3"], "--start-row must be >= 0"),
         (SCAN + ["--a", "sample:0"], "sample size must be >= 1"),
+        (["scan", "--x", "100", "--q-max", "1", "--a", "foo"], "--a must be an integer"),
+        (["scan", "--x", "100", "--q-max", "3", "--a", "foo"], "--a must be an integer"),
     ],
 )
 def test_out_of_range_options_exit_2(capsys, argv, message):

@@ -160,12 +160,111 @@ def test_stride_counts_against_trial_division(x, q, a, segment, cache_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(progression_stats, "_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", cache_max)
-        progression_stats._squarefree_coprime_cached.cache_clear()
+        progression_stats._coprime_counts.clear()
         try:
             assert squarefree_count_ap(x, m, a) == want_ap
             assert squarefree_count_coprime(x, m) == want_cop
         finally:
-            progression_stats._squarefree_coprime_cached.cache_clear()
+            progression_stats._coprime_counts.clear()
+
+
+@given(
+    x=st.integers(min_value=1, max_value=3000),
+    q=st.sampled_from([1, 2, 30, 2310, 30030]),
+    a=st.integers(min_value=0, max_value=30029),
+    pick=st.integers(min_value=0, max_value=10**6),
+    shift=st.sampled_from([-1, 0, 1]),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_walk_kernel_against_trial_division(x, q, a, pick, shift):
+    # The first segment ends one before, on, or one after a cut point y, and
+    # the segment length sends later cut points anywhere inside segments.
+    m = factor_modulus(q)
+    a = next(c for c in range(a, a + q) if gcd(c, q) == 1) % q
+    flags = _SQUAREFREE_UP_TO_3000
+    want_ap = sum(1 for n in range(1, x + 1) if n % q == a and flags[n])
+    want_cop = sum(1 for n in range(1, x + 1) if gcd(n, q) == 1 and flags[n])
+    cuts = progression_stats._coprime_cut_points(x, m)
+    assert cuts == sorted(cuts) and cuts[-1] == (x, 1)
+    segment = max(cuts[pick % len(cuts)][0] + shift, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(progression_stats, "_SEGMENT", segment)
+        mp.setattr(progression_stats, "_FLAG_CACHE_MAX", 0)
+        mp.setattr(progression_stats, "_coprime_counts", {})
+        assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
+        # Cached coprime count: the class alone is walked, or nothing.
+        assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
+        assert progression_stats._squarefree_counts(x, m, None) == (0, want_cop)
+
+
+@pytest.mark.parametrize("q", [1, 2, 30, 2310])
+def test_class_counts_sum_to_coprime_count(q, monkeypatch):
+    # Above the flag cache: every count below walks the segmented path.
+    monkeypatch.setattr(progression_stats, "_SEGMENT", 97)
+    monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 100)
+    monkeypatch.setattr(progression_stats, "_coprime_counts", {})
+    m = factor_modulus(q)
+    units = [a for a in range(q) if gcd(a, q) == 1]
+    for x in (101, 1000, 2999):
+        cop = squarefree_count_coprime(x, m)
+        assert sum(squarefree_count_ap(x, m, a) for a in units) == cop
+        want = sum(1 for n in range(1, x + 1) if gcd(n, q) == 1 and squarefree_oracle(n))
+        assert cop == want
+
+
+def test_ones_counts_long_runs_exactly():
+    # All-ones runs are where a too-long adler32 run would wrap mod 65521.
+    rng = random.Random(6)
+    for n in (0, 1, 32768, 32769, 65520, 65521, 200_000):
+        for buf in (b"\x01" * n, bytearray(rng.getrandbits(1) for _ in range(n))):
+            for lo, hi in ((0, n), (n // 3, n - n // 5)):
+                assert progression_stats._ones(buf, lo, hi) == buf[lo:hi].count(1)
+
+
+@pytest.mark.parametrize("q", [1, 2, 30030, 1000003])
+def test_long_segments_against_a_plain_sieve(q, monkeypatch):
+    x = 200_003
+    monkeypatch.setattr(progression_stats, "_SEGMENT", 70_001)
+    monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 1000)
+    monkeypatch.setattr(progression_stats, "_coprime_counts", {})
+    squarefree = [True] * (x + 1)
+    for d in range(2, math.isqrt(x) + 1):
+        for k in range(d * d, x + 1, d * d):
+            squarefree[k] = False
+    m = factor_modulus(q)
+    want_cop = sum(1 for n in range(1, x + 1) if squarefree[n] and gcd(n, q) == 1)
+    for a in (1, q - 1):
+        want_ap = sum(1 for n in range(a % q or q, x + 1, q) if squarefree[n])
+        assert progression_stats._squarefree_counts(x, m, a % q) == (want_ap, want_cop)
+
+
+def test_error_term_walks_the_segments_once(monkeypatch):
+    segment, x = 256, 5000
+    monkeypatch.setattr(progression_stats, "_SEGMENT", segment)
+    monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 1000)
+    monkeypatch.setattr(progression_stats, "_coprime_counts", {})
+    calls = {"flags": 0, "cuts": 0}
+    flags_fn = progression_stats.squarefree_flags
+    cuts_fn = progression_stats._coprime_cut_points
+
+    def counted_flags(*args):
+        calls["flags"] += 1
+        return flags_fn(*args)
+
+    def counted_cuts(*args):
+        calls["cuts"] += 1
+        return cuts_fn(*args)
+
+    monkeypatch.setattr(progression_stats, "squarefree_flags", counted_flags)
+    monkeypatch.setattr(progression_stats, "_coprime_cut_points", counted_cuts)
+    m = factor_modulus(30030)
+    first = error_term(x, m, 1)
+    assert calls == {"flags": -(-x // segment), "cuts": 1}
+    # Another class at the same (x, q) reuses the coprime count.
+    second = error_term(x, m, 17)
+    assert calls == {"flags": 2 * -(-x // segment), "cuts": 1}
+    assert second.coprime_count == first.coprime_count
+    assert second.error == error_term_oracle(x, 30030, 17)
 
 
 def test_error_term_examples():
