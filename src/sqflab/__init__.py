@@ -7,7 +7,6 @@ envelopes and monitoring ratios, where it is clearly labelled.
 """
 
 from sqflab.arith_core import (
-    InsufficientPrimesError,
     InvariantError,
     Modulus,
     NotCoprimeError,

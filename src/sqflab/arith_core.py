@@ -1,20 +1,27 @@
-"""Exact integer primitives: Mobius sieves, modulus factorization, modular arithmetic.
+"""Exact integer primitives: stride sieves, modulus factorization, modular arithmetic.
 
-All values returned here are exact Python integers.  Sieves come in a full
-flavour (small ranges) and a segmented flavour so that windows deep inside
-[1, 10^9] are reachable in bounded memory.
+All values returned here are exact Python integers.  Every sieve is a
+bytearray slice per prime, with primes from one table cached per bit
+length.  Squarefree flags come in windows anywhere in [1, 10^9], in
+bounded memory; Mobius windows are built from those flags and end at or
+below MOBIUS_SIEVE_MAX.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import lru_cache
+from itertools import compress
+from math import isqrt
 from typing import Sequence
 
-# Full-sieve allocations are O(limit); segments are the tool above this.
+# A Mobius window flips its signs once per prime below its end, so its end
+# is capped; squarefree flags only need primes up to the square root.
 MOBIUS_SIEVE_MAX = 10**7
-SEGMENT_MAX_LENGTH = 10**7
+
+# 1 <-> 255 is a sign flip of a signed byte; 0 stays 0.
+_FLIP = bytes.maketrans(b"\x01\xff", b"\xff\x01")
 
 
 class NotSquarefreeError(ValueError):
@@ -23,10 +30,6 @@ class NotSquarefreeError(ValueError):
 
 class NotCoprimeError(ValueError):
     """Raised when an operation requires coprimality that does not hold."""
-
-
-class InsufficientPrimesError(ValueError):
-    """Raised when a prime table does not cover the sieve window."""
 
 
 class InvariantError(RuntimeError):
@@ -43,31 +46,13 @@ def primes_up_to(n: int) -> list[int]:
         if flags[p]:
             start = p * p
             flags[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(flags) if v]
+    return list(compress(range(n + 1), flags))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _prev_prime(n: int) -> int:
-    """Largest prime <= n, or 0 when none exists."""
-    while n >= 2:
-        if _is_prime(n):
-            return n
-        n -= 1
-    return 0
+@lru_cache(maxsize=None)
+def _prime_table(bits: int) -> list[int]:
+    """Primes <= 2**bits: all primes up to any bound of that bit length, then more."""
+    return primes_up_to(1 << bits)
 
 
 def is_squarefree(n: int) -> bool:
@@ -124,17 +109,6 @@ class SieveWindow:
             raise IndexError(f"{n} outside window [{self.start}, {self.end})")
         return self.mu[n - self.start]
 
-    def squarefree_at(self, n: int) -> bool:
-        return self.mu_at(n) != 0
-
-    def concat(self, other: "SieveWindow") -> "SieveWindow":
-        """Join with an adjacent window on the right."""
-        if other.start != self.end:
-            raise ValueError("windows are not adjacent")
-        joined = array("b", self.mu)
-        joined.extend(other.mu)
-        return SieveWindow(self.start, self.length + other.length, joined)
-
 
 @dataclass(frozen=True)
 class Modulus:
@@ -164,9 +138,6 @@ class Modulus:
             divisors += [(d * p, -m) for d, m in divisors]
         return divisors
 
-    def is_coprime(self, n: int) -> bool:
-        return gcd(n, self.q) == 1
-
 
 def factor_modulus(q: int) -> Modulus:
     """Factor a squarefree modulus; reject anything with a square factor.
@@ -194,89 +165,7 @@ def factor_modulus(q: int) -> Modulus:
     return Modulus(q=q, prime_factors=tuple(factors), phi=phi, omega=len(factors))
 
 
-def _check_prime_table(primes: Sequence[int], end: int) -> None:
-    """Require every prime <= isqrt(end - 1) to be present in the table."""
-    if end <= 1:
-        return
-    bound = isqrt(end - 1)
-    needed = _prev_prime(bound)
-    if needed == 0:
-        return
-    if not primes or primes[-1] < needed:
-        have = primes[-1] if primes else None
-        raise InsufficientPrimesError(
-            f"prime table up to {have} cannot sieve [.., {end}); need primes to {needed}"
-        )
-
-
-def mobius_sieve(limit: int) -> SieveWindow:
-    """Mobius values over [1, limit] by the multiplicative sieve."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > MOBIUS_SIEVE_MAX:
-        raise ValueError(
-            f"limit {limit} exceeds the full-sieve bound {MOBIUS_SIEVE_MAX}; "
-            "use mobius_segment for large ranges"
-        )
-    mu = array("b", [1]) * (limit + 1)
-    for p in primes_up_to(limit):
-        for m in range(p, limit + 1, p):
-            mu[m] = -mu[m]
-        p2 = p * p
-        for m in range(p2, limit + 1, p2):
-            mu[m] = 0
-    return SieveWindow(start=1, length=limit, mu=mu[1:])
-
-
-def mobius_segment(
-    start: int, length: int, primes: Sequence[int] | None = None
-) -> SieveWindow:
-    """Mobius values over [start, start+length) without sieving from 1.
-
-    `primes` must cover every prime up to sqrt(start+length-1); pass None to
-    have the table built internally.
-    """
-    if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if length > SEGMENT_MAX_LENGTH:
-        raise ValueError(f"segment length {length} exceeds {SEGMENT_MAX_LENGTH}")
-    end = start + length
-    if length == 0:
-        return SieveWindow(start=start, length=0, mu=array("b"))
-    if primes is None:
-        primes = primes_up_to(isqrt(end - 1))
-    else:
-        _check_prime_table(primes, end)
-
-    mu = array("b", [1]) * length
-    remaining = list(range(start, end))
-    root = isqrt(end - 1)
-    for p in primes:
-        if p > root:
-            break
-        first = ((start + p - 1) // p) * p
-        for m in range(first, end, p):
-            i = m - start
-            r = remaining[i] // p
-            if r % p == 0:
-                mu[i] = 0
-                while r % p == 0:
-                    r //= p
-            else:
-                mu[i] = -mu[i]
-            remaining[i] = r
-    for i in range(length):
-        # Leftover cofactor is a single prime > sqrt(end-1).
-        if remaining[i] > 1:
-            mu[i] = -mu[i]
-    return SieveWindow(start=start, length=length, mu=mu)
-
-
-def squarefree_flags(
-    start: int, length: int, primes: Sequence[int] | None = None
-) -> bytearray:
+def squarefree_flags(start: int, length: int) -> bytearray:
     """Squarefree indicators (0/1 bytes) over [start, start+length).
 
     Marks multiples of p^2 with bytearray strides; byte i corresponds to the
@@ -291,21 +180,43 @@ def squarefree_flags(
     flags = bytearray(b"\x01") * length
     if length == 0:
         return flags
-    if primes is None:
-        primes = primes_up_to(isqrt(end - 1))
-    else:
-        _check_prime_table(primes, end)
     root = isqrt(end - 1)
-    for p in primes:
+    for p in _prime_table(root.bit_length()):
         if p > root:
             break
-        p2 = p * p
-        first = ((start + p2 - 1) // p2) * p2
-        if first < end:
-            i0 = first - start
-            count = (end - 1 - first) // p2 + 1
-            flags[i0::p2] = b"\x00" * count
+        i0 = -start % (p * p)
+        flags[i0 :: p * p] = bytes(len(range(i0, length, p * p)))
     return flags
+
+
+def mobius_segment(start: int, length: int) -> SieveWindow:
+    """Mobius values over [start, start+length), ending at most at MOBIUS_SIEVE_MAX.
+
+    Starts from the squarefree flags and flips the sign byte at the
+    multiples of every prime below the window's end.  Every prime factor of
+    every n in the window is such a prime, so a squarefree n ends up with
+    (-1)^omega(n) and the others keep 0: exact by construction.
+    """
+    last = start + length - 1
+    if last > MOBIUS_SIEVE_MAX:
+        raise ValueError(
+            f"window end {last} exceeds the Mobius sieve bound {MOBIUS_SIEVE_MAX}"
+        )
+    signs = squarefree_flags(start, length)
+    for p in _prime_table(last.bit_length()):
+        if p > last:
+            break
+        i0 = -start % p
+        if i0 < length:
+            signs[i0::p] = signs[i0::p].translate(_FLIP)
+    return SieveWindow(start=start, length=length, mu=array("b", signs))
+
+
+def mobius_sieve(limit: int) -> SieveWindow:
+    """Mobius values over [1, limit]."""
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    return mobius_segment(1, limit)
 
 
 def mod_inverse(n: int, q: int) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from sqflab.arith_core import Modulus, NotCoprimeError
+from sqflab.arith_core import InvariantError, Modulus, NotCoprimeError
 from sqflab.exponent_calculus import AMPLIFICATION_MN, AMPLIFICATION_RANGE, BLEND
 from sqflab.progression_stats import Real
 
@@ -198,7 +198,7 @@ def _assert_count_caps(query: BoxQuery, count: int) -> None:
     else:
         return
     if count > max(cap, 0):
-        raise AssertionError(
+        raise InvariantError(
             f"count {count} exceeds its provable cap {cap} for {query}"
         )
 

@@ -22,11 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sqflab.arith_core import Modulus, NotCoprimeError, mobius_sieve
+from sqflab.arith_core import InvariantError, Modulus, mobius_sieve
 from sqflab.congruence_count import BoxQuery, check_alpha, evaluate_bounds
 from sqflab.exponent_calculus import BLEND, M_ANCHOR, N_ANCHOR
 from sqflab.progression_stats import (
     Real,
+    _unit_residue,
     count_coprime,
     discrepancy,  # noqa: F401  the per-term quantity; perfbench's tracer counts it here
     error_term,
@@ -49,13 +50,6 @@ class TailSplit:
     @property
     def total(self) -> Fraction:
         return self.head + self.tail
-
-
-def _check_unit(modulus: Modulus, a: int) -> int:
-    a %= modulus.q
-    if gcd(a, modulus.q) != 1:
-        raise NotCoprimeError(f"residue {a} is not coprime to {modulus.q}")
-    return a
 
 
 def _check_cutoff(x: Real, n0: Real) -> None:
@@ -114,7 +108,7 @@ def decompose_error(x: Real, modulus: Modulus, a: int) -> Fraction:
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    a = _check_unit(modulus, a)
+    a = _unit_residue(modulus, a)
     split, _ = _decompose(x, modulus, a, 0)
     return split.total
 
@@ -127,7 +121,7 @@ def tail_split(x: Real, modulus: Modulus, a: int, n0: Real) -> TailSplit:
     instead of bounded.
     """
     _check_cutoff(x, n0)
-    a = _check_unit(modulus, a)
+    a = _unit_residue(modulus, a)
     split, _ = _decompose(x, modulus, a, n0)
     return split
 
@@ -333,14 +327,14 @@ def pipeline_report(
     pass over the decomposition terms, so the identity check compares two
     independent computations.
 
-    Raises RuntimeError if either the exact identity or the exact
+    Raises InvariantError if either the exact identity or the exact
     majorization fails; both are internal invariants, so a failure means a
     bug, not unlucky inputs.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     check_alpha(alpha)
-    a = _check_unit(modulus, a)
+    a = _unit_residue(modulus, a)
     default_m0, default_n0 = default_anchor_choices(x, modulus.q)
     m0 = default_m0 if m0 is None else float(m0)
     n0 = default_n0 if n0 is None else float(n0)
@@ -380,11 +374,11 @@ def pipeline_report(
         esup_reference=esup,
     )
     if not report.identity_ok:
-        raise RuntimeError(
+        raise InvariantError(
             f"decomposition identity violated: {report.e_direct} != {report.e_decomposed}"
         )
     if not report.majorization_ok:
-        raise RuntimeError(
+        raise InvariantError(
             f"majorization violated: |{report.e_direct}| > {report.majorization_rhs}"
         )
     return report

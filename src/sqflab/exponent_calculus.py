@@ -433,12 +433,25 @@ THETA = compute_theta(DEFAULT_MENU).theta
 COROLLARY = corollary_exponent(THETA)
 
 # Single-orientation variant: only the (M, N)-ordered amplification bound is
-# available, so the box supremum comes from the vertex (3*rho/4, 1/2-3*rho/8)
-# of the same region, and the cross term x/(n0*q) over the n-anchor is kept.
-# This is an exploratory reproduction attempt; it tops out at 28/45, short
-# of the 9/13 known from a different argument.
+# available, so the box supremum is its maximum over m >= 0, n >= N_ANCHOR,
+# m + 2n <= 1 and m <= AMPLIFICATION_RANGE * rho.  The maximum sits where
+# the last three facets meet, (3*rho/4, 1/2-3*rho/8) at every rho, so the
+# form found at rho = 1/2 holds on the whole domain.  The cross term
+# x/(n0*q) over the n-anchor is kept.  This is an exploratory reproduction
+# attempt; it tops out at 28/45, short of the 9/13 known from a different
+# argument.
+_ONE_SIDED_BOX = sup_box_exponent(
+    *AMPLIFICATION_MN,
+    [
+        lower_bound_m(ZERO_FORM),
+        lower_bound_n(N_ANCHOR),
+        LinearConstraint(1, 2, ExponentForm(1, 0), "volume-cap"),
+        LinearConstraint(1, 0, ExponentForm(0, AMPLIFICATION_RANGE), "amplification-range"),
+    ],
+    Fraction(1, 2),
+)
 ONE_SIDED_MENU: tuple[ExponentForm, ...] = (
-    ExponentForm(Fraction(1, 8), Fraction(13, 32), "box-supremum-one-sided"),
+    ExponentForm(_ONE_SIDED_BOX.coeff_x, _ONE_SIDED_BOX.coeff_rho, "box-supremum-one-sided"),
     ExponentForm(Fraction(0), Fraction(0), "m-anchor-floor"),
     N_ANCHOR,
     EQUIDISTRIBUTION_TARGET.plus(N_ANCHOR.scaled(-1), label="cross-term"),

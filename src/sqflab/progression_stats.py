@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable
 from zlib import adler32
 
@@ -30,7 +30,6 @@ from sqflab.arith_core import (
     NotCoprimeError,
     factor_modulus,
     is_squarefree,
-    primes_up_to,
     squarefree_flags,
 )
 from sqflab.exponent_calculus import COROLLARY
@@ -104,10 +103,9 @@ def _iter_flag_segments(limit: int) -> Iterable[tuple[int, bytes | bytearray]]:
     if limit <= _FLAG_CACHE_MAX:
         yield 1, _flag_prefix(limit)
         return
-    primes = primes_up_to(isqrt(limit))
     for start in range(1, limit + 1, _SEGMENT):
         seg_len = min(_SEGMENT, limit + 1 - start)
-        yield start, squarefree_flags(start, seg_len, primes)
+        yield start, squarefree_flags(start, seg_len)
 
 
 # adler32's low half is 1 + (byte sum) mod 65521, which on 0/1 flags is one

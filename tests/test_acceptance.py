@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sqflab.arith_core import factor_modulus, mobius_segment, mobius_sieve, mod_pow, primes_up_to
+from sqflab.arith_core import factor_modulus, mobius_segment, mobius_sieve, mod_pow
 from sqflab.congruence_count import BoxQuery, count_box, geometric_grid, scan_boxes
 from sqflab.decomposition_pipeline import decompose_error, pipeline_report
 from sqflab.exponent_calculus import (
@@ -243,11 +243,10 @@ def _squarefree_by_trial_division(n: int) -> bool:
 def test_criterion_7_sieve_correctness():
     limit = 10**6
     # windowed sieve: segmented Mobius windows covering [1, limit]
-    primes = primes_up_to(isqrt(limit))
     chunk = 1 << 17
     sieved_sum = 0
     for start in range(1, limit + 1, chunk):
-        seg = mobius_segment(start, min(chunk, limit + 1 - start), primes)
+        seg = mobius_segment(start, min(chunk, limit + 1 - start))
         sieved_sum += sum(1 for v in seg.mu if v != 0)
     oracle_sum = sum(1 for n in range(1, limit + 1) if _squarefree_by_trial_division(n))
 
@@ -257,7 +256,7 @@ def test_criterion_7_sieve_correctness():
     for _ in range(100):
         start = rng.randrange(1, limit - 1000)
         length = rng.randrange(0, 1000)
-        seg = mobius_segment(start, length, primes)
+        seg = mobius_segment(start, length)
         if list(seg.mu) != list(full.mu[start - 1 : start - 1 + length]):
             window_mismatches += 1
 

@@ -1,14 +1,13 @@
 """Sieve and modular-arithmetic correctness against independent oracles."""
 
 import random
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab.arith_core import (
-    InsufficientPrimesError,
     NotCoprimeError,
     NotSquarefreeError,
     SieveWindow,
@@ -97,9 +96,8 @@ def test_segment_deep_window_matches_full_restriction():
 
 
 def test_segment_near_1e7_against_oracle():
-    primes = primes_up_to(isqrt(10**7))
     for start in (9_999_000, 5_000_000, 123_456):
-        seg = mobius_segment(start, 800, primes)
+        seg = mobius_segment(start, 800)
         for n in range(start, start + 800, 7):
             assert seg.mu_at(n) == mobius_oracle(n), n
 
@@ -107,27 +105,11 @@ def test_segment_near_1e7_against_oracle():
 def test_segment_random_windows_match_full():
     rng = random.Random(1)
     full = mobius_sieve(200_000)
-    primes = primes_up_to(isqrt(200_000))
     for _ in range(30):
         start = rng.randrange(1, 199_000)
         length = rng.randrange(0, 900)
-        seg = mobius_segment(start, length, primes)
+        seg = mobius_segment(start, length)
         assert list(seg.mu) == list(full.mu[start - 1 : start - 1 + length])
-
-
-def test_segment_insufficient_primes():
-    with pytest.raises(InsufficientPrimesError):
-        mobius_segment(10**6, 100, [2, 3, 5, 7])
-
-
-def test_window_concat():
-    left = mobius_segment(100, 50)
-    right = mobius_segment(150, 70)
-    joined = left.concat(right)
-    assert joined.start == 100 and joined.length == 120
-    assert list(joined.mu) == list(mobius_segment(100, 120).mu)
-    with pytest.raises(ValueError):
-        right.concat(left)
 
 
 def test_window_bounds_checks():
@@ -148,8 +130,7 @@ def test_squarefree_flags_agree_with_mu():
 
 
 def test_squarefree_flags_deep_segment():
-    primes = primes_up_to(isqrt(10**7))
-    flags = squarefree_flags(9_999_000, 500, primes)
+    flags = squarefree_flags(9_999_000, 500)
     for i, n in enumerate(range(9_999_000, 9_999_500)):
         assert flags[i] == (mobius_oracle(n) != 0)
 

@@ -10,6 +10,7 @@ from sqflab import cli_runner, congruence_count
 from sqflab.cli_runner import CSV_HEADER, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+BOX = ["count-box", "--u", "1", "--v", "-2", "--q", "7", "--a", "1"]
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +79,33 @@ def test_count_over_its_cap_is_exit_3(capsys, monkeypatch, counts, message):
     assert f"internal error: {message}" in err
 
 
+def test_box_count_over_its_cap_is_exit_3(capsys, monkeypatch):
+    cap = (10 // 7 + 1) * 10  # (m_span // q + 1) * n_span for (u, v) = (1, -2)
+    monkeypatch.setattr(congruence_count, "class_count", lambda *a: cap + 1)
+    code, out, err = run_cli(capsys, *BOX, "--m", "10", "--n", "10")
+    assert (code, out) == (3, "")
+    assert f"internal error: count {cap + 1} exceeds its provable cap {cap}" in err
+
+
+def test_scan_computes_each_class_once(capsys, monkeypatch):
+    calls = []
+    least = cli_runner.least_squarefree
+    monkeypatch.setattr(
+        cli_runner,
+        "least_squarefree",
+        lambda modulus, a: calls.append((modulus.q, a)) or least(modulus, a),
+    )
+    code, out, _ = run_cli(
+        capsys, "scan", "--x", "1000", "2000", "5000", "--q-max", "10", "--a", "all"
+    )
+    assert code == 0
+    data = out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        3189, "4eb5e9fa391b14314127aa699d0e83cca7c544017cb1c357cedc1e4dfa01d2eb"
+    )
+    assert len(calls) == len(set(calls)) == 20  # one per (q, a); 60 rows
+
+
 def test_scan_header_and_rows(capsys):
     code, out, _ = run_cli(capsys, "scan", "--x", "1000", "--q-max", "10", "--a", "all")
     assert code == 0
@@ -144,7 +172,6 @@ def test_count_box(capsys, monkeypatch):
     assert [(q.u, q.v) for q in counted] == [(1, -2), (2, -1)]
 
 
-BOX = ["count-box", "--u", "1", "--v", "-2", "--q", "7", "--a", "1"]
 PIPELINE = ["pipeline", "--x", "1000000", "--q", "3981", "--a", "7"]
 
 
@@ -168,6 +195,7 @@ def test_box_and_anchor_bounds_must_be_finite_and_positive(capsys, argv):
 
 
 SCAN = ["scan", "--x", "1000", "--q-max", "5"]
+WALK = f"above the budget of {cli_runner.COUNT_BOX_WALK_MAX}"
 
 
 @pytest.mark.parametrize(
@@ -179,12 +207,26 @@ SCAN = ["scan", "--x", "1000", "--q-max", "5"]
         (SCAN + ["--a", "sample:0"], "sample size must be >= 1"),
         (["scan", "--x", "100", "--q-max", "1", "--a", "foo"], "--a must be an integer"),
         (["scan", "--x", "100", "--q-max", "3", "--a", "foo"], "--a must be an integer"),
+        (BOX + ["--m", "10", "--n", "1e9"], "box walks 1000000000 integers, " + WALK),
+        # For v < 0 the symmetry mirror walks the m side.
+        (BOX + ["--m", "1e9", "--n", "10"], "box walks 1000000000 integers, " + WALK),
+        (BOX + ["--m", "2e7", "--n", "10", "--dyadic"], "box walks 20000000 integers, " + WALK),
     ],
 )
 def test_out_of_range_options_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_count_box_budget_spares_the_unwalked_side(capsys):
+    # For v > 0 there is no mirror, so only the n side counts.
+    code, out, _ = run_cli(
+        capsys, "count-box", "--u", "1", "--v", "2", "--m", "1e9", "--n", "10",
+        "--q", "7", "--a", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["count"] > 0
 
 
 def test_readme_commands_match_golden_digests(capsys):
@@ -229,6 +271,11 @@ def test_optimize_one_sided_menu(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["theta"] == "28/45"
+    # Unchanged since its box term was derived instead of written out.
+    data = out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        1705, "adc28ee76bf0ce82af859fb951d8e87cba9119bbb053f73ba5489ce5500d328d"
+    )
 
 
 def test_optimize_menu_file(tmp_path, capsys):

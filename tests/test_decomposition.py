@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqflab.arith_core import factor_modulus, mod_pow
+from sqflab import decomposition_pipeline
+from sqflab.arith_core import InvariantError, factor_modulus, mod_pow
 from sqflab.congruence_count import BoxQuery, count_dyadic, evaluate_bounds
 from sqflab.decomposition_pipeline import (
+    TailSplit,
     _decompose,
     covering_boxes,
     decompose_error,
@@ -235,6 +237,27 @@ def test_pipeline_report_asserts_and_reports():
                 amplified = bounds.interpolated is not None
                 assert row.regime == ("amplified" if amplified else "trivial")
                 assert row.bound == (bounds.interpolated if amplified else bounds.trivial)
+
+
+@pytest.mark.parametrize(
+    "shift, boxes, message",
+    [(1, None, "decomposition identity violated"), (0, [], "majorization violated")],
+)
+def test_pipeline_invariant_failures_raise_invariant_error(monkeypatch, shift, boxes, message):
+    m101 = factor_modulus(101)
+    error = error_term(10**4, m101, 3).error
+    assert error != 0
+    # A decomposition off by `shift`; with no boxes and no tail or main
+    # term, the majorization's right side is 0 < |error|.
+    monkeypatch.setattr(
+        decomposition_pipeline,
+        "_decompose",
+        lambda *a: (TailSplit(head=error + shift, tail=Fraction(0)), Fraction(0)),
+    )
+    if boxes is not None:
+        monkeypatch.setattr(decomposition_pipeline, "covering_boxes", lambda *a: boxes)
+    with pytest.raises(InvariantError, match=message):
+        pipeline_report(10**4, m101, 3)
 
 
 def test_pipeline_report_degenerate_modulus():

@@ -220,6 +220,8 @@ def test_one_sided_menu_theta():
     res = compute_theta(ONE_SIDED_MENU)
     assert res.theta == F(28, 45)
     assert res.binding_constraint == "box-supremum-one-sided"
+    # Derived at import from sup_box_exponent, not written out.
+    assert (ONE_SIDED_MENU[0].coeff_x, ONE_SIDED_MENU[0].coeff_rho) == (F(1, 8), F(13, 32))
     # its supremum term matches a fresh vertex computation at sample rho
     for rho in (F(1, 2), F(3, 5), F(28, 45), F(9, 10)):
         n0 = F(1, 2) - F(3, 8) * rho
