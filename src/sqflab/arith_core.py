@@ -1,8 +1,8 @@
 """Exact integer primitives: stride sieves, modulus factorization, modular arithmetic.
 
 All values returned here are exact Python integers.  Every sieve is a
-bytearray slice per prime, with primes from one table cached per bit
-length.  Squarefree flags come in windows anywhere in [1, 10^9], in
+bytearray slice per prime, with primes from one cached table (the largest
+built so far).  Squarefree flags come in windows anywhere in [1, 10^9], in
 bounded memory; Mobius windows are built from those flags and end at or
 below MOBIUS_SIEVE_MAX.
 """
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # A Mobius window flips its signs once per prime below its end, so its end
 # is capped; squarefree flags only need primes up to the square root.
@@ -36,23 +35,38 @@ class InvariantError(RuntimeError):
     """An internal invariant failed: a bug signal, never an input error."""
 
 
-def primes_up_to(n: int) -> list[int]:
-    """Primes <= n by Eratosthenes on a bytearray."""
-    if n < 2:
-        return []
+def _primes(n: int) -> Iterator[int]:
+    """Primes <= n (n >= 1) in ascending order, by Eratosthenes on a bytearray."""
     flags = bytearray(b"\x01") * (n + 1)
     flags[0] = flags[1] = 0
     for p in range(2, isqrt(n) + 1):
         if flags[p]:
             start = p * p
             flags[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return list(compress(range(n + 1), flags))
+    return compress(range(n + 1), flags)
 
 
-@lru_cache(maxsize=None)
-def _prime_table(bits: int) -> list[int]:
-    """Primes <= 2**bits: all primes up to any bound of that bit length, then more."""
-    return primes_up_to(1 << bits)
+def primes_up_to(n: int) -> list[int]:
+    """Primes <= n by Eratosthenes on a bytearray."""
+    return list(_primes(n)) if n >= 2 else []
+
+
+_prime_cache: dict[int, array] = {}
+
+
+def _prime_table(bits: int) -> array:
+    """Primes <= 2**bits or beyond: all primes up to any bound of that bit length.
+
+    Only the largest table built so far is kept, since it serves every
+    smaller bound; callers stop at their own bound.  It is an array of
+    4-byte integers, built without an intermediate list.
+    """
+    held = max(_prime_cache, default=-1)
+    if bits > held:
+        _prime_cache.clear()
+        _prime_cache[bits] = array("I", _primes(1 << bits))
+        held = bits
+    return _prime_cache[held]
 
 
 def is_squarefree(n: int) -> bool:

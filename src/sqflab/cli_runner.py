@@ -14,11 +14,12 @@ import os
 import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from multiprocessing import Pool
 from typing import Sequence
 
 from sqflab.arith_core import (
+    MOBIUS_SIEVE_MAX,
     InvariantError,
     NotCoprimeError,
     NotSquarefreeError,
@@ -49,6 +50,12 @@ EXIT_INVARIANT = 3
 # Integers one count-box request may walk: the n side of the box, and for
 # v < 0 also the m side, which the symmetry mirror walks as its n side.
 COUNT_BOX_WALK_MAX = 10**7
+
+# Flags one error term may sieve: its progression n = a + q*k holds about
+# x // q of them.  Its primes, its table of squarefree prefix counts and the
+# decomposition's Mobius prefix all grow with isqrt(x), which
+# MOBIUS_SIEVE_MAX bounds.
+ERROR_TERM_WORK_MAX = 10**9
 
 CSV_HEADER = "X,q,a,count_ap,count_coprime,E_num,E_den,ratio_hooley,n_q_a,ratio_corollary"
 
@@ -83,12 +90,25 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+def _check_error_term_budget(x: int, q: int) -> None:
+    """Refuse an error term at (x, q) above the work budget, before any sieving."""
+    if x // q > ERROR_TERM_WORK_MAX:
+        raise ValueError(
+            f"x // q = {x // q} is above the budget of {ERROR_TERM_WORK_MAX}"
+        )
+    if x > 0 and isqrt(x) > MOBIUS_SIEVE_MAX:
+        raise ValueError(
+            f"isqrt(x) = {isqrt(x)} is above the sieve bound {MOBIUS_SIEVE_MAX}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # error-term
 
 
 def _cmd_error_term(args: argparse.Namespace) -> int:
     modulus = factor_modulus(args.q)
+    _check_error_term_budget(args.x, modulus.q)
     result = error_term(args.x, modulus, args.a)
     payload = {
         "x": args.x,
@@ -191,6 +211,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError(f"--start-row must be >= 0, got {args.start_row}")
     policy = _scan_policy(args.a)
     x_values = tuple(sorted(set(args.x)))
+    _check_error_term_budget(x_values[-1], args.q_min)
     flags = squarefree_flags(1, args.q_max)
     q_list = [q for q in range(args.q_min, args.q_max + 1) if flags[q - 1]]
     tasks = [(q, x_values, policy, args.seed) for q in q_list]
@@ -273,6 +294,7 @@ def _cmd_count_box(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     modulus = factor_modulus(args.q)
+    _check_error_term_budget(args.x, modulus.q)
     report = pipeline_report(
         args.x, modulus, args.a, m0=args.m0, n0=args.n0, alpha=args.alpha
     )

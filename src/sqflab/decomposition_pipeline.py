@@ -78,6 +78,7 @@ def _decompose(
     mu = _mu_prefix(n_max) if n_max >= 1 else ()
     q = modulus.q
     sums = []
+    last_y = cop_n = 0  # y only falls as n grows: count_coprime once per y
     for first, last in ((1, n_split), (n_split + 1, n_max)):
         ap = cop = unsigned_cop = 0
         for n in range(first, last + 1):
@@ -86,7 +87,8 @@ def _decompose(
                 continue
             y = fx // (n * n)
             r = a * pow(n, -2, q) % q
-            cop_n = count_coprime(y, modulus)
+            if y != last_y:
+                last_y, cop_n = y, count_coprime(y, modulus)
             ap += m * ((y + q - (r or q)) // q)  # count_ap(y, q, r), y >= 1
             cop += m * cop_n
             unsigned_cop += cop_n
@@ -340,8 +342,10 @@ def pipeline_report(
     n0 = default_n0 if n0 is None else float(n0)
     _check_cutoff(x, n0)
 
-    direct = error_term(x, modulus, a)
+    # The decomposition goes first: its Mobius prefix refuses an isqrt(x)
+    # above MOBIUS_SIEVE_MAX before the direct route sieves anything.
     split, cross = _decompose(x, modulus, a, n0)
+    direct = error_term(x, modulus, a)
 
     rows = tuple(
         _box_row(m_anchor, n_anchor, modulus, a, m0, alpha)

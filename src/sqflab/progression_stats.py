@@ -5,29 +5,39 @@ downstream identity checks require exact equality.  The only floating-point
 output here is the monitoring ratio against the classical square-root
 error envelope.
 
-`error_term` sieves [1, x] once, in segments of squarefree flags.  The same
-walk counts the class a mod q (its flags at stride q) and the squarefree
-n <= x coprime to q, as a signed sum of prefix counts at the cut points
-x // m for the m built from primes of q (`_coprime_cut_points`).  This
-route uses neither Mobius values nor the square-part decomposition, so the
-decomposition can be checked against it.
+`error_term` counts the class a mod q and the squarefree n <= x coprime to
+q.  For x <= 2^22 both come from one cached flag prefix of [1, x]: the
+class at stride q, the coprime count as a signed sum of prefix counts
+Q(x // m) over the m built from primes of q (`_coprime_cut_points`).
+Above 2^22 nothing walks [1, x].  The class count sieves only the
+progression n = a + q*k, striking for each prime p <= sqrt(x) prime to q
+the k = -a/q (mod p^2), in about x / q bytes.  The coprime count keeps
+the same signed sum, and evaluates each Q(y) through y = sum over d of
+Q(y // d^2), every n being d^2 times a squarefree number in exactly one
+way, from a prefix table of 2 * sqrt(x) flags (at most 2^22).  Both
+routes use the squarefree flags and the prime table, but neither Mobius
+values nor the square-part decomposition, so the decomposition can be
+checked against them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Iterable
+from itertools import accumulate, compress
+from math import gcd, isqrt
+from typing import Callable, Iterable
 from zlib import adler32
 
 from sqflab.arith_core import (
     InvariantError,
     Modulus,
     NotCoprimeError,
+    _prime_table,
     factor_modulus,
     is_squarefree,
     squarefree_flags,
@@ -36,8 +46,9 @@ from sqflab.exponent_calculus import COROLLARY
 
 Real = int | float | Fraction
 
-_SEGMENT = 1 << 20
 _FLAG_CACHE_MAX = 1 << 22
+# Longest segment of the progression sieve, in bytes (one flag per k).
+_K_SEGMENT = 1 << 20
 
 
 class SearchCeilingError(RuntimeError):
@@ -94,20 +105,6 @@ def _flag_prefix(limit: int) -> bytes:
     return bytes(squarefree_flags(1, limit))
 
 
-def _iter_flag_segments(limit: int) -> Iterable[tuple[int, bytes | bytearray]]:
-    """Yield (start, flags) pairs covering [1, limit] in bounded memory.
-
-    Segments are handed out as the sieve built them, without a copy; callers
-    only read them.
-    """
-    if limit <= _FLAG_CACHE_MAX:
-        yield 1, _flag_prefix(limit)
-        return
-    for start in range(1, limit + 1, _SEGMENT):
-        seg_len = min(_SEGMENT, limit + 1 - start)
-        yield start, squarefree_flags(start, seg_len)
-
-
 # adler32's low half is 1 + (byte sum) mod 65521, which on 0/1 flags is one
 # plus the number of set flags in any run shorter than 65521 bytes.
 _ADLER_RUN = 1 << 15
@@ -130,72 +127,162 @@ def _unit_residue(modulus: Modulus, a: int) -> int:
     return a
 
 
+def _class_count(limit: int, q: int, a: int) -> int:
+    """Squarefree n <= limit with n = a (mod q), a a unit, q > 1.
+
+    Up to _FLAG_CACHE_MAX the class is read off the cached flags at stride
+    q.  Above it only the progression n = a + q*k is sieved (a >= 1, as
+    q > 1): p^2 | n exactly when k = -a * q^-1 (mod p^2), for each prime
+    p <= isqrt(limit) that does not divide q (a prime of q divides no
+    member of a unit class).  The flags over k come in segments of at
+    most _K_SEGMENT bytes.  A prime with p^2 below the segment length
+    zeroes every segment at stride p^2; any other hits a segment at most
+    once, so its hits are listed once, sorted, and zeroed one by one.
+    """
+    if limit <= _FLAG_CACHE_MAX:
+        strided = _flag_prefix(limit)[(a - 1) % q :: q]
+        return _ones(strided, 0, len(strided))
+    if a > limit:
+        return 0
+    n_k = (limit - a) // q + 1
+    seg = min(_K_SEGMENT, n_k)
+    root = isqrt(limit)
+    strides, hits = [], []
+    for p in _prime_table(root.bit_length()):
+        if p > root:
+            break
+        step = p * p
+        if q % p:
+            k0 = -a * pow(q, -1, step) % step
+            if step < seg:
+                strides.append((k0, step))
+            else:
+                hits.extend(range(k0, n_k, step))
+    hits.sort()
+    count = h = 0
+    for lo in range(0, n_k, seg):
+        length = min(seg, n_k - lo)
+        flags = bytearray(b"\x01") * length
+        for k0, step in strides:
+            i0 = (k0 - lo) % step
+            flags[i0::step] = bytes(len(range(i0, length, step)))
+        while h < len(hits) and hits[h] < lo + length:
+            flags[hits[h] - lo] = 0
+            h += 1
+        count += _ones(flags, 0, length)
+    return count
+
+
 def _coprime_cut_points(limit: int, modulus: Modulus) -> list[tuple[int, int]]:
     """Pairs (y, w), y ascending, with #{squarefree n <= limit, (n, q) = 1} = sum w*Q(y).
 
     Q(y) counts squarefree n <= y.  Since prod over p | q of (1 + p^-s)^-1
     is the sum of lambda(m) m^-s over m whose primes all divide q, each such
-    m <= limit adds its Liouville sign (-1)^Omega(m) at y = limit // m;
-    equal cut points are merged and zero weights dropped.
+    m <= limit adds its Liouville sign (-1)^Omega(m) at y = limit // m.
+    The weights are merged per y one prime of q at a time: each cut point y
+    with weight w so far passes -w to y // p, w to y // p^2, and so on down
+    to 0, so the many m that share a small y are never listed one by one.
+    Zero weights are dropped as soon as they appear.
     """
-    terms = [(1, 1)]
+    weights = {limit: 1}
     for p in modulus.prime_factors:
-        for m, sign in terms[:]:
-            while (m := m * p) <= limit:
-                sign = -sign
-                terms.append((m, sign))
-    weights: dict[int, int] = {}
-    for m, sign in terms:
-        weights[limit // m] = weights.get(limit // m, 0) + sign
-    return sorted((y, w) for y, w in weights.items() if w)
+        merged: dict[int, int] = {}
+        for y, w in weights.items():
+            while y:
+                merged[y] = merged.get(y, 0) + w
+                y //= p
+                w = -w
+        weights = {y: w for y, w in merged.items() if w}
+    return sorted(weights.items())
+
+
+def _squarefree_counter(limit: int) -> Callable[[int], int]:
+    """Q(y), the number of squarefree n <= y, for y <= limit, without a walk to y.
+
+    Every n >= 1 is d^2 * s with s squarefree in exactly one way, so
+    y = sum over d >= 1 of Q(y // d^2), that is
+    Q(y) = y - sum over d >= 2 of Q(y // d^2).  Q is read from a prefix
+    count of squarefree_flags(1, t) up to t = 2 * isqrt(limit), at most
+    _FLAG_CACHE_MAX, so the table stays as small as the flag cache; above
+    t it recurses, memoized for the life of the counter.  The terms with
+    d > d_max, where y // d^2 <= v and v is about the cube root of y, are
+    summed per squarefree s <= v instead of per d: d^2 * s <= y holds for
+    isqrt(y // s) values of d, and the first d_max of them are the terms
+    already taken one by one.
+    """
+    t = min(2 * isqrt(limit), _FLAG_CACHE_MAX)
+    flags = squarefree_flags(1, t)
+    prefix = array("I", accumulate(flags, initial=0))
+    memo: dict[int, int] = {}
+
+    def count(y: int) -> int:
+        if y <= t:
+            return prefix[y]
+        total = memo.get(y)
+        if total is None:
+            v = min(int(y ** (1 / 3)), t)
+            d_big = isqrt(y // (t + 1))  # d <= d_big: y // d^2 > t
+            d_max = isqrt(y // (v + 1))  # d > d_max: y // d^2 <= v
+            total = (
+                y
+                - sum(count(y // (d * d)) for d in range(2, d_big + 1))
+                - sum(prefix[y // (d * d)] for d in range(d_big + 1, d_max + 1))
+                - sum(isqrt(y // s) for s in compress(range(1, v + 1), flags))
+                + d_max * prefix[v]
+            )
+            memo[y] = total
+        return total
+
+    return count
 
 
 _COPRIME_CACHE_SIZE = 64
 _coprime_counts: dict[tuple[int, Modulus], int] = {}
 
 
-def _squarefree_counts(limit: int, modulus: Modulus, a: int | None) -> tuple[int, int]:
-    """(class count, coprime count) of squarefree n <= limit from one segment walk.
+def _coprime_count(limit: int, modulus: Modulus) -> int:
+    """Squarefree n <= limit coprime to q: the sum of w * Q(y) over the cut points.
 
-    The class count (0 when a is None) reads the flags of a mod q at stride
-    q.  The coprime count sums w * Q(y) over _coprime_cut_points, with Q
-    kept as a running count of the flags up to each cut point, so every
-    byte is counted once and in place.  No Mobius table and no
-    decomposition code is used, which keeps this route independent of the
-    one it is checked against.  The coprime count is cached per (limit, q):
-    a repeat walks the class only, and a coprime-only repeat not at all.
+    Up to _FLAG_CACHE_MAX, Q is a running count of the cached flags up to
+    each cut point, so every byte is counted once; above it Q comes from
+    _squarefree_counter.  Cached per (limit, q), oldest entry dropped first.
+    """
+    key = (limit, modulus)
+    coprime = _coprime_counts.get(key)
+    if coprime is not None:
+        return coprime
+    cuts = _coprime_cut_points(limit, modulus)
+    if limit <= _FLAG_CACHE_MAX:
+        flags = _flag_prefix(limit)
+        coprime = running = pos = 0
+        for y, weight in cuts:
+            running += _ones(flags, pos, y)
+            pos = y
+            coprime += weight * running
+    else:
+        count = _squarefree_counter(limit)
+        coprime = sum(weight * count(y) for y, weight in cuts)
+    if len(_coprime_counts) >= _COPRIME_CACHE_SIZE:
+        del _coprime_counts[next(iter(_coprime_counts))]
+    _coprime_counts[key] = coprime
+    return coprime
+
+
+def _squarefree_counts(limit: int, modulus: Modulus, a: int | None) -> tuple[int, int]:
+    """(class count, coprime count) of squarefree n <= limit; class count 0 when a is None.
+
+    Neither count uses Mobius values or decomposition code, which keeps
+    this route independent of the one it is checked against.  For q = 1
+    the one class holds every n, so the class count is the coprime count.
     """
     if limit < 1:
         return 0, 0
-    if modulus.q == 1 and a is not None:  # the one class mod 1 holds every n
-        coprime = _squarefree_counts(limit, modulus, None)[1]
-        return coprime, coprime
-    key = (limit, modulus)
-    coprime = _coprime_counts.get(key)
-    if coprime is not None and a is None:
+    coprime = _coprime_count(limit, modulus)
+    if a is None:
         return 0, coprime
-    cuts = [] if coprime is not None else _coprime_cut_points(limit, modulus)
-    q = modulus.q
-    in_class = running = total = i = 0
-    for start, flags in _iter_flag_segments(limit):
-        if a is not None:
-            strided = flags[(a - start) % q :: q]
-            in_class += _ones(strided, 0, len(strided))
-        pos = 0
-        while i < len(cuts) and cuts[i][0] < start + len(flags):
-            y, weight = cuts[i]
-            running += _ones(flags, pos, y + 1 - start)
-            pos = y + 1 - start
-            total += weight * running
-            i += 1
-        if i < len(cuts):
-            running += _ones(flags, pos, len(flags))
-    if coprime is None:
-        coprime = total
-        if len(_coprime_counts) >= _COPRIME_CACHE_SIZE:
-            del _coprime_counts[next(iter(_coprime_counts))]
-        _coprime_counts[key] = coprime
-    return in_class, coprime
+    if modulus.q == 1:
+        return coprime, coprime
+    return _class_count(limit, modulus.q, a), coprime
 
 
 def squarefree_count_ap(x: Real, modulus: Modulus, a: int) -> int:

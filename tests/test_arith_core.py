@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqflab import arith_core
 from sqflab.arith_core import (
     NotCoprimeError,
     NotSquarefreeError,
@@ -42,6 +43,17 @@ def test_primes_up_to_small():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_prime_table_keeps_only_the_largest(monkeypatch):
+    monkeypatch.setattr(arith_core, "_prime_cache", {})
+    small = arith_core._prime_table(6)
+    assert list(small) == primes_up_to(64)
+    large = arith_core._prime_table(10)
+    assert list(large) == primes_up_to(1024)
+    # A smaller bound is served by the larger table, which is all that is held.
+    assert arith_core._prime_table(6) is large
+    assert list(arith_core._prime_cache) == [10]
 
 
 def test_mobius_sieve_examples():

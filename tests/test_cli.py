@@ -196,6 +196,16 @@ def test_box_and_anchor_bounds_must_be_finite_and_positive(capsys, argv):
 
 SCAN = ["scan", "--x", "1000", "--q-max", "5"]
 WALK = f"above the budget of {cli_runner.COUNT_BOX_WALK_MAX}"
+WORK = f"x // q = 5000000000000 is above the budget of {cli_runner.ERROR_TERM_WORK_MAX}"
+ROOT = "isqrt(x) = 31622776 is above the sieve bound 10000000"
+BUDGET = [
+    (["error-term", "--x", str(10**13), "--q", "2", "--a", "1"], WORK),
+    (["pipeline", "--x", str(10**13), "--q", "2", "--a", "1"], WORK),
+    (["scan", "--x", "100", str(10**13), "--q-min", "2", "--q-max", "3"], WORK),
+    # x // q is within the budget here; isqrt(x) is not.
+    (["pipeline", "--x", str(10**15), "--q", "1000003", "--a", "1"], ROOT),
+    (["error-term", "--x", str(10**15), "--q", "1000003", "--a", "1"], ROOT),
+]
 
 
 @pytest.mark.parametrize(
@@ -211,9 +221,22 @@ WALK = f"above the budget of {cli_runner.COUNT_BOX_WALK_MAX}"
         # For v < 0 the symmetry mirror walks the m side.
         (BOX + ["--m", "1e9", "--n", "10"], "box walks 1000000000 integers, " + WALK),
         (BOX + ["--m", "2e7", "--n", "10", "--dyadic"], "box walks 20000000 integers, " + WALK),
+        *BUDGET,
     ],
 )
 def test_out_of_range_options_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", BUDGET)
+def test_error_term_budget_refuses_before_any_sieving(capsys, monkeypatch, argv, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sieved or counted past the budget")
+
+    for name in ("error_term", "pipeline_report", "squarefree_flags"):
+        monkeypatch.setattr(cli_runner, name, unreachable)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
@@ -238,6 +261,28 @@ def test_readme_commands_match_golden_digests(capsys):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
             case["bytes"], case["sha256"]
         ), case["command"]
+
+
+# Digests of outputs above the 2^22 flag cache, recorded before the
+# progression sieve and the sublinear coprime count replaced the [1, x] walk.
+ABOVE_THE_CACHE = [
+    ("error-term --x 4194305 --q 3981 --a 7 --decompose", 227,
+     "205e152c2c6c7604738d02efcece3ded9e780f5c83798624b7abfaaf96792a0b"),
+    ("error-term --x 50000000 --q 30030 --a 1 --decompose", 236,
+     "8bfc4fb449d9f18ea7caf7226f87d8aa61d99f5b02b27135d23d117fd8cbacd5"),
+    ("pipeline --x 30000000 --q 3981 --a 7", 4805,
+     "a35776fd88569e1216d14ca5aa05f0fb770e9879b334d3ad26fd6af6af0ce141"),
+    ("scan --x 8388608 --q-max 12 --a all", 2055,
+     "4ad397fc7c65e3c1726946433104fb748cf67273a2d4ee4cbb62bd9a7d02b671"),
+]
+
+
+@pytest.mark.parametrize("command, size, digest", ABOVE_THE_CACHE)
+def test_outputs_above_the_flag_cache_match_pinned_digests(capsys, command, size, digest):
+    code, out, _ = run_cli(capsys, *command.split())
+    data = out.encode("utf-8")
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_pipeline_report_json(capsys):

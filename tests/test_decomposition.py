@@ -293,3 +293,26 @@ def test_pipeline_rejects_bad_inputs():
     # Rejected up front, although x = 1 has no boxes to evaluate.
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
         pipeline_report(1, m5, 1, alpha=Fraction(5))
+
+
+def test_pipeline_refuses_a_deep_mobius_prefix_before_the_direct_count(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the direct route ran first")
+
+    monkeypatch.setattr(decomposition_pipeline, "error_term", unreachable)
+    with pytest.raises(ValueError, match="exceeds the Mobius sieve bound"):
+        pipeline_report(10**15, factor_modulus(1000003), 1)
+
+
+def test_decompose_counts_the_coprime_integers_once_per_y(monkeypatch):
+    x, m = 58887204, factor_modulus(3162)
+    calls = []
+    monkeypatch.setattr(
+        decomposition_pipeline,
+        "count_coprime",
+        lambda y, modulus: calls.append(y) or count_coprime(y, modulus),
+    )
+    split, _ = _decompose(x, m, 1, 100)
+    terms = [n for n in range(1, isqrt(x) + 1) if gcd(n, 3162) == 1 and mobius_oracle(n)]
+    assert len(calls) == len(set(calls)) == len({x // (n * n) for n in terms}) == 305
+    assert split.total == error_term(x, m, 1).error

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab import progression_stats
-from sqflab.arith_core import NotCoprimeError, factor_modulus
+from sqflab.arith_core import NotCoprimeError, factor_modulus, squarefree_flags
 from sqflab.progression_stats import (
     SearchCeilingError,
     count_ap,
@@ -151,14 +151,14 @@ _SQUAREFREE_UP_TO_3000 = [False] + [squarefree_oracle(n) for n in range(1, 3001)
 )
 @settings(max_examples=150, deadline=None)
 def test_stride_counts_against_trial_division(x, q, a, segment, cache_max):
-    # Small segment and cache sizes send most limits down the segmented path.
+    # Small segment and cache sizes send most limits down the progression sieve.
     m = factor_modulus(q)
     a = 0 if q == 1 else next(c for c in range(a, a + q) if gcd(c, q) == 1) % q
     flags = _SQUAREFREE_UP_TO_3000
     want_ap = sum(1 for n in range(1, x + 1) if n % q == a and flags[n])
     want_cop = sum(1 for n in range(1, x + 1) if gcd(n, q) == 1 and flags[n])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(progression_stats, "_SEGMENT", segment)
+        mp.setattr(progression_stats, "_K_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", cache_max)
         progression_stats._coprime_counts.clear()
         try:
@@ -168,39 +168,89 @@ def test_stride_counts_against_trial_division(x, q, a, segment, cache_max):
             progression_stats._coprime_counts.clear()
 
 
+_SQUAREFREE_UP_TO_20000 = [False] + [squarefree_oracle(n) for n in range(1, 20001)]
+
+
 @given(
-    x=st.integers(min_value=1, max_value=3000),
-    q=st.sampled_from([1, 2, 30, 2310, 30030]),
-    a=st.integers(min_value=0, max_value=30029),
+    x=st.integers(min_value=1, max_value=20000),
+    q=st.sampled_from([1, 2, 30, 2310, 30030, 223092870]),
+    a=st.integers(min_value=0, max_value=20000),
     pick=st.integers(min_value=0, max_value=10**6),
     shift=st.sampled_from([-1, 0, 1]),
 )
 @settings(max_examples=200, deadline=None)
-def test_one_walk_kernel_against_trial_division(x, q, a, pick, shift):
-    # The first segment ends one before, on, or one after a cut point y, and
-    # the segment length sends later cut points anywhere inside segments.
+def test_sublinear_route_against_trial_division(x, q, a, pick, shift):
+    # The first k-segment ends one before, on, or one after the first hit k0
+    # of a prime p <= isqrt(x), and later segments repeat that length.
     m = factor_modulus(q)
     a = next(c for c in range(a, a + q) if gcd(c, q) == 1) % q
-    flags = _SQUAREFREE_UP_TO_3000
-    want_ap = sum(1 for n in range(1, x + 1) if n % q == a and flags[n])
+    flags = _SQUAREFREE_UP_TO_20000
+    want_ap = sum(1 for n in range(a or q, x + 1, q) if flags[n])
     want_cop = sum(1 for n in range(1, x + 1) if gcd(n, q) == 1 and flags[n])
-    cuts = progression_stats._coprime_cut_points(x, m)
-    assert cuts == sorted(cuts) and cuts[-1] == (x, 1)
-    segment = max(cuts[pick % len(cuts)][0] + shift, 1)
+    primes = [
+        p for p in range(2, math.isqrt(x) + 1)
+        if q % p and all(p % d for d in range(2, math.isqrt(p) + 1))
+    ]
+    segment = 1
+    if primes:
+        step = primes[pick % len(primes)] ** 2
+        segment = max(-a * pow(q, -1, step) % step + shift, 1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(progression_stats, "_SEGMENT", segment)
+        mp.setattr(progression_stats, "_K_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", 0)
         mp.setattr(progression_stats, "_coprime_counts", {})
         assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
-        # Cached coprime count: the class alone is walked, or nothing.
+        # Cached coprime count: the class alone is counted, or nothing.
         assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
         assert progression_stats._squarefree_counts(x, m, None) == (0, want_cop)
 
 
+def _cut_points_by_listing(limit, modulus):
+    """Every m <= limit built from primes of q, with its Liouville sign, merged by limit // m."""
+    terms = [(1, 1)]
+    for p in modulus.prime_factors:
+        for m, sign in terms[:]:
+            while (m := m * p) <= limit:
+                sign = -sign
+                terms.append((m, sign))
+    weights = {}
+    for m, sign in terms:
+        weights[limit // m] = weights.get(limit // m, 0) + sign
+    return sorted((y, w) for y, w in weights.items() if w)
+
+
+@given(
+    x=st.one_of(st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**9)),
+    q=st.sampled_from([1, 2, 3981, 30030, 223092870, 2**31 - 1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_cut_points_match_a_listing_of_every_m(x, q):
+    m = factor_modulus(q)
+    cuts = progression_stats._coprime_cut_points(x, m)
+    assert cuts == _cut_points_by_listing(x, m)
+    assert cuts[-1] == (x, 1)
+
+
+def test_squarefree_counter_matches_a_flag_prefix_count():
+    limit = 10**6
+    count = progression_stats._squarefree_counter(limit)
+    t = 2 * math.isqrt(limit)
+    prefix = [0]
+    for f in squarefree_flags(1, limit):
+        prefix.append(prefix[-1] + f)
+    rng = random.Random(8)
+    ys = {1, 2, 3, 4, t - 1, t, t + 1, limit - 1, limit}
+    ys |= {k * k + d for k in range(1, 1001) for d in (-1, 0, 1)}
+    ys |= {rng.randrange(1, limit + 1) for _ in range(500)}
+    for y in sorted(ys):
+        if 1 <= y <= limit:
+            assert count(y) == prefix[y], y
+
+
 @pytest.mark.parametrize("q", [1, 2, 30, 2310])
 def test_class_counts_sum_to_coprime_count(q, monkeypatch):
-    # Above the flag cache: every count below walks the segmented path.
-    monkeypatch.setattr(progression_stats, "_SEGMENT", 97)
+    # Above the flag cache: every count below takes the sublinear route.
+    monkeypatch.setattr(progression_stats, "_K_SEGMENT", 97)
     monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 100)
     monkeypatch.setattr(progression_stats, "_coprime_counts", {})
     m = factor_modulus(q)
@@ -224,7 +274,7 @@ def test_ones_counts_long_runs_exactly():
 @pytest.mark.parametrize("q", [1, 2, 30030, 1000003])
 def test_long_segments_against_a_plain_sieve(q, monkeypatch):
     x = 200_003
-    monkeypatch.setattr(progression_stats, "_SEGMENT", 70_001)
+    monkeypatch.setattr(progression_stats, "_K_SEGMENT", 70_001)
     monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 1000)
     monkeypatch.setattr(progression_stats, "_coprime_counts", {})
     squarefree = [True] * (x + 1)
@@ -238,18 +288,18 @@ def test_long_segments_against_a_plain_sieve(q, monkeypatch):
         assert progression_stats._squarefree_counts(x, m, a % q) == (want_ap, want_cop)
 
 
-def test_error_term_walks_the_segments_once(monkeypatch):
-    segment, x = 256, 5000
-    monkeypatch.setattr(progression_stats, "_SEGMENT", segment)
-    monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 1000)
+def test_flag_windows_above_the_cache_stay_within_t(monkeypatch):
+    # Above the flag cache no squarefree_flags window covers [1, x]: the
+    # only one is the prefix table of Q, t = 2 * isqrt(x) bytes long.
+    x = 2**24 + 3
     monkeypatch.setattr(progression_stats, "_coprime_counts", {})
-    calls = {"flags": 0, "cuts": 0}
+    calls = {"flags": [], "cuts": 0}
     flags_fn = progression_stats.squarefree_flags
     cuts_fn = progression_stats._coprime_cut_points
 
-    def counted_flags(*args):
-        calls["flags"] += 1
-        return flags_fn(*args)
+    def counted_flags(start, length):
+        calls["flags"].append(length)
+        return flags_fn(start, length)
 
     def counted_cuts(*args):
         calls["cuts"] += 1
@@ -259,12 +309,14 @@ def test_error_term_walks_the_segments_once(monkeypatch):
     monkeypatch.setattr(progression_stats, "_coprime_cut_points", counted_cuts)
     m = factor_modulus(30030)
     first = error_term(x, m, 1)
-    assert calls == {"flags": -(-x // segment), "cuts": 1}
+    assert calls == {"flags": [2 * math.isqrt(x)], "cuts": 1}
     # Another class at the same (x, q) reuses the coprime count.
     second = error_term(x, m, 17)
-    assert calls == {"flags": 2 * -(-x // segment), "cuts": 1}
+    assert calls == {"flags": [2 * math.isqrt(x)], "cuts": 1}
     assert second.coprime_count == first.coprime_count
-    assert second.error == error_term_oracle(x, 30030, 17)
+    plain = squarefree_flags(1, x)
+    assert first.progression_count == plain[0::30030].count(1)
+    assert second.progression_count == plain[16::30030].count(1)
 
 
 def test_error_term_examples():
