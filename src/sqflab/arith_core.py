@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import isqrt
 from typing import Iterator, Sequence
@@ -144,6 +145,16 @@ class Modulus:
             prod *= p
         if prod != self.q:
             raise ValueError("prime_factors do not multiply to q")
+
+    @cached_property
+    def crt_basis(self) -> tuple[int, ...]:
+        """e_i with e_i = 1 mod p_i and 0 mod the other prime factors.
+
+        Built on first use and kept with the modulus, since square roots
+        modulo q recombine through it once per residue.
+        """
+        q = self.q
+        return tuple((q // p) * pow(q // p, -1, p) % q for p in self.prime_factors)
 
     def squarefree_divisors(self) -> list[tuple[int, int]]:
         """All (d, mu(d)) with d | q, in increasing subset order."""

@@ -47,8 +47,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
-# Integers one count-box request may walk: the n side of the box, and for
-# v < 0 also the m side, which the symmetry mirror walks as its n side.
+# Integers a count-box request may span: the n side of the box, and for
+# v < 0 also the m side, which the symmetry mirror counts as its n side.
+# A side longer than q is folded modulo q, so the work is at most q per side.
 COUNT_BOX_WALK_MAX = 10**7
 
 # Flags one error term may sieve: its progression n = a + q*k holds about
@@ -212,8 +213,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     policy = _scan_policy(args.a)
     x_values = tuple(sorted(set(args.x)))
     _check_error_term_budget(x_values[-1], args.q_min)
-    flags = squarefree_flags(1, args.q_max)
-    q_list = [q for q in range(args.q_min, args.q_max + 1) if flags[q - 1]]
+    # A q above every x has no row, so the list stops at the largest x.
+    q_top = min(args.q_max, x_values[-1])
+    flags = squarefree_flags(1, q_top)
+    q_list = [q for q in range(args.q_min, q_top + 1) if flags[q - 1]]
     tasks = [(q, x_values, policy, args.seed) for q in q_list]
     if args.workers > 1 and len(tasks) > 1:
         with Pool(processes=args.workers) as pool:

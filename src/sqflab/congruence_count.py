@@ -1,9 +1,10 @@
 """Counting solutions of m^u = a*n^v (mod q) inside boxes, with bound envelopes.
 
-Counts are exact integers obtained by solving for the residue class of m at
-each admissible n and counting lattice points by division; the cost is
-O(N * roots), never O(M*N).  Negative exponents follow the convention that
-n^v means the modular inverse of n raised to |v|.
+Counts are exact integers obtained by solving for the residue classes of m
+that the n side hits, with n folded modulo q, and counting lattice points
+by division; the cost is O(min(N, q) * roots), never O(M*N).  Negative
+exponents follow the convention that n^v means the modular inverse of n
+raised to |v|.
 
 Bound envelopes (trivial, Weil, Pierce amplification, and the alpha
 interpolation between the two Pierce orientations) are evaluated with
@@ -14,8 +15,11 @@ to make of them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -70,16 +74,6 @@ def sqrt_mod_prime(c: int, p: int) -> list[int]:
     return sorted({r, p - r})
 
 
-def _crt_basis(modulus: Modulus) -> list[int]:
-    """e_i with e_i = 1 mod p_i and 0 mod the other prime factors."""
-    q = modulus.q
-    basis = []
-    for p in modulus.prime_factors:
-        m = q // p
-        basis.append(m * pow(m, -1, p) % q)
-    return basis
-
-
 def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
     """All residues x mod q with x**u = c (mod q), for u in {1, 2}.
 
@@ -101,9 +95,8 @@ def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
         if not roots:
             return []
         per_prime.append(roots)
-    basis = _crt_basis(modulus)
     combined = [0]
-    for roots, e in zip(per_prime, basis):
+    for roots, e in zip(per_prime, modulus.crt_basis):
         combined = [(x + r * e) % q for x in combined for r in roots]
     return sorted(combined)
 
@@ -142,6 +135,37 @@ class BoxQuery:
         return 0, self.m_bound, 0, self.n_bound
 
 
+def _residue_weights(
+    v: int, n_lo: Real, n_hi: Real, modulus: Modulus, a: int
+) -> dict[int, int]:
+    """The residues c = a*n^v (mod q) of the n in (n_lo, n_hi], each with its weight.
+
+    c depends on n mod q only, so a range longer than q is folded: its
+    first q integers stand for the q residues of n, each weighted by the
+    range's full periods, plus one for those in its partial period.  For
+    v < 0 the n not coprime to q cannot satisfy the congruence and are
+    skipped.  The m of a solution of m^u = a*n^v are the roots of c.
+    """
+    q = modulus.q
+    a %= q
+    # Integers in (n_lo, n_hi] are floor(n_lo)+1 .. floor(n_hi).
+    n_first = max(math.floor(n_lo), 0) + 1
+    periods, partial = divmod(max(math.floor(n_hi) - n_first + 1, 0), q)
+    weights: dict[int, int] = {}
+    for first, stop, weight in (
+        (n_first, n_first + partial, periods + 1),
+        (n_first + partial, n_first + q, periods),
+    ):
+        if weight == 0:
+            continue
+        for n in range(first, stop):
+            if v < 0 and gcd(n, q) != 1:
+                continue
+            c = a * pow(n, v, q) % q
+            weights[c] = weights.get(c, 0) + weight
+    return weights
+
+
 def class_count(
     u: int,
     v: int,
@@ -157,32 +181,69 @@ def class_count(
     Diagnostic entry point: `a` may be any residue (the sum rule over all
     classes needs the non-unit ones).  For v < 0, n runs over the n coprime
     to q only; other n cannot satisfy the congruence and are skipped.
-    m ranges over positive integers only.
+    m ranges over positive integers only.  This is the one-range case of
+    ResidueColumn: the weights are summed directly, with no sort.
     """
     q = modulus.q
-    a %= q
     # With f_lo, f_hi >= 0, #{f_lo < m <= f_hi : m = r (mod q)} is
     # (f_hi - r) // q - (f_lo - r) // q.
     f_lo = max(math.floor(m_lo), 0)
     f_hi = max(math.floor(m_hi), 0)
-    total = 0
-    # Integers in (n_lo, n_hi] are floor(n_lo)+1 .. floor(n_hi).
-    n_first = max(math.floor(n_lo), 0) + 1
-    n_last = math.floor(n_hi)
-    # Hits in the m range per residue c = a*n^v, summed over the roots of c.
-    hits_cache: dict[int, int] = {}
-    for n in range(n_first, n_last + 1):
-        if v < 0 and gcd(n, q) != 1:
-            continue
-        c = a * pow(n, v, q) % q
-        hits = hits_cache.get(c)
-        if hits is None:
-            hits = 0
-            for r in power_roots(c, modulus, u):
-                hits += (f_hi - r) // q - (f_lo - r) // q
-            hits_cache[c] = hits
-        total += hits
-    return total
+    return sum(
+        w * ((f_hi - r) // q - (f_lo - r) // q)
+        for c, w in _residue_weights(v, n_lo, n_hi, modulus, a).items()
+        for r in power_roots(c, modulus, u)
+    )
+
+
+@dataclass(frozen=True)
+class ResidueColumn:
+    """The m-residues of one n-range, sorted once to answer many m-ranges.
+
+    count(m_lo, m_hi) equals class_count(u, v, m_lo, m_hi, n_lo, n_hi,
+    modulus, a).  With f = floor(m_hi) = Q*q + R, the sum of
+    w_r * ((f - r) // q) is total*Q minus the weight of the residues above
+    R, so an m-range costs two bisects.  The residues are built on the
+    first count.
+    """
+
+    u: int
+    v: int
+    n_lo: Real
+    n_hi: Real
+    modulus: Modulus
+    a: int
+
+    @cached_property
+    def _table(self) -> tuple[list[int], list[int]]:
+        """Sorted residues and the prefix sums of their weights."""
+        weights = _residue_weights(self.v, self.n_lo, self.n_hi, self.modulus, self.a)
+        # Distinct c have disjoint roots, so each residue of m appears once.
+        pairs = sorted(
+            (r, w) for c, w in weights.items() for r in power_roots(c, self.modulus, self.u)
+        )
+        return [r for r, _ in pairs], list(accumulate((w for _, w in pairs), initial=0))
+
+    def count(self, m_lo: Real, m_hi: Real) -> int:
+        residues, prefix = self._table
+        (q_lo, r_lo), (q_hi, r_hi) = (
+            divmod(max(math.floor(m), 0), self.modulus.q) for m in (m_lo, m_hi)
+        )
+        return (
+            prefix[-1] * (q_hi - q_lo)
+            + prefix[bisect_right(residues, r_hi)]
+            - prefix[bisect_right(residues, r_lo)]
+        )
+
+    def serves(self, query: BoxQuery) -> bool:
+        """Whether the query's box has this column's congruence and n-range."""
+        q = self.modulus.q
+        _, _, n_lo, n_hi = query.ranges
+        return (query.u, query.v, query.modulus, query.residue % q) == (
+            self.u, self.v, self.modulus, self.a % q
+        ) and (math.floor(n_lo), math.floor(n_hi)) == (
+            math.floor(self.n_lo), math.floor(self.n_hi)
+        )
 
 
 def _assert_count_caps(query: BoxQuery, count: int) -> None:
@@ -203,9 +264,20 @@ def _assert_count_caps(query: BoxQuery, count: int) -> None:
         )
 
 
-def count_box(query: BoxQuery) -> int:
-    """Exact solution count for the box described by `query`."""
-    count = class_count(query.u, query.v, *query.ranges, query.modulus, query.residue)
+def count_box(query: BoxQuery, column: ResidueColumn | None = None) -> int:
+    """Exact solution count for the box described by `query`.
+
+    A caller counting several boxes over one n-range passes that range's
+    column, built for the query's congruence and n-range.
+    """
+    if column is None:
+        count = class_count(
+            query.u, query.v, *query.ranges, query.modulus, query.residue
+        )
+    elif column.serves(query):
+        count = column.count(*query.ranges[:2])
+    else:
+        raise InvariantError(f"{column} does not hold the n side of {query}")
     _assert_count_caps(query, count)
     return count
 
@@ -289,7 +361,11 @@ def check_alpha(alpha: Fraction) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def evaluate_bounds(query: BoxQuery, alpha: Fraction = BLEND.alpha) -> BoundReport:
+def evaluate_bounds(
+    query: BoxQuery,
+    alpha: Fraction = BLEND.alpha,
+    column: ResidueColumn | None = None,
+) -> BoundReport:
     """Evaluate every bound envelope for a box, plus the measured count.
 
     This is the one place a box bound is evaluated; the pipeline's box table
@@ -298,13 +374,15 @@ def evaluate_bounds(query: BoxQuery, alpha: Fraction = BLEND.alpha) -> BoundRepo
     AMPLIFICATION_MN, and its swap gives the (N, M) orientation.  alpha
     interpolates between the two; at the endpoints it reproduces them
     exactly, and the default BLEND.alpha turns the product into a pure
-    power of M*N^2.
+    power of M*N^2.  `column`, if given, is passed on to count_box.
     """
     check_alpha(alpha)
     m = float(query.m_bound)
     n = float(query.n_bound)
     q = query.modulus.q
-    count = count_box(query)
+    # Without a column the call keeps count_box's one-argument form, which
+    # wrappers of count_box may assume.
+    count = count_box(query) if column is None else count_box(query, column)
     trivial = m * n / q + min(m, n)
     weil = m * n / q + (m + n) / math.sqrt(q) + math.sqrt(q)
     mn_ok = pierce_applicable(m, n, q)

@@ -17,13 +17,18 @@ the only division, by phi(q), happens once at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 from sqflab.arith_core import InvariantError, Modulus, mobius_sieve
-from sqflab.congruence_count import BoxQuery, check_alpha, evaluate_bounds
+from sqflab.congruence_count import (
+    BoxQuery,
+    ResidueColumn,
+    check_alpha,
+    evaluate_bounds,
+)
 from sqflab.exponent_calculus import BLEND, M_ANCHOR, N_ANCHOR
 from sqflab.progression_stats import (
     Real,
@@ -179,7 +184,9 @@ class BoxRow:
     amplification_applicable: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # The fields are scalars, so a copy of the instance dict (in field
+        # order) is what dataclasses.asdict returns, without its deep copy.
+        return dict(vars(self))
 
 
 def covering_boxes(x: Real, n0: Real) -> list[tuple[float, float]]:
@@ -288,15 +295,17 @@ def _box_row(
     a: int,
     m0: float,
     alpha: Fraction,
+    column: ResidueColumn,
 ) -> BoxRow:
     """One covering box: its exact count and the bound that governs it.
 
     The count, the amplification applicability and the amplified and
-    trivial bounds of the dyadic box all come from evaluate_bounds.  Boxes
-    with M < m0 are held to the crude small_m_estimate instead.
+    trivial bounds of the dyadic box all come from evaluate_bounds, which
+    counts the box from its n-anchor's column.  Boxes with M < m0 are held
+    to the crude small_m_estimate instead.
     """
     query = BoxQuery(1, -2, m_anchor, n_anchor, modulus, a, dyadic=True)
-    report = evaluate_bounds(query, alpha)
+    report = evaluate_bounds(query, alpha, column)
     if m_anchor < m0:
         regime, bound = "crude", small_m_estimate(m_anchor, n_anchor, modulus)
     elif report.interpolated is not None:
@@ -314,6 +323,37 @@ def _box_row(
     )
 
 
+def _coverage_gap(x: Real, n0: Real, boxes: list[tuple[float, float]]) -> str | None:
+    """Where the boxes fail to cover the head pairs, or None if they cover them.
+
+    Decided on the integer ranges the counts use: the n-ranges
+    (floor(N), floor(2N)] must tile (floor(n0), isqrt(x)], and in each
+    column the m-ranges (floor(M), floor(2M)] must tile
+    (0, x // (floor(N) + 1)^2], up to the largest m that pairs with an n of
+    that column in the head.  The last range of each may overshoot its end.
+    """
+    fx = math.floor(x)
+    m_anchors: dict[float, list[float]] = {}
+    for m_anchor, n_anchor in boxes:
+        m_anchors.setdefault(n_anchor, []).append(m_anchor)
+    n_reach = math.floor(n0)
+    for n_anchor in sorted(m_anchors):
+        n_lo = math.floor(n_anchor)
+        if n_lo != n_reach:
+            return f"the n-ranges jump from {n_reach} to {n_lo}"
+        m_reach = 0
+        for m_anchor in sorted(m_anchors[n_anchor]):
+            if math.floor(m_anchor) != m_reach:
+                break
+            m_reach = math.floor(2 * m_anchor)
+        if m_reach < fx // (n_lo + 1) ** 2:
+            return f"the column N = {n_anchor} covers m <= {m_reach} only"
+        n_reach = math.floor(2 * n_anchor)
+    if n_reach < isqrt(fx):
+        return f"the n-ranges stop at {n_reach} < isqrt(x)"
+    return None
+
+
 def pipeline_report(
     x: Real,
     modulus: Modulus,
@@ -329,9 +369,10 @@ def pipeline_report(
     pass over the decomposition terms, so the identity check compares two
     independent computations.
 
-    Raises InvariantError if either the exact identity or the exact
-    majorization fails; both are internal invariants, so a failure means a
-    bug, not unlucky inputs.
+    Raises InvariantError if the exact identity or the exact majorization
+    fails, or if the covering boxes miss a head pair (the majorization
+    means nothing then); all three are internal invariants, so a failure
+    means a bug, not unlucky inputs.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -347,9 +388,15 @@ def pipeline_report(
     split, cross = _decompose(x, modulus, a, n0)
     direct = error_term(x, modulus, a)
 
+    # One residue column per n-anchor serves every box of that column.
+    boxes = covering_boxes(x, n0)
+    columns = {
+        n_anchor: ResidueColumn(1, -2, n_anchor, 2 * n_anchor, modulus, a)
+        for _, n_anchor in boxes
+    }
     rows = tuple(
-        _box_row(m_anchor, n_anchor, modulus, a, m0, alpha)
-        for m_anchor, n_anchor in covering_boxes(x, n0)
+        _box_row(m_anchor, n_anchor, modulus, a, m0, alpha, columns[n_anchor])
+        for m_anchor, n_anchor in boxes
     )
     sum_counts = sum(row.count for row in rows)
     sup_count = max((row.count for row in rows), default=0)
@@ -385,4 +432,7 @@ def pipeline_report(
         raise InvariantError(
             f"majorization violated: |{report.e_direct}| > {report.majorization_rhs}"
         )
+    gap = _coverage_gap(x, n0, boxes)
+    if gap is not None:
+        raise InvariantError(f"covering boxes leave a gap: {gap}")
     return report

@@ -44,5 +44,11 @@ def test_tracer_installs_counts_and_restores(tracer):
     assert t.counters["decomposition_pipeline.term_evals"] > 0
     assert t.counters["decomposition_pipeline.boxes"] > 0
     assert {s[1] for s in t.spans} >= {"main", "pipeline_report", "error_term", "count_box"}
+    # The box layer the benchmark measures: one count_box span per covering
+    # box, each inside its evaluate_bounds span.
+    boxes = t.counters["decomposition_pipeline.boxes"]
+    names = [s[1] for s in t.spans]
+    assert names.count("count_box") == names.count("evaluate_bounds") == boxes
+    assert all(t.spans[s[2]][1] == "evaluate_bounds" for s in t.spans if s[1] == "count_box")
     for name, fn in originals.items():
         assert getattr(decomposition_pipeline, name) is fn

@@ -106,6 +106,20 @@ def test_scan_computes_each_class_once(capsys, monkeypatch):
     assert len(calls) == len(set(calls)) == 20  # one per (q, a); 60 rows
 
 
+def test_scan_builds_no_task_above_the_largest_x(capsys, monkeypatch):
+    built = []
+    rows_for_q = cli_runner._scan_rows_for_q
+    monkeypatch.setattr(
+        cli_runner, "_scan_rows_for_q", lambda task: built.append(task[0]) or rows_for_q(task)
+    )
+    _, small, _ = run_cli(capsys, "scan", "--x", "100", "--q-max", "100", "--workers", "1")
+    built.clear()
+    code, out, _ = run_cli(capsys, "scan", "--x", "100", "--q-max", "2000000", "--workers", "1")
+    assert code == 0
+    assert out == small and len(out.encode("utf-8")) == 3252
+    assert built and max(built) <= 100
+
+
 def test_scan_header_and_rows(capsys):
     code, out, _ = run_cli(capsys, "scan", "--x", "1000", "--q-max", "10", "--a", "all")
     assert code == 0
@@ -274,6 +288,10 @@ ABOVE_THE_CACHE = [
      "a35776fd88569e1216d14ca5aa05f0fb770e9879b334d3ad26fd6af6af0ce141"),
     ("scan --x 8388608 --q-max 12 --a all", 2055,
      "4ad397fc7c65e3c1726946433104fb748cf67273a2d4ee4cbb62bd9a7d02b671"),
+    # Box columns longer than q, so the counts fold n modulo q; recorded
+    # before the fold replaced the walk over every n of each box.
+    ("pipeline --x 10000000000 --q 3981 --a 7", 4852,
+     "f604d370632aafbe68c18d9f2255bb49646c251a0ecf7d485fee0b83e9e6b220"),
 ]
 
 

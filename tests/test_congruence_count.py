@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab.arith_core import (
+    InvariantError,
     Modulus,
     NotCoprimeError,
     factor_modulus,
@@ -17,6 +18,7 @@ from sqflab.arith_core import (
 )
 from sqflab.congruence_count import (
     BoxQuery,
+    ResidueColumn,
     check_symmetry,
     class_count,
     count_box,
@@ -137,6 +139,66 @@ def test_class_count_against_double_loop(uv, m_lo, m_len, n_lo, n_len, q, a):
     m_hi, n_hi = m_lo + m_len, n_lo + n_len
     got = class_count(u, v, m_lo, m_hi, n_lo, n_hi, m, a)
     assert got == double_loop_oracle(u, v, m_hi, n_hi, q, a % q, m_lo=m_lo, n_lo=n_lo)
+
+
+# A fractional part for an anchor: integer, half-integer or arbitrary float.
+_FRACTION = st.sampled_from([0, 0.5, 0.25, 0.7071067811865476])
+
+
+@given(
+    uv=st.sampled_from([(1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]),
+    q=st.sampled_from([1, 2, 30, 2310]),
+    a=st.integers(min_value=0, max_value=5000),
+    periods=st.integers(min_value=0, max_value=2),
+    offset=st.sampled_from([-1, 0, 1]),
+    below=st.floats(min_value=0, max_value=1, exclude_max=True),
+    n_start=st.integers(min_value=0, max_value=5000),
+    fractions=st.tuples(_FRACTION, _FRACTION),
+    m_ranges=st.lists(
+        st.tuples(st.integers(0, 7000), _FRACTION, st.integers(0, 12), _FRACTION),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_column_counts_every_m_range_like_the_oracle(
+    uv, q, a, periods, offset, below, n_start, fractions, m_ranges
+):
+    # n-spans below q (periods = 0) or k*q - 1, k*q, k*q + 1, so the fold
+    # meets empty, full and partial periods, and n not coprime to q.
+    u, v = uv
+    modulus = factor_modulus(q)
+    span = max(periods * q + offset, 0) if periods else int(below * q)
+    n_lo = n_start % (3 * q + 1) + fractions[0]
+    n_hi = math.floor(n_lo) + span + fractions[1]
+    column = ResidueColumn(u, v, n_lo, n_hi, modulus, a)
+    # m from (1/2, 1] on, ranges across multiples of q, and for small q one
+    # range over every residue twice, so a wrong weight cannot hide.
+    ranges = [(0.5, 1.5), (0.5, 2 * q + 1.5)] if q <= 30 else [(0.5, 1.5)]
+    ranges += [
+        (start + f_lo, start + length + f_hi) for start, f_lo, length, f_hi in m_ranges
+    ]
+    for m_lo, m_hi in ranges:
+        expected = double_loop_oracle(u, v, m_hi, n_hi, q, a % q, m_lo=m_lo, n_lo=n_lo)
+        assert column.count(m_lo, m_hi) == expected, (m_lo, m_hi)
+        assert class_count(u, v, m_lo, m_hi, n_lo, n_hi, modulus, a) == expected
+
+
+def test_count_box_takes_a_column_for_its_own_n_side_only():
+    m = factor_modulus(30)
+    column = ResidueColumn(1, -2, 40, 80, m, 7)
+    for m_bound in (0.5, 1, 16, 45.5, 1000):
+        query = BoxQuery(1, -2, m_bound, 40, m, 7, dyadic=True)
+        assert count_box(query, column) == count_box(query)
+        assert evaluate_bounds(query, column=column) == evaluate_bounds(query)
+    for other in (
+        BoxQuery(1, -2, 8, 41, m, 7, dyadic=True),
+        BoxQuery(1, -2, 8, 40, m, 11, dyadic=True),
+        BoxQuery(2, -1, 8, 40, m, 7, dyadic=True),
+        BoxQuery(1, -2, 8, 80, m, 7),
+    ):
+        with pytest.raises(InvariantError, match="does not hold the n side"):
+            count_box(other, column)
 
 
 def test_residue_sum_rule():

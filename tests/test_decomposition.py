@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqflab import decomposition_pipeline
+from sqflab import congruence_count, decomposition_pipeline
 from sqflab.arith_core import InvariantError, factor_modulus, mod_pow
 from sqflab.congruence_count import BoxQuery, count_dyadic, evaluate_bounds
 from sqflab.decomposition_pipeline import (
     TailSplit,
+    _coverage_gap,
     _decompose,
     covering_boxes,
     decompose_error,
@@ -198,6 +199,71 @@ def test_covering_boxes_partition_every_head_pair():
                 if mb < m <= 2 * mb and nb < n <= 2 * nb
             ]
             assert len(hits) == 1, (m, n, hits)
+
+
+@given(
+    x=st.integers(min_value=1, max_value=10**7),
+    kind=st.sampled_from(["float", "integer", "below", "above"]),
+    t=st.floats(min_value=0, max_value=1),
+    k=st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_covering_boxes_pass_the_integer_coverage_certificate(x, kind, t, k):
+    # n0 anywhere in [1, sqrt(x)], as a float or an integer, or one ulp
+    # either side of sqrt(x) / 2^k, where an n-anchor lands on sqrt(x).
+    root = math.sqrt(x)
+    if kind in ("float", "integer"):
+        n0 = 1 + t * (root - 1)
+        n0 = math.floor(n0) if kind == "integer" else n0
+    else:
+        n0 = math.nextafter(root / 2**k, 0 if kind == "below" else math.inf)
+        n0 = min(max(n0, 1.0), root)
+    assert _coverage_gap(x, n0, covering_boxes(x, n0)) is None
+
+
+def test_coverage_gap_names_each_missing_range():
+    x, n0 = 10**6, 37.5
+    boxes = covering_boxes(x, n0)
+    n_anchors = sorted({n for _, n in boxes})
+    assert n_anchors == [37.5, 75.0, 150.0, 300.0, 600.0]
+    # The first column needs m <= 10**6 // 38**2 = 692, which (512, 1024] covers.
+    assert max(m for m, n in boxes if n == n0) == 512
+    for dropped, gap in [
+        ({(512, n0)}, "the column N = 37.5 covers m <= 512 only"),
+        ({(0.5, n0)}, "the column N = 37.5 covers m <= 0 only"),
+        ({(m, 150.0) for m, n in boxes if n == 150.0}, "the n-ranges jump from 150 to 300"),
+        ({(m, 600.0) for m, n in boxes if n == 600.0}, "the n-ranges stop at 600 < isqrt(x)"),
+    ]:
+        assert _coverage_gap(x, n0, [b for b in boxes if b not in dropped]) == gap
+
+
+def test_pipeline_raises_on_a_coverage_gap(monkeypatch):
+    # The column N = 40 needs m <= 10**4 // 41**2 = 5, so its box (4, 8]
+    # is needed, yet it holds too few solutions for the majorization to
+    # notice that it is missing.
+    boxes = covering_boxes(10**4, 10.0)
+    dropped = (4.0, 40.0)
+    assert dropped == max(b for b in boxes if b[1] == 40.0)
+    monkeypatch.setattr(
+        decomposition_pipeline, "covering_boxes", lambda *a: [b for b in boxes if b != dropped]
+    )
+    with pytest.raises(InvariantError, match="covering boxes leave a gap: the column"):
+        pipeline_report(10**4, factor_modulus(101), 3, n0=10.0)
+
+
+def test_pipeline_builds_one_column_per_n_anchor(monkeypatch):
+    built = []
+    weights = congruence_count._residue_weights
+    monkeypatch.setattr(
+        congruence_count,
+        "_residue_weights",
+        lambda *args: built.append(args[1:3]) or weights(*args),
+    )
+    m = factor_modulus(3981)
+    rep = pipeline_report(10**8, m, 7)
+    n_anchors = {row.n_anchor for row in rep.boxes}
+    assert len(rep.boxes) > len(n_anchors) > 1
+    assert sorted(built) == sorted((n, 2 * n) for n in n_anchors)
 
 
 def test_small_m_estimate_examples():
