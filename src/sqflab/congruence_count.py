@@ -380,9 +380,7 @@ def evaluate_bounds(
     m = float(query.m_bound)
     n = float(query.n_bound)
     q = query.modulus.q
-    # Without a column the call keeps count_box's one-argument form, which
-    # wrappers of count_box may assume.
-    count = count_box(query) if column is None else count_box(query, column)
+    count = count_box(query, column)
     trivial = m * n / q + min(m, n)
     weil = m * n / q + (m + n) / math.sqrt(q) + math.sqrt(q)
     mn_ok = pierce_applicable(m, n, q)

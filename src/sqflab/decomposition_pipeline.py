@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import Sequence
 
 from sqflab.arith_core import InvariantError, Modulus, mobius_sieve
 from sqflab.congruence_count import (
@@ -40,9 +41,9 @@ from sqflab.progression_stats import (
 
 
 @lru_cache(maxsize=8)
-def _mu_prefix(limit: int) -> tuple[int, ...]:
-    """mu(1..limit) as a tuple; index i holds mu(i+1)."""
-    return tuple(mobius_sieve(limit).mu)
+def _mu_prefix(limit: int) -> Sequence[int]:
+    """mu(1..limit) as the sieve's array("b"), cached uncopied; index i holds mu(i+1)."""
+    return mobius_sieve(limit).mu
 
 
 @dataclass(frozen=True)

@@ -467,7 +467,7 @@ def parse_term_menu(text: str) -> list[ExponentForm]:
     """Parse a declarative term menu: one `label coeff_x coeff_rho` per line.
 
     Blank lines and '#' comments are skipped; coefficients are rationals
-    like 7/12 or -5/8.
+    like 7/12 or -5/8.  A malformed line raises ValueError naming its line.
     """
     terms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -480,7 +480,11 @@ def parse_term_menu(text: str) -> list[ExponentForm]:
                 f"line {lineno}: expected `label coeff_x coeff_rho`, got {raw!r}"
             )
         label, cx, cr = parts
-        terms.append(ExponentForm(Fraction(cx), Fraction(cr), label))
+        try:
+            cx, cr = Fraction(cx), Fraction(cr)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: bad coefficient in {raw!r}: {exc}") from None
+        terms.append(ExponentForm(cx, cr, label))
     if not terms:
         raise ValueError("menu contains no terms")
     return terms

@@ -6,18 +6,17 @@ output here is the monitoring ratio against the classical square-root
 error envelope.
 
 `error_term` counts the class a mod q and the squarefree n <= x coprime to
-q.  For x <= 2^22 both come from one cached flag prefix of [1, x]: the
-class at stride q, the coprime count as a signed sum of prefix counts
-Q(x // m) over the m built from primes of q (`_coprime_cut_points`).
-Above 2^22 nothing walks [1, x].  The class count sieves only the
+q.  The class count has two routes.  For x <= 2^22 it reads one cached
+flag prefix of [1, x] at stride q.  Above 2^22 it sieves only the
 progression n = a + q*k, striking for each prime p <= sqrt(x) prime to q
-the k = -a/q (mod p^2), in about x / q bytes.  The coprime count keeps
-the same signed sum, and evaluates each Q(y) through y = sum over d of
-Q(y // d^2), every n being d^2 times a squarefree number in exactly one
-way, from a prefix table of 2 * sqrt(x) flags (at most 2^22).  Both
-routes use the squarefree flags and the prime table, but neither Mobius
-values nor the square-part decomposition, so the decomposition can be
-checked against them.
+the k = -a/q (mod p^2), in about x / q bytes.  The coprime count has one
+route at every x: a signed sum of Q(x // m) over the m built from primes
+of q (`_coprime_cut_points`), where Q(y) counts squarefree n <= y.  Each
+Q(y) comes from y = sum over d of Q(y // d^2), every n being d^2 times a
+squarefree number in exactly one way, with a prefix table of 2 * sqrt(x)
+flags (at most 2^22).  Both counts use the squarefree flags and the prime
+table, but neither Mobius values nor the square-part decomposition, so
+the decomposition can be checked against them.
 """
 
 from __future__ import annotations
@@ -110,12 +109,12 @@ def _flag_prefix(limit: int) -> bytes:
 _ADLER_RUN = 1 << 15
 
 
-def _ones(flags: bytes | bytearray, lo: int, hi: int) -> int:
-    """Set flags in flags[lo:hi], counted in place by adler32 over short runs."""
+def _ones(flags: bytes | bytearray) -> int:
+    """Set flags in flags, counted in place by adler32 over short runs."""
     view = memoryview(flags)
     return sum(
-        (adler32(view[i : min(i + _ADLER_RUN, hi)]) & 0xFFFF) - 1
-        for i in range(lo, hi, _ADLER_RUN)
+        (adler32(view[i : i + _ADLER_RUN]) & 0xFFFF) - 1
+        for i in range(0, len(flags), _ADLER_RUN)
     )
 
 
@@ -140,8 +139,7 @@ def _class_count(limit: int, q: int, a: int) -> int:
     once, so its hits are listed once, sorted, and zeroed one by one.
     """
     if limit <= _FLAG_CACHE_MAX:
-        strided = _flag_prefix(limit)[(a - 1) % q :: q]
-        return _ones(strided, 0, len(strided))
+        return _ones(_flag_prefix(limit)[(a - 1) % q :: q])
     if a > limit:
         return 0
     n_k = (limit - a) // q + 1
@@ -169,7 +167,7 @@ def _class_count(limit: int, q: int, a: int) -> int:
         while h < len(hits) and hits[h] < lo + length:
             flags[hits[h] - lo] = 0
             h += 1
-        count += _ones(flags, 0, length)
+        count += _ones(flags)
     return count
 
 
@@ -236,40 +234,20 @@ def _squarefree_counter(limit: int) -> Callable[[int], int]:
     return count
 
 
-_COPRIME_CACHE_SIZE = 64
-_coprime_counts: dict[tuple[int, Modulus], int] = {}
-
-
+@lru_cache(maxsize=64)
 def _coprime_count(limit: int, modulus: Modulus) -> int:
     """Squarefree n <= limit coprime to q: the sum of w * Q(y) over the cut points.
 
-    Up to _FLAG_CACHE_MAX, Q is a running count of the cached flags up to
-    each cut point, so every byte is counted once; above it Q comes from
-    _squarefree_counter.  Cached per (limit, q), oldest entry dropped first.
+    Q is _squarefree_counter(limit) at every limit, so no flag array longer
+    than 2 * isqrt(limit) is built.  Cached per (limit, q), so the classes
+    of one modulus at one limit share it.
     """
-    key = (limit, modulus)
-    coprime = _coprime_counts.get(key)
-    if coprime is not None:
-        return coprime
-    cuts = _coprime_cut_points(limit, modulus)
-    if limit <= _FLAG_CACHE_MAX:
-        flags = _flag_prefix(limit)
-        coprime = running = pos = 0
-        for y, weight in cuts:
-            running += _ones(flags, pos, y)
-            pos = y
-            coprime += weight * running
-    else:
-        count = _squarefree_counter(limit)
-        coprime = sum(weight * count(y) for y, weight in cuts)
-    if len(_coprime_counts) >= _COPRIME_CACHE_SIZE:
-        del _coprime_counts[next(iter(_coprime_counts))]
-    _coprime_counts[key] = coprime
-    return coprime
+    count = _squarefree_counter(limit)
+    return sum(weight * count(y) for y, weight in _coprime_cut_points(limit, modulus))
 
 
-def _squarefree_counts(limit: int, modulus: Modulus, a: int | None) -> tuple[int, int]:
-    """(class count, coprime count) of squarefree n <= limit; class count 0 when a is None.
+def _squarefree_counts(limit: int, modulus: Modulus, a: int) -> tuple[int, int]:
+    """(class count, coprime count) of squarefree n <= limit, a a unit.
 
     Neither count uses Mobius values or decomposition code, which keeps
     this route independent of the one it is checked against.  For q = 1
@@ -278,8 +256,6 @@ def _squarefree_counts(limit: int, modulus: Modulus, a: int | None) -> tuple[int
     if limit < 1:
         return 0, 0
     coprime = _coprime_count(limit, modulus)
-    if a is None:
-        return 0, coprime
     if modulus.q == 1:
         return coprime, coprime
     return _class_count(limit, modulus.q, a), coprime
@@ -293,7 +269,8 @@ def squarefree_count_ap(x: Real, modulus: Modulus, a: int) -> int:
 
 def squarefree_count_coprime(x: Real, modulus: Modulus) -> int:
     """Exact count of squarefree n <= x coprime to q (see _coprime_cut_points)."""
-    return _squarefree_counts(_floor(x), modulus, None)[1]
+    limit = _floor(x)
+    return _coprime_count(limit, modulus) if limit >= 1 else 0
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,9 @@ def test_count_box(capsys, monkeypatch):
     counted = []
     count_box = congruence_count.count_box
     monkeypatch.setattr(
-        congruence_count, "count_box", lambda query: counted.append(query) or count_box(query)
+        congruence_count,
+        "count_box",
+        lambda query, column=None: counted.append(query) or count_box(query, column),
     )
     code, out, _ = run_cli(
         capsys,
@@ -353,6 +355,12 @@ def test_optimize_menu_file(tmp_path, capsys):
     bad.write_text("broken-line 1/2\n")
     code, _, err = run_cli(capsys, "optimize", "--menu-file", str(bad))
     assert code == 2
+
+    # A zero denominator is an input error naming its line, not a traceback.
+    bad.write_text("ok 1 0\nt0 1/0 1\n")
+    code, out, err = run_cli(capsys, "optimize", "--menu-file", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: ")
 
 
 def test_output_file(tmp_path, capsys):

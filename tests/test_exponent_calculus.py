@@ -283,6 +283,10 @@ def test_parse_term_menu():
         parse_term_menu("just-two-fields 1/2")
     with pytest.raises(ValueError):
         parse_term_menu("# nothing here")
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_term_menu("ok 1 0\nt0 1/0 1")
+    with pytest.raises(ValueError, match="^line 1: "):
+        parse_term_menu("t0 one 1")
 
 
 def test_menu_registry():

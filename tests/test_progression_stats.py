@@ -139,6 +139,14 @@ def test_squarefree_counts_against_oracle():
         assert squarefree_count_coprime(x, m) == expected_cop
 
 
+@pytest.fixture
+def fresh_coprime_cache():
+    """Empty the coprime-count cache around a test, so each count is computed."""
+    progression_stats._coprime_count.cache_clear()
+    yield
+    progression_stats._coprime_count.cache_clear()
+
+
 _SQUAREFREE_UP_TO_3000 = [False] + [squarefree_oracle(n) for n in range(1, 3001)]
 
 
@@ -160,12 +168,12 @@ def test_stride_counts_against_trial_division(x, q, a, segment, cache_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(progression_stats, "_K_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", cache_max)
-        progression_stats._coprime_counts.clear()
+        progression_stats._coprime_count.cache_clear()
         try:
             assert squarefree_count_ap(x, m, a) == want_ap
             assert squarefree_count_coprime(x, m) == want_cop
         finally:
-            progression_stats._coprime_counts.clear()
+            progression_stats._coprime_count.cache_clear()
 
 
 _SQUAREFREE_UP_TO_20000 = [False] + [squarefree_oracle(n) for n in range(1, 20001)]
@@ -198,11 +206,11 @@ def test_sublinear_route_against_trial_division(x, q, a, pick, shift):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(progression_stats, "_K_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", 0)
-        mp.setattr(progression_stats, "_coprime_counts", {})
+        progression_stats._coprime_count.cache_clear()
         assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
         # Cached coprime count: the class alone is counted, or nothing.
         assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
-        assert progression_stats._squarefree_counts(x, m, None) == (0, want_cop)
+        assert squarefree_count_coprime(x, m) == want_cop
 
 
 def _cut_points_by_listing(limit, modulus):
@@ -245,14 +253,39 @@ def test_squarefree_counter_matches_a_flag_prefix_count():
     for y in sorted(ys):
         if 1 <= y <= limit:
             assert count(y) == prefix[y], y
+    # The counter serves every limit, down to x = 1.
+    for small in range(1, 301):
+        count = progression_stats._squarefree_counter(small)
+        for y in range(1, small + 1):
+            assert count(y) == prefix[y], (small, y)
+
+
+@pytest.fixture(scope="module")
+def flags_past_the_cache():
+    return bytes(squarefree_flags(1, 2**22 + 1))
+
+
+@pytest.mark.parametrize("q", [1, 30030])
+@pytest.mark.parametrize("x", [2**22 - 1, 2**22, 2**22 + 1])
+def test_coprime_count_matches_a_running_flag_count(
+    x, q, flags_past_the_cache, fresh_coprime_cache
+):
+    # Reference: Q at each cut point as a running count of the flags of [1, x].
+    flags = flags_past_the_cache[:x]
+    m = factor_modulus(q)
+    want = running = pos = 0
+    for y, weight in progression_stats._coprime_cut_points(x, m):
+        running += flags[pos:y].count(1)
+        pos = y
+        want += weight * running
+    assert progression_stats._coprime_count(x, m) == want
 
 
 @pytest.mark.parametrize("q", [1, 2, 30, 2310])
-def test_class_counts_sum_to_coprime_count(q, monkeypatch):
+def test_class_counts_sum_to_coprime_count(q, monkeypatch, fresh_coprime_cache):
     # Above the flag cache: every count below takes the sublinear route.
     monkeypatch.setattr(progression_stats, "_K_SEGMENT", 97)
     monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 100)
-    monkeypatch.setattr(progression_stats, "_coprime_counts", {})
     m = factor_modulus(q)
     units = [a for a in range(q) if gcd(a, q) == 1]
     for x in (101, 1000, 2999):
@@ -268,15 +301,14 @@ def test_ones_counts_long_runs_exactly():
     for n in (0, 1, 32768, 32769, 65520, 65521, 200_000):
         for buf in (b"\x01" * n, bytearray(rng.getrandbits(1) for _ in range(n))):
             for lo, hi in ((0, n), (n // 3, n - n // 5)):
-                assert progression_stats._ones(buf, lo, hi) == buf[lo:hi].count(1)
+                assert progression_stats._ones(buf[lo:hi]) == buf[lo:hi].count(1)
 
 
 @pytest.mark.parametrize("q", [1, 2, 30030, 1000003])
-def test_long_segments_against_a_plain_sieve(q, monkeypatch):
+def test_long_segments_against_a_plain_sieve(q, monkeypatch, fresh_coprime_cache):
     x = 200_003
     monkeypatch.setattr(progression_stats, "_K_SEGMENT", 70_001)
     monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 1000)
-    monkeypatch.setattr(progression_stats, "_coprime_counts", {})
     squarefree = [True] * (x + 1)
     for d in range(2, math.isqrt(x) + 1):
         for k in range(d * d, x + 1, d * d):
@@ -288,11 +320,10 @@ def test_long_segments_against_a_plain_sieve(q, monkeypatch):
         assert progression_stats._squarefree_counts(x, m, a % q) == (want_ap, want_cop)
 
 
-def test_flag_windows_above_the_cache_stay_within_t(monkeypatch):
+def test_flag_windows_above_the_cache_stay_within_t(monkeypatch, fresh_coprime_cache):
     # Above the flag cache no squarefree_flags window covers [1, x]: the
     # only one is the prefix table of Q, t = 2 * isqrt(x) bytes long.
     x = 2**24 + 3
-    monkeypatch.setattr(progression_stats, "_coprime_counts", {})
     calls = {"flags": [], "cuts": 0}
     flags_fn = progression_stats.squarefree_flags
     cuts_fn = progression_stats._coprime_cut_points
