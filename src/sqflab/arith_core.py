@@ -156,12 +156,13 @@ class Modulus:
         q = self.q
         return tuple((q // p) * pow(q // p, -1, p) % q for p in self.prime_factors)
 
-    def squarefree_divisors(self) -> list[tuple[int, int]]:
-        """All (d, mu(d)) with d | q, in increasing subset order."""
+    @cached_property
+    def squarefree_divisors(self) -> tuple[tuple[int, int], ...]:
+        """All (d, mu(d)) with d | q, in increasing subset order, built on first use."""
         divisors = [(1, 1)]
         for p in self.prime_factors:
             divisors += [(d * p, -m) for d, m in divisors]
-        return divisors
+        return tuple(divisors)
 
 
 def factor_modulus(q: int) -> Modulus:

@@ -15,11 +15,13 @@ to make of them.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -30,6 +32,9 @@ from sqflab.progression_stats import Real
 # The analysis exponents as the floats the bound envelopes use.
 _AMP_M, _AMP_N = map(float, AMPLIFICATION_MN)
 _AMP_RANGE = float(AMPLIFICATION_RANGE)
+
+# A residue table below this modulus fits array("q").
+_INT64_END = 1 << 63
 
 
 def sqrt_mod_prime(c: int, p: int) -> list[int]:
@@ -135,8 +140,53 @@ class BoxQuery:
         return 0, self.m_bound, 0, self.n_bound
 
 
+@dataclass(frozen=True)
+class ResidueTable:
+    """c[n] = a*n^v (mod q) for 0 <= n < len(values), read at n mod q.
+
+    An entry is -1 where n^v does not exist (v < 0 and gcd(n, q) > 1).  The
+    values cover either one full period of n (len(values) == q) or every
+    n they are read at.  The pipeline builds one for v = -2, and its
+    decomposition pass and every box column read each a*n^-2 from it.
+    """
+
+    v: int
+    modulus: Modulus
+    a: int
+    values: Sequence[int] = field(repr=False)
+
+    def values_for(self, v: int, modulus: Modulus, a: int, n_last: int) -> Sequence[int]:
+        """The values, once checked to hold a*n^v (mod q) for every n <= n_last."""
+        q = modulus.q
+        if (v, modulus, a % q) != (self.v, self.modulus, self.a):
+            raise InvariantError(f"{self} does not hold a*n^{v} for a = {a % q} mod {q}")
+        if len(self.values) < q and n_last >= len(self.values):
+            raise InvariantError(f"{self} ends below n = {n_last}")
+        return self.values
+
+
+def residue_table(v: int, modulus: Modulus, a: int, n_top: int) -> ResidueTable:
+    """The table of a*n^v (mod q) for 0 <= n < min(q, n_top + 1).
+
+    Residues below 2^63 are held in a compact array("q"); a larger modulus
+    keeps a list.
+    """
+    q = modulus.q
+    a %= q
+    values = (
+        a * pow(n, v, q) % q if v > 0 or gcd(n, q) == 1 else -1
+        for n in range(min(q, n_top + 1))
+    )
+    return ResidueTable(v, modulus, a, array("q", values) if q <= _INT64_END else list(values))
+
+
 def _residue_weights(
-    v: int, n_lo: Real, n_hi: Real, modulus: Modulus, a: int
+    v: int,
+    n_lo: Real,
+    n_hi: Real,
+    modulus: Modulus,
+    a: int,
+    table: ResidueTable | None = None,
 ) -> dict[int, int]:
     """The residues c = a*n^v (mod q) of the n in (n_lo, n_hi], each with its weight.
 
@@ -145,24 +195,43 @@ def _residue_weights(
     range's full periods, plus one for those in its partial period.  For
     v < 0 the n not coprime to q cannot satisfy the congruence and are
     skipped.  The m of a solution of m^u = a*n^v are the roots of c.
+
+    Without a table each c is computed per n.  With one, the c of the
+    first min(span, q) integers are one or two slices of it, counted by
+    Counter in C.
     """
     q = modulus.q
     a %= q
     # Integers in (n_lo, n_hi] are floor(n_lo)+1 .. floor(n_hi).
     n_first = max(math.floor(n_lo), 0) + 1
     periods, partial = divmod(max(math.floor(n_hi) - n_first + 1, 0), q)
-    weights: dict[int, int] = {}
-    for first, stop, weight in (
-        (n_first, n_first + partial, periods + 1),
-        (n_first + partial, n_first + q, periods),
-    ):
-        if weight == 0:
-            continue
-        for n in range(first, stop):
-            if v < 0 and gcd(n, q) != 1:
+    if table is None:
+        weights: dict[int, int] = {}
+        for first, stop, weight in (
+            (n_first, n_first + partial, periods + 1),
+            (n_first + partial, n_first + q, periods),
+        ):
+            if weight == 0:
                 continue
-            c = a * pow(n, v, q) % q
-            weights[c] = weights.get(c, 0) + weight
+            for n in range(first, stop):
+                if v < 0 and gcd(n, q) != 1:
+                    continue
+                c = a * pow(n, v, q) % q
+                weights[c] = weights.get(c, 0) + weight
+        return weights
+    stop = n_first + (q if periods else partial)
+    values = table.values_for(v, modulus, a, stop - 1)
+    i = n_first % q
+    j = i + stop - n_first
+    # The n of the partial period lie in one more period than the rest.
+    rest = iter(values[i:j] if j <= q else values[i:] + values[: j - q])
+    weights = Counter(islice(rest, partial))
+    if periods:
+        for c in weights:
+            weights[c] *= periods + 1
+        for c, k in Counter(rest).items():
+            weights[c] += periods * k
+    weights.pop(-1, None)
     return weights
 
 
@@ -204,7 +273,7 @@ class ResidueColumn:
     modulus, a).  With f = floor(m_hi) = Q*q + R, the sum of
     w_r * ((f - r) // q) is total*Q minus the weight of the residues above
     R, so an m-range costs two bisects.  The residues are built on the
-    first count.
+    first count, read from `table` when one is given.
     """
 
     u: int
@@ -213,11 +282,18 @@ class ResidueColumn:
     n_hi: Real
     modulus: Modulus
     a: int
+    table: ResidueTable | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _table(self) -> tuple[list[int], list[int]]:
         """Sorted residues and the prefix sums of their weights."""
-        weights = _residue_weights(self.v, self.n_lo, self.n_hi, self.modulus, self.a)
+        weights = _residue_weights(
+            self.v, self.n_lo, self.n_hi, self.modulus, self.a, self.table
+        )
+        if self.u == 1:
+            # The one root of c is c itself.
+            residues = sorted(weights)
+            return residues, list(accumulate(map(weights.__getitem__, residues), initial=0))
         # Distinct c have disjoint roots, so each residue of m appears once.
         pairs = sorted(
             (r, w) for c, w in weights.items() for r in power_roots(c, self.modulus, self.u)

@@ -12,6 +12,14 @@ The head, the tail and the removed main term all come from a single pass
 over n in integer arithmetic: each term's progression and coprime counts
 are integers at floor(x) // n^2, accumulated per side of the cutoff, and
 the only division, by phi(q), happens once at the end.
+
+Both stages are indexed by the residue a/n^2 mod q: term n counts the
+class a/n^2, and a box counts the m with m = a/n^2.  `pipeline_report`
+computes each of them once, in one `ResidueTable` of a/n^2 for n below
+min(q, n_top + 1), where n_top is the larger of isqrt(x) and the last n
+of the top box column.  The decomposition pass and every box column read
+it at n mod q, so for q <= isqrt(x) the pipeline computes q residues, not
+one per n.
 """
 
 from __future__ import annotations
@@ -27,8 +35,10 @@ from sqflab.arith_core import InvariantError, Modulus, mobius_sieve
 from sqflab.congruence_count import (
     BoxQuery,
     ResidueColumn,
+    ResidueTable,
     check_alpha,
     evaluate_bounds,
+    residue_table,
 )
 from sqflab.exponent_calculus import BLEND, M_ANCHOR, N_ANCHOR
 from sqflab.progression_stats import (
@@ -65,7 +75,7 @@ def _check_cutoff(x: Real, n0: Real) -> None:
 
 
 def _decompose(
-    x: Real, modulus: Modulus, a: int, n0: Real
+    x: Real, modulus: Modulus, a: int, n0: Real, table: ResidueTable | None = None
 ) -> tuple[TailSplit, Fraction]:
     """The decomposed error split at n0, and the removed main term, in one pass.
 
@@ -77,22 +87,38 @@ def _decompose(
     also sums count_coprime without the mu(n) weight, which is the main term
     the majorization removes.  It divides by phi(q) once, at the end.
     `a` must already be a unit in [0, q).
+
+    The residue a/n^2 of term n is read from `table` at n mod q, whose -1
+    entries mark the n not coprime to q.  Without a table, one of q
+    entries is built when 2q <= isqrt(x), where its phi(q) inverses are
+    fewer than the squarefree n of the pass; otherwise each squarefree n
+    computes its own.
     """
     fx = math.floor(x)
     n_max = isqrt(fx)
     n_split = min(math.floor(n0), n_max)
     mu = _mu_prefix(n_max) if n_max >= 1 else ()
     q = modulus.q
+    if table is None and 2 * q <= n_max:
+        table = residue_table(-2, modulus, a, n_max)
+    residues = None if table is None else table.values_for(-2, modulus, a, n_max)
     sums = []
     last_y = cop_n = 0  # y only falls as n grows: count_coprime once per y
     for first, last in ((1, n_split), (n_split + 1, n_max)):
         ap = cop = unsigned_cop = 0
         for n in range(first, last + 1):
             m = mu[n - 1]
-            if m == 0 or gcd(n, q) != 1:
+            if m == 0:
                 continue
+            if residues is None:
+                if gcd(n, q) != 1:
+                    continue
+                r = a * pow(n, -2, q) % q
+            else:
+                r = residues[n % q]
+                if r < 0:
+                    continue
             y = fx // (n * n)
-            r = a * pow(n, -2, q) % q
             if y != last_y:
                 last_y, cop_n = y, count_coprime(y, modulus)
             ap += m * ((y + q - (r or q)) // q)  # count_ap(y, q, r), y >= 1
@@ -384,15 +410,19 @@ def pipeline_report(
     n0 = default_n0 if n0 is None else float(n0)
     _check_cutoff(x, n0)
 
-    # The decomposition goes first: its Mobius prefix refuses an isqrt(x)
-    # above MOBIUS_SIEVE_MAX before the direct route sieves anything.
-    split, cross = _decompose(x, modulus, a, n0)
-    direct = error_term(x, modulus, a)
-
-    # One residue column per n-anchor serves every box of that column.
+    # The Mobius prefix goes first: it refuses an isqrt(x) above
+    # MOBIUS_SIEVE_MAX before the residue table or the direct route is built.
+    n_max = isqrt(math.floor(x))
+    _mu_prefix(n_max)
     boxes = covering_boxes(x, n0)
+    # One table of a/n^2 serves the decomposition pass and every box column,
+    # and one residue column per n-anchor serves every box of that column.
+    n_top = max([n_max, *(math.floor(2 * n_anchor) for _, n_anchor in boxes)])
+    table = residue_table(-2, modulus, a, n_top)
+    split, cross = _decompose(x, modulus, a, n0, table)
+    direct = error_term(x, modulus, a)
     columns = {
-        n_anchor: ResidueColumn(1, -2, n_anchor, 2 * n_anchor, modulus, a)
+        n_anchor: ResidueColumn(1, -2, n_anchor, 2 * n_anchor, modulus, a, table)
         for _, n_anchor in boxes
     }
     rows = tuple(

@@ -82,7 +82,7 @@ def count_coprime(x: Real, modulus: Modulus) -> int:
     if fx < 1:
         return 0
     total = 0
-    for d, mu_d in modulus.squarefree_divisors():
+    for d, mu_d in modulus.squarefree_divisors:
         total += mu_d * (fx // d)
     return total
 
@@ -194,6 +194,17 @@ def _coprime_cut_points(limit: int, modulus: Modulus) -> list[tuple[int, int]]:
     return sorted(weights.items())
 
 
+@lru_cache(maxsize=1)
+def _squarefree_prefix(t: int) -> tuple[bytearray, array]:
+    """Squarefree flags of [1, t] and their prefix counts, with index y holding Q(y).
+
+    The table of the last t is kept, so the moduli of one x in a scan
+    share it; one entry only, as it takes up to 20 MB at t = 2^22.
+    """
+    flags = squarefree_flags(1, t)
+    return flags, array("I", accumulate(flags, initial=0))
+
+
 def _squarefree_counter(limit: int) -> Callable[[int], int]:
     """Q(y), the number of squarefree n <= y, for y <= limit, without a walk to y.
 
@@ -206,11 +217,11 @@ def _squarefree_counter(limit: int) -> Callable[[int], int]:
     d > d_max, where y // d^2 <= v and v is about the cube root of y, are
     summed per squarefree s <= v instead of per d: d^2 * s <= y holds for
     isqrt(y // s) values of d, and the first d_max of them are the terms
-    already taken one by one.
+    already taken one by one.  The flags and prefix counts come from
+    _squarefree_prefix(t), shared by every counter with the same t.
     """
     t = min(2 * isqrt(limit), _FLAG_CACHE_MAX)
-    flags = squarefree_flags(1, t)
-    prefix = array("I", accumulate(flags, initial=0))
+    flags, prefix = _squarefree_prefix(t)
     memo: dict[int, int] = {}
 
     def count(y: int) -> int:
@@ -239,8 +250,9 @@ def _coprime_count(limit: int, modulus: Modulus) -> int:
     """Squarefree n <= limit coprime to q: the sum of w * Q(y) over the cut points.
 
     Q is _squarefree_counter(limit) at every limit, so no flag array longer
-    than 2 * isqrt(limit) is built.  Cached per (limit, q), so the classes
-    of one modulus at one limit share it.
+    than 2 * isqrt(limit) is built, and every q at one limit reads the same
+    flag table.  Cached per (limit, q), so the classes of one modulus at
+    one limit share the sum.
     """
     count = _squarefree_counter(limit)
     return sum(weight * count(y) for y, weight in _coprime_cut_points(limit, modulus))

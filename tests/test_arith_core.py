@@ -160,6 +160,16 @@ def test_factor_modulus_examples():
         factor_modulus(0)
 
 
+def test_squarefree_divisors_are_built_once_per_modulus():
+    m = factor_modulus(30)
+    divisors = m.squarefree_divisors
+    assert divisors is m.squarefree_divisors
+    assert divisors == (
+        (1, 1), (2, -1), (3, -1), (6, 1), (5, -1), (10, 1), (15, 1), (30, -1)
+    )
+    assert factor_modulus(1).squarefree_divisors == ((1, 1),)
+
+
 def test_factor_modulus_phi_against_unit_count():
     for q in range(1, 301):
         try:

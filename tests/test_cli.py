@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sqflab import cli_runner, congruence_count
+from sqflab import cli_runner, congruence_count, progression_stats
 from sqflab.cli_runner import CSV_HEADER, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -118,6 +118,18 @@ def test_scan_builds_no_task_above_the_largest_x(capsys, monkeypatch):
     assert code == 0
     assert out == small and len(out.encode("utf-8")) == 3252
     assert built and max(built) <= 100
+
+
+def test_scan_at_one_x_builds_one_squarefree_table_for_every_q(capsys):
+    progression_stats._coprime_count.cache_clear()
+    progression_stats._squarefree_prefix.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "scan", "--x", "1048576", "--q-max", "40", "--a", "all", "--workers", "1"
+    )
+    assert code == 0 and len(out.splitlines()) > 200
+    assert progression_stats._coprime_count.cache_info().misses == 26  # one per q
+    assert progression_stats._squarefree_prefix.cache_info().misses == 1
+    progression_stats._coprime_count.cache_clear()
 
 
 def test_scan_header_and_rows(capsys):

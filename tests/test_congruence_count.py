@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqflab import congruence_count
 from sqflab.arith_core import (
     InvariantError,
     Modulus,
@@ -27,6 +28,7 @@ from sqflab.congruence_count import (
     geometric_grid,
     pierce_applicable,
     power_roots,
+    residue_table,
     scan_boxes,
     sqrt_mod_prime,
 )
@@ -199,6 +201,93 @@ def test_count_box_takes_a_column_for_its_own_n_side_only():
     ):
         with pytest.raises(InvariantError, match="does not hold the n side"):
             count_box(other, column)
+
+
+# A modulus above 2^63: the product of the primes up to 53.
+PRIMORIAL_53 = math.prod(p for p in range(2, 54) if all(p % d for d in range(2, p)))
+
+
+@pytest.mark.parametrize("q", [1, 2, 30, 2310, 3981, PRIMORIAL_53])
+@pytest.mark.parametrize("n_top", [0, 1, 44, 3980, 10000])
+def test_residue_table_matches_pow_entry_by_entry(q, n_top):
+    # n_top below q gives a table that ends at n_top, above q one full period.
+    modulus = factor_modulus(q)
+    a = (q - 1) * 5 + 7  # reduced modulo q by the table
+    table = residue_table(-2, modulus, a, n_top)
+    assert (table.v, table.modulus, table.a) == (-2, modulus, a % q)
+    assert len(table.values) == min(q, n_top + 1)
+    for n, c in enumerate(table.values):
+        assert c == (a * pow(n, -2, q) % q if gcd(n, q) == 1 else -1), n
+
+
+@given(
+    uv=st.sampled_from([(1, -2), (2, -2), (1, -1), (2, -1), (1, 2), (2, 1)]),
+    q=st.sampled_from([1, 2, 30, 2310]),
+    a=st.integers(min_value=0, max_value=5000),
+    periods=st.integers(min_value=0, max_value=2),
+    offset=st.sampled_from([-1, 0, 1]),
+    below=st.floats(min_value=0, max_value=1, exclude_max=True),
+    n_start=st.integers(min_value=0, max_value=5000),
+    fractions=st.tuples(_FRACTION, _FRACTION),
+    reach=st.sampled_from([0, 1, 5000]),
+    m_range=st.tuples(st.integers(0, 7000), _FRACTION, st.integers(0, 12), _FRACTION),
+)
+@settings(max_examples=120, deadline=None)
+def test_column_on_a_table_counts_like_the_oracle(
+    uv, q, a, periods, offset, below, n_start, fractions, reach, m_range
+):
+    # The table ends at the column's last n, just past it, or past a period.
+    u, v = uv
+    modulus = factor_modulus(q)
+    span = max(periods * q + offset, 0) if periods else int(below * q)
+    n_lo = n_start % (3 * q + 1) + fractions[0]
+    n_hi = math.floor(n_lo) + span + fractions[1]
+    table = residue_table(v, modulus, a, math.floor(n_hi) + reach)
+    column = ResidueColumn(u, v, n_lo, n_hi, modulus, a, table)
+    start, f_lo, length, f_hi = m_range
+    for m_lo, m_hi in ((0.5, 1.5), (start + f_lo, start + length + f_hi)):
+        expected = double_loop_oracle(u, v, m_hi, n_hi, q, a % q, m_lo=m_lo, n_lo=n_lo)
+        assert column.count(m_lo, m_hi) == expected, (m_lo, m_hi)
+        assert class_count(u, v, m_lo, m_hi, n_lo, n_hi, modulus, a) == expected
+
+
+def test_a_table_for_another_congruence_or_range_raises():
+    m30, m3981 = factor_modulus(30), factor_modulus(3981)
+    table = residue_table(-2, m30, 7, 200)
+    assert ResidueColumn(1, -2, 40, 80, m30, 37, table).count(1, 500) == (
+        ResidueColumn(1, -2, 40, 80, m30, 7).count(1, 500)
+    )
+    for column in (
+        ResidueColumn(1, -2, 40, 80, m30, 11, table),
+        ResidueColumn(1, -1, 40, 80, m30, 7, table),
+        ResidueColumn(1, -2, 40, 80, factor_modulus(210), 7, table),
+    ):
+        with pytest.raises(InvariantError, match="does not hold"):
+            column.count(1, 500)
+    # A table shorter than q serves the n up to its end only.
+    short = residue_table(-2, m3981, 7, 160)
+    assert ResidueColumn(1, -2, 80, 160, m3981, 7, short).count(1, 9000) == (
+        ResidueColumn(1, -2, 80, 160, m3981, 7).count(1, 9000)
+    )
+    with pytest.raises(InvariantError, match="ends below n = 161"):
+        ResidueColumn(1, -2, 80, 161, m3981, 7, short).count(1, 9000)
+
+
+def test_residue_weights_read_a_table_without_pow(monkeypatch):
+    m = factor_modulus(3981)
+    table = residue_table(-2, m, 7, 9000)
+    # Ranges inside one period, across a multiple of q, and over two periods.
+    ranges = [(40, 80), (0.5, 8.7), (2000, 4000), (3980, 3981), (100, 9000)]
+    expected = [congruence_count._residue_weights(-2, lo, hi, m, 7) for lo, hi in ranges]
+
+    def no_pow(*args):
+        raise AssertionError("pow called although a table was given")
+
+    monkeypatch.setattr(congruence_count, "pow", no_pow, raising=False)
+    for (lo, hi), want in zip(ranges, expected):
+        assert congruence_count._residue_weights(-2, lo, hi, m, 7, table) == want
+    with pytest.raises(AssertionError, match="pow called"):
+        congruence_count._residue_weights(-2, 40, 80, m, 7)
 
 
 def test_residue_sum_rule():

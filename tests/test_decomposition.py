@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sqflab import congruence_count, decomposition_pipeline
 from sqflab.arith_core import InvariantError, factor_modulus, mod_pow
-from sqflab.congruence_count import BoxQuery, count_dyadic, evaluate_bounds
+from sqflab.congruence_count import BoxQuery, count_dyadic, evaluate_bounds, residue_table
 from sqflab.decomposition_pipeline import (
     TailSplit,
     _coverage_gap,
@@ -144,6 +144,30 @@ def test_one_pass_against_term_by_term_sum(inputs):
     assert (split.head, split.tail, removed) == decomposition_oracle(x, m, a, n0)
 
 
+@given(decomposition_inputs(), st.sampled_from([0, 1, 400]))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_reads_a_table_like_the_per_n_residues(inputs, reach):
+    # The table ends at isqrt(x), just past it, or past a period of q.
+    x, m, a, n0 = inputs
+    table = residue_table(-2, m, a, isqrt(math.floor(x)) + reach)
+    split, removed = _decompose(x, m, a, n0, table)
+    assert (split, removed) == _decompose(x, m, a, n0)
+    assert (split.head, split.tail, removed) == decomposition_oracle(x, m, a, n0)
+
+
+def test_one_pass_refuses_a_table_for_another_congruence_or_range():
+    m = factor_modulus(3981)
+    for table in (
+        residue_table(-2, m, 8, 100),
+        residue_table(-1, m, 7, 100),
+        residue_table(-2, factor_modulus(30), 7, 100),
+    ):
+        with pytest.raises(InvariantError, match="does not hold"):
+            _decompose(10**4, m, 7, 5, table)
+    with pytest.raises(InvariantError, match="ends below n = 100"):
+        _decompose(10**4, m, 7, 5, residue_table(-2, m, 7, 99))
+
+
 def test_enumerate_boxes_exhaustive_small():
     x = 2**20
     boxes = enumerate_boxes(x, 1, 1, condition="with-m-floor")
@@ -264,6 +288,38 @@ def test_pipeline_builds_one_column_per_n_anchor(monkeypatch):
     n_anchors = {row.n_anchor for row in rep.boxes}
     assert len(rep.boxes) > len(n_anchors) > 1
     assert sorted(built) == sorted((n, 2 * n) for n in n_anchors)
+
+
+@pytest.mark.parametrize("x", [10**6, 10**8])
+@pytest.mark.parametrize("q", [1, 2, 30, 2310, 3981])
+def test_pipeline_builds_one_table_for_the_pass_and_every_column(monkeypatch, x, q):
+    # q below isqrt(x) gives a table of one period, read at n mod q; q above
+    # it a table that ends at the top of the last column.
+    tables = []
+    build = congruence_count.residue_table
+    monkeypatch.setattr(
+        decomposition_pipeline,
+        "residue_table",
+        lambda *args: tables.append(build(*args)) or tables[-1],
+    )
+    m = factor_modulus(q)
+    a = q - 1 if q > 1 else 0
+    rep = pipeline_report(x, m, a)
+    assert rep.identity_ok
+    assert len(tables) == 1
+    (table,) = tables
+    n_top = max([isqrt(x)] + [math.floor(2 * row.n_anchor) for row in rep.boxes])
+    assert (table.v, table.modulus, table.a) == (-2, m, a)
+    assert len(table.values) == min(q, n_top + 1)
+    for n, c in enumerate(table.values):
+        assert c == (a * pow(n, -2, q) % q if gcd(n, q) == 1 else -1), n
+
+
+def test_pipeline_with_a_modulus_above_2_to_the_63():
+    m = factor_modulus(math.prod(p for p in range(2, 54) if all(p % d for d in range(2, p))))
+    rep = pipeline_report(10**4, m, 1)
+    assert rep.identity_ok and rep.majorization_ok
+    assert rep.e_direct == error_term(10**4, m, 1).error
 
 
 def test_small_m_estimate_examples():
