@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from sqflab.arith_core import InvariantError, Modulus, NotCoprimeError
 from sqflab.exponent_calculus import AMPLIFICATION_MN, AMPLIFICATION_RANGE, BLEND
@@ -165,6 +165,12 @@ class ResidueTable:
         return self.values
 
 
+def _powers(v: int, modulus: Modulus, a: int, ns: range) -> Iterator[int]:
+    """a*n^v (mod q) for each n, or -1 where n^v does not exist (v < 0, gcd(n, q) > 1)."""
+    q = modulus.q
+    return (a * pow(n, v, q) % q if v >= 0 or gcd(n, q) == 1 else -1 for n in ns)
+
+
 def residue_table(v: int, modulus: Modulus, a: int, n_top: int) -> ResidueTable:
     """The table of a*n^v (mod q) for 0 <= n < min(q, n_top + 1).
 
@@ -173,10 +179,7 @@ def residue_table(v: int, modulus: Modulus, a: int, n_top: int) -> ResidueTable:
     """
     q = modulus.q
     a %= q
-    values = (
-        a * pow(n, v, q) % q if v > 0 or gcd(n, q) == 1 else -1
-        for n in range(min(q, n_top + 1))
-    )
+    values = _powers(v, modulus, a, range(min(q, n_top + 1)))
     return ResidueTable(v, modulus, a, array("q", values) if q <= _INT64_END else list(values))
 
 
@@ -196,35 +199,24 @@ def _residue_weights(
     v < 0 the n not coprime to q cannot satisfy the congruence and are
     skipped.  The m of a solution of m^u = a*n^v are the roots of c.
 
-    Without a table each c is computed per n.  With one, the c of the
-    first min(span, q) integers are one or two slices of it, counted by
-    Counter in C.
+    The c of the first min(span, q) integers are computed per n, or taken
+    from `table` as one or two slices when one is given.
     """
     q = modulus.q
     a %= q
     # Integers in (n_lo, n_hi] are floor(n_lo)+1 .. floor(n_hi).
     n_first = max(math.floor(n_lo), 0) + 1
     periods, partial = divmod(max(math.floor(n_hi) - n_first + 1, 0), q)
-    if table is None:
-        weights: dict[int, int] = {}
-        for first, stop, weight in (
-            (n_first, n_first + partial, periods + 1),
-            (n_first + partial, n_first + q, periods),
-        ):
-            if weight == 0:
-                continue
-            for n in range(first, stop):
-                if v < 0 and gcd(n, q) != 1:
-                    continue
-                c = a * pow(n, v, q) % q
-                weights[c] = weights.get(c, 0) + weight
-        return weights
     stop = n_first + (q if periods else partial)
-    values = table.values_for(v, modulus, a, stop - 1)
-    i = n_first % q
-    j = i + stop - n_first
+    if table is None:
+        cs: Iterable[int] = _powers(v, modulus, a, range(n_first, stop))
+    else:
+        values = table.values_for(v, modulus, a, stop - 1)
+        i = n_first % q
+        j = i + stop - n_first
+        cs = values[i:j] if j <= q else values[i:] + values[: j - q]
     # The n of the partial period lie in one more period than the rest.
-    rest = iter(values[i:j] if j <= q else values[i:] + values[: j - q])
+    rest = iter(cs)
     weights = Counter(islice(rest, partial))
     if periods:
         for c in weights:

@@ -89,18 +89,14 @@ def _decompose(
     `a` must already be a unit in [0, q).
 
     The residue a/n^2 of term n is read from `table` at n mod q, whose -1
-    entries mark the n not coprime to q.  Without a table, one of q
-    entries is built when 2q <= isqrt(x), where its phi(q) inverses are
-    fewer than the squarefree n of the pass; otherwise each squarefree n
-    computes its own.
+    entries mark the n not coprime to q.  Without a table, each squarefree
+    n computes its own.
     """
     fx = math.floor(x)
     n_max = isqrt(fx)
     n_split = min(math.floor(n0), n_max)
     mu = _mu_prefix(n_max) if n_max >= 1 else ()
     q = modulus.q
-    if table is None and 2 * q <= n_max:
-        table = residue_table(-2, modulus, a, n_max)
     residues = None if table is None else table.values_for(-2, modulus, a, n_max)
     sums = []
     last_y = cop_n = 0  # y only falls as n grows: count_coprime once per y

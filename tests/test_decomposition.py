@@ -168,6 +168,20 @@ def test_one_pass_refuses_a_table_for_another_congruence_or_range():
         _decompose(10**4, m, 7, 5, residue_table(-2, m, 7, 99))
 
 
+def test_error_term_decompose_builds_no_table(monkeypatch):
+    # decompose_error and tail_split compute one residue per squarefree n,
+    # at q = 7 far below isqrt(x) as well as above it.
+    def no_table(*args):
+        raise AssertionError("residue table built without pipeline_report")
+
+    monkeypatch.setattr(decomposition_pipeline, "residue_table", no_table)
+    for q, a in ((7, 3), (3981, 7)):
+        m = factor_modulus(q)
+        assert decompose_error(10**6, m, a) == error_term(10**6, m, a).error
+        split = tail_split(10**6, m, a, 10)
+        assert (split.head, split.tail) == decomposition_oracle(10**6, m, a, 10)[:2]
+
+
 def test_enumerate_boxes_exhaustive_small():
     x = 2**20
     boxes = enumerate_boxes(x, 1, 1, condition="with-m-floor")
