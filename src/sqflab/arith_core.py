@@ -2,9 +2,11 @@
 
 All values returned here are exact Python integers.  Every sieve is a
 bytearray slice per prime, with primes from one cached table (the largest
-built so far).  Squarefree flags come in windows anywhere in [1, 10^9], in
-bounded memory; Mobius windows are built from those flags and end at or
-below MOBIUS_SIEVE_MAX.
+built so far).  One kernel, squarefree_progression, sieves the squarefree
+flags of a progression start + step*k with terms up to about 10^14, in
+segments of bounded memory; squarefree_flags is its step-1 case over a
+window.  Mobius windows are built from those flags and end at or below
+MOBIUS_SIEVE_MAX.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 # A Mobius window flips its signs once per prime below its end, so its end
 # is capped; squarefree flags only need primes up to the square root.
 MOBIUS_SIEVE_MAX = 10**7
+
+# Longest segment of a progression sieve, in bytes (one flag per term).
+_SEGMENT = 1 << 20
 
 # 1 <-> 255 is a sign flip of a signed byte; 0 stays 0.
 _FLIP = bytes.maketrans(b"\x01\xff", b"\xff\x01")
@@ -191,28 +196,60 @@ def factor_modulus(q: int) -> Modulus:
     return Modulus(q=q, prime_factors=tuple(factors), phi=phi, omega=len(factors))
 
 
-def squarefree_flags(start: int, length: int) -> bytearray:
-    """Squarefree indicators (0/1 bytes) over [start, start+length).
+def squarefree_progression(
+    start: int, step: int, length: int, segment: int | None = None
+) -> Iterator[bytearray]:
+    """Squarefree flags (0/1 bytes) of start + step*k, 0 <= k < length, in segments.
 
-    Marks multiples of p^2 with bytearray strides; byte i corresponds to the
-    integer start+i.  Agrees with mu**2 from the Mobius windows but runs at
-    C speed, which the counting layers rely on.
+    Requires gcd(start, step) = 1: no prime of step divides a term, and
+    p^2 for any other p <= sqrt(last term) divides exactly the terms with
+    k = -start * step^-1 (mod p^2).  Segments hold `segment` flags (default
+    _SEGMENT), the last one fewer.  A p^2 below that strikes every segment
+    at stride p^2; any other hits a segment at most once, so its hits are
+    listed once, sorted, and struck one by one.
     """
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    end = start + length
-    flags = bytearray(b"\x01") * length
+    if step < 1 or gcd(start, step) != 1:
+        raise ValueError(f"step {step} must be >= 1 and coprime to start {start}")
     if length == 0:
-        return flags
-    root = isqrt(end - 1)
+        return
+    seg = min(segment or _SEGMENT, length)
+    root = isqrt(start + step * (length - 1))
+    strides, hits = [], []
     for p in _prime_table(root.bit_length()):
         if p > root:
             break
-        i0 = -start % (p * p)
-        flags[i0 :: p * p] = bytes(len(range(i0, length, p * p)))
-    return flags
+        p2 = p * p
+        if step % p:
+            k0 = -start * pow(step, -1, p2) % p2
+            if p2 < seg:
+                strides.append((k0, p2))
+            else:
+                hits.extend(range(k0, length, p2))
+    hits.sort()
+    h = 0
+    for lo in range(0, length, seg):
+        size = min(seg, length - lo)
+        flags = bytearray(b"\x01") * size
+        for k0, p2 in strides:
+            i0 = (k0 - lo) % p2
+            flags[i0::p2] = bytes(len(range(i0, size, p2)))
+        while h < len(hits) and hits[h] < lo + size:
+            flags[hits[h] - lo] = 0
+            h += 1
+        yield flags
+
+
+def squarefree_flags(start: int, length: int) -> bytearray:
+    """Squarefree flags (0/1 bytes) over [start, start+length): byte i is start+i.
+
+    The step-1 progression as one segment.  Agrees with mu**2 from the
+    Mobius windows but runs at C speed, which the counting layers rely on.
+    """
+    return next(squarefree_progression(start, 1, length, segment=length), bytearray())
 
 
 def mobius_segment(start: int, length: int) -> SieveWindow:

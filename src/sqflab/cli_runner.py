@@ -13,7 +13,9 @@ import math
 import os
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 from multiprocessing import Pool
 from typing import Sequence
@@ -21,6 +23,7 @@ from typing import Sequence
 from sqflab.arith_core import (
     MOBIUS_SIEVE_MAX,
     InvariantError,
+    Modulus,
     NotCoprimeError,
     NotSquarefreeError,
     factor_modulus,
@@ -38,6 +41,7 @@ from sqflab.exponent_calculus import (
     verify_choices,
 )
 from sqflab.progression_stats import (
+    _unit_residue,
     error_term,
     least_squarefree,
     reference_ratio,
@@ -153,53 +157,44 @@ def _scan_policy(text: str) -> tuple[str, int]:
     return kind, value
 
 
-def _residues_for(q: int, policy: tuple[str, int], seed: int) -> list[int]:
+def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[int]:
+    q = modulus.q
     if q == 1:
         return [0]
     kind, value = policy
     if kind == "unit":
-        a = value % q
-        if gcd(a, q) != 1:
-            raise NotCoprimeError(f"residue {a} is not coprime to {q}")
-        return [a]
+        return [_unit_residue(modulus, value)]
     units = [a for a in range(1, q) if gcd(a, q) == 1]
     if kind == "all" or len(units) <= value:
         return units
     return sorted(random.Random(f"{seed}:{q}").sample(units, value))
 
 
-def _scan_rows_for_q(
-    task: tuple[int, tuple[int, ...], tuple[str, int], int],
-) -> list[tuple]:
-    q, x_values, policy, seed = task
-    x_values = tuple(x for x in x_values if x >= q)
-    if not x_values:
-        return []
+def _scan_classes(
+    task: tuple[int, tuple[str, int], int],
+) -> tuple[Modulus, list[tuple[int, int, float]]]:
+    """The modulus q and its x-free columns: (a, least squarefree member, ratio) per a."""
+    q, policy, seed = task
     modulus = factor_modulus(q)
-    # The residues and their least squarefree members do not depend on x.
     classes = []
-    for a in _residues_for(q, policy, seed):
+    for a in _residues_for(modulus, policy, seed):
         n_qa = least_squarefree(modulus, a)
         classes.append((a, n_qa, n_qa / float(q) ** float(COROLLARY)))
+    return modulus, classes
+
+
+def _scan_rows(
+    task: tuple[int, Modulus, list[tuple[int, int, float]]],
+) -> list[tuple]:
+    """The rows of one (x, q), ascending in a."""
+    x, modulus, classes = task
     rows = []
-    for x in x_values:
-        for a, n_qa, corollary in classes:
-            res = error_term(x, modulus, a)
-            ratio = reference_ratio(x, modulus, a, res)
-            rows.append(
-                (
-                    x,
-                    q,
-                    a,
-                    res.progression_count,
-                    res.coprime_count,
-                    res.error.numerator,
-                    res.error.denominator,
-                    ratio,
-                    n_qa,
-                    corollary,
-                )
-            )
+    for a, n_qa, corollary in classes:
+        res = error_term(x, modulus, a)
+        ratio = reference_ratio(x, modulus, a, res)
+        counts = (res.progression_count, res.coprime_count)
+        error = (res.error.numerator, res.error.denominator)
+        rows.append((x, modulus.q, a, *counts, *error, ratio, n_qa, corollary))
     return rows
 
 
@@ -216,15 +211,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # A q above every x has no row, so the list stops at the largest x.
     q_top = min(args.q_max, x_values[-1])
     flags = squarefree_flags(1, q_top)
-    q_list = [q for q in range(args.q_min, q_top + 1) if flags[q - 1]]
-    tasks = [(q, x_values, policy, args.seed) for q in q_list]
-    if args.workers > 1 and len(tasks) > 1:
-        with Pool(processes=args.workers) as pool:
-            per_q = pool.map(_scan_rows_for_q, tasks)
-    else:
-        per_q = [_scan_rows_for_q(t) for t in tasks]
-    # Rows ordered by (X, q, a) regardless of worker layout.
-    rows = sorted(row for chunk in per_q for row in chunk)
+    q_tasks = [(q, policy, args.seed) for q in range(args.q_min, q_top + 1) if flags[q - 1]]
+    pool = Pool(processes=args.workers) if args.workers > 1 and len(q_tasks) > 1 else None
+    with pool or nullcontext():
+        # imap, unlike map, raises the error of the first failing task in
+        # order, as the serial loop does, not of the first chunk to finish.
+        run = partial(pool.imap, chunksize=len(q_tasks) // (4 * args.workers) + 1) if pool else map
+        per_q = list(run(_scan_classes, q_tasks))
+        # x in the outer loop: every q of one x reads the same squarefree
+        # table, and the rows come out in (X, q, a) order.
+        row_tasks = [(x, m, classes) for x in x_values for m, classes in per_q if m.q <= x]
+        rows = [row for chunk in run(_scan_rows, row_tasks) for row in chunk]
 
     lines = [CSV_HEADER]
     for row in rows[args.start_row :]:

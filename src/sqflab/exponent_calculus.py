@@ -68,9 +68,6 @@ class ExponentForm:
         k = _frac(k)
         return ExponentForm(self.coeff_x * k, self.coeff_rho * k, self.label)
 
-    def describe(self) -> str:
-        return f"X^({self.coeff_x}) * q^({self.coeff_rho})"
-
 
 ZERO_FORM = ExponentForm(Fraction(0), Fraction(0), "one")
 

@@ -7,16 +7,16 @@ error envelope.
 
 `error_term` counts the class a mod q and the squarefree n <= x coprime to
 q.  The class count has two routes.  For x <= 2^22 it reads one cached
-flag prefix of [1, x] at stride q.  Above 2^22 it sieves only the
-progression n = a + q*k, striking for each prime p <= sqrt(x) prime to q
-the k = -a/q (mod p^2), in about x / q bytes.  The coprime count has one
+flag prefix of [1, x] at stride q.  Above 2^22 it counts the flags of
+only the progression n = a + q*k, about x / q bytes, which arith_core's
+squarefree_progression sieves segment by segment.  The coprime count has one
 route at every x: a signed sum of Q(x // m) over the m built from primes
 of q (`_coprime_cut_points`), where Q(y) counts squarefree n <= y.  Each
 Q(y) comes from y = sum over d of Q(y // d^2), every n being d^2 times a
 squarefree number in exactly one way, with a prefix table of 2 * sqrt(x)
-flags (at most 2^22).  Both counts use the squarefree flags and the prime
-table, but neither Mobius values nor the square-part decomposition, so
-the decomposition can be checked against them.
+flags (at most 2^22).  Both counts use arith_core's squarefree sieve,
+but neither Mobius values nor the square-part decomposition, so the
+decomposition can be checked against them.
 """
 
 from __future__ import annotations
@@ -36,18 +36,16 @@ from sqflab.arith_core import (
     InvariantError,
     Modulus,
     NotCoprimeError,
-    _prime_table,
     factor_modulus,
     is_squarefree,
     squarefree_flags,
+    squarefree_progression,
 )
 from sqflab.exponent_calculus import COROLLARY
 
 Real = int | float | Fraction
 
 _FLAG_CACHE_MAX = 1 << 22
-# Longest segment of the progression sieve, in bytes (one flag per k).
-_K_SEGMENT = 1 << 20
 
 
 class SearchCeilingError(RuntimeError):
@@ -99,9 +97,9 @@ def discrepancy(x: Real, modulus: Modulus, a: int) -> Fraction:
 
 
 @lru_cache(maxsize=8)
-def _flag_prefix(limit: int) -> bytes:
-    """Cached squarefree indicators for [1, limit], limit <= _FLAG_CACHE_MAX."""
-    return bytes(squarefree_flags(1, limit))
+def _flag_prefix(limit: int) -> bytearray:
+    """Cached squarefree flags of [1, limit], limit <= _FLAG_CACHE_MAX, kept uncopied."""
+    return squarefree_flags(1, limit)
 
 
 # adler32's low half is 1 + (byte sum) mod 65521, which on 0/1 flags is one
@@ -130,45 +128,13 @@ def _class_count(limit: int, q: int, a: int) -> int:
     """Squarefree n <= limit with n = a (mod q), a a unit, q > 1.
 
     Up to _FLAG_CACHE_MAX the class is read off the cached flags at stride
-    q.  Above it only the progression n = a + q*k is sieved (a >= 1, as
-    q > 1): p^2 | n exactly when k = -a * q^-1 (mod p^2), for each prime
-    p <= isqrt(limit) that does not divide q (a prime of q divides no
-    member of a unit class).  The flags over k come in segments of at
-    most _K_SEGMENT bytes.  A prime with p^2 below the segment length
-    zeroes every segment at stride p^2; any other hits a segment at most
-    once, so its hits are listed once, sorted, and zeroed one by one.
+    q.  Above it only the progression n = a + q*k is sieved (a >= 1 and
+    gcd(a, q) = 1, as q > 1 and a is a unit), segment by segment through
+    squarefree_progression.
     """
     if limit <= _FLAG_CACHE_MAX:
         return _ones(_flag_prefix(limit)[(a - 1) % q :: q])
-    if a > limit:
-        return 0
-    n_k = (limit - a) // q + 1
-    seg = min(_K_SEGMENT, n_k)
-    root = isqrt(limit)
-    strides, hits = [], []
-    for p in _prime_table(root.bit_length()):
-        if p > root:
-            break
-        step = p * p
-        if q % p:
-            k0 = -a * pow(q, -1, step) % step
-            if step < seg:
-                strides.append((k0, step))
-            else:
-                hits.extend(range(k0, n_k, step))
-    hits.sort()
-    count = h = 0
-    for lo in range(0, n_k, seg):
-        length = min(seg, n_k - lo)
-        flags = bytearray(b"\x01") * length
-        for k0, step in strides:
-            i0 = (k0 - lo) % step
-            flags[i0::step] = bytes(len(range(i0, length, step)))
-        while h < len(hits) and hits[h] < lo + length:
-            flags[hits[h] - lo] = 0
-            h += 1
-        count += _ones(flags)
-    return count
+    return sum(map(_ones, squarefree_progression(a, q, (limit - a) // q + 1)))
 
 
 def _coprime_cut_points(limit: int, modulus: Modulus) -> list[tuple[int, int]]:

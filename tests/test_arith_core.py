@@ -1,7 +1,7 @@
 """Sieve and modular-arithmetic correctness against independent oracles."""
 
 import random
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from sqflab.arith_core import (
     mod_pow,
     primes_up_to,
     squarefree_flags,
+    squarefree_progression,
 )
 
 
@@ -145,6 +146,62 @@ def test_squarefree_flags_deep_segment():
     flags = squarefree_flags(9_999_000, 500)
     for i, n in enumerate(range(9_999_000, 9_999_500)):
         assert flags[i] == (mobius_oracle(n) != 0)
+
+
+# Primes below 10^4 by trial division, and their product.
+_ORACLE_PRIMES = [p for p in range(2, 10**4) if all(p % d for d in range(2, isqrt(p) + 1))]
+_ORACLE_PRIMORIAL = prod(_ORACLE_PRIMES)
+
+
+def squarefree_by_trial_division(n: int) -> bool:
+    """Squarefreeness of 1 <= n < 10^12, dividing by every prime below 10^4 at once.
+
+    g = gcd(n, primorial) is the product of those primes that divide n;
+    one of them divides n twice exactly when it divides n // g.  What is
+    left has at most two prime factors, all >= 10^4, so it is squarefree
+    unless it is a square above 1.
+    """
+    g = gcd(n, _ORACLE_PRIMORIAL)
+    rest = n // g
+    if gcd(rest, g) > 1:
+        return False
+    r = isqrt(rest)
+    return rest == 1 or r * r != rest
+
+
+@given(
+    step=st.sampled_from([1, 2, 30, 3981, 223092870]),
+    start=st.integers(min_value=1, max_value=10**6),
+    length=st.integers(min_value=0, max_value=3000),
+    pick=st.integers(min_value=0, max_value=10**6),
+    shift=st.sampled_from([-1, 0, 1]),
+)
+@settings(max_examples=50, deadline=None)
+def test_progression_sieve_against_trial_division(step, start, length, pick, shift):
+    # The segment length is p^2 - 1, p^2 or p^2 + 1 for a struck prime p, so
+    # p^2 strikes at stride or from the hit list, and its hits fall on,
+    # just before and just after segment boundaries.
+    start = next(s for s in range(start, start + step + 1) if gcd(s, step) == 1)
+    last = start + step * max(length - 1, 0)
+    assert last < 10**12
+    want = bytearray(squarefree_by_trial_division(start + step * k) for k in range(length))
+    # p is a struck prime (one prime to step): one with p^2 <= length, or the first above.
+    struck = [p for p in _ORACLE_PRIMES if step % p]
+    p = struck[pick % (1 + sum(p * p <= length for p in struck))]
+    segment = max(p * p + shift, 1)
+    segments = list(squarefree_progression(start, step, length, segment))
+    assert [len(s) for s in segments] == [
+        min(segment, length - lo) for lo in range(0, length, segment)
+    ]
+    assert b"".join(segments) == want
+    if step == 1:
+        assert squarefree_flags(start, length) == want
+
+
+def test_progression_sieve_rejects_bad_arguments():
+    for args in ((0, 1, 5), (1, 1, -1), (6, 4, 5), (1, 0, 5)):
+        with pytest.raises(ValueError):
+            next(squarefree_progression(*args))
 
 
 def test_factor_modulus_examples():

@@ -108,9 +108,13 @@ def test_scan_computes_each_class_once(capsys, monkeypatch):
 
 def test_scan_builds_no_task_above_the_largest_x(capsys, monkeypatch):
     built = []
-    rows_for_q = cli_runner._scan_rows_for_q
+    classes_for_q = cli_runner._scan_classes
+    rows_for_x_q = cli_runner._scan_rows
     monkeypatch.setattr(
-        cli_runner, "_scan_rows_for_q", lambda task: built.append(task[0]) or rows_for_q(task)
+        cli_runner, "_scan_classes", lambda task: built.append(task[0]) or classes_for_q(task)
+    )
+    monkeypatch.setattr(
+        cli_runner, "_scan_rows", lambda task: built.append(task[1].q) or rows_for_x_q(task)
     )
     _, small, _ = run_cli(capsys, "scan", "--x", "100", "--q-max", "100", "--workers", "1")
     built.clear()
@@ -129,6 +133,19 @@ def test_scan_at_one_x_builds_one_squarefree_table_for_every_q(capsys):
     assert code == 0 and len(out.splitlines()) > 200
     assert progression_stats._coprime_count.cache_info().misses == 26  # one per q
     assert progression_stats._squarefree_prefix.cache_info().misses == 1
+    progression_stats._coprime_count.cache_clear()
+
+
+def test_scan_builds_one_squarefree_table_per_x(capsys):
+    # x walks the outer loop, so a second x builds the table once more, not once per q.
+    progression_stats._coprime_count.cache_clear()
+    progression_stats._squarefree_prefix.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "scan", "--x", "1048576", "2097152", "--q-max", "40", "--a", "all",
+        "--workers", "1",
+    )
+    assert code == 0 and len(out.splitlines()) > 400
+    assert progression_stats._squarefree_prefix.cache_info().misses == 2
     progression_stats._coprime_count.cache_clear()
 
 
@@ -166,10 +183,15 @@ def test_scan_deterministic_and_resumable(capsys):
 
 
 def test_scan_workers_do_not_change_output(capsys):
-    args = ["scan", "--x", "300", "--q-max", "40"]
-    _, serial, _ = run_cli(capsys, *args, "--workers", "1")
-    _, parallel, _ = run_cli(capsys, *args, "--workers", "2")
-    assert serial == parallel
+    for args in (
+        ["scan", "--x", "300", "--q-max", "40"],
+        ["scan", "--x", "1000", "300", "--q-max", "40", "--a", "all"],
+        # q = 2 and q = 6 both reject a = 2: the error names the first.
+        ["scan", "--x", "100", "1000", "--q-max", "30", "--a", "2"],
+    ):
+        serial = run_cli(capsys, *args, "--workers", "1")
+        parallel = run_cli(capsys, *args, "--workers", "2")
+        assert serial == parallel
 
 
 def test_scan_bad_range(capsys):

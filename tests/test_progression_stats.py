@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqflab import progression_stats
+from sqflab import arith_core, progression_stats
 from sqflab.arith_core import NotCoprimeError, factor_modulus, squarefree_flags
 from sqflab.progression_stats import (
     SearchCeilingError,
@@ -166,7 +166,7 @@ def test_stride_counts_against_trial_division(x, q, a, segment, cache_max):
     want_ap = sum(1 for n in range(1, x + 1) if n % q == a and flags[n])
     want_cop = sum(1 for n in range(1, x + 1) if gcd(n, q) == 1 and flags[n])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(progression_stats, "_K_SEGMENT", segment)
+        mp.setattr(arith_core, "_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", cache_max)
         progression_stats._coprime_count.cache_clear()
         try:
@@ -204,7 +204,7 @@ def test_sublinear_route_against_trial_division(x, q, a, pick, shift):
         step = primes[pick % len(primes)] ** 2
         segment = max(-a * pow(q, -1, step) % step + shift, 1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(progression_stats, "_K_SEGMENT", segment)
+        mp.setattr(arith_core, "_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", 0)
         progression_stats._coprime_count.cache_clear()
         assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
@@ -284,7 +284,7 @@ def test_coprime_count_matches_a_running_flag_count(
 @pytest.mark.parametrize("q", [1, 2, 30, 2310])
 def test_class_counts_sum_to_coprime_count(q, monkeypatch, fresh_coprime_cache):
     # Above the flag cache: every count below takes the sublinear route.
-    monkeypatch.setattr(progression_stats, "_K_SEGMENT", 97)
+    monkeypatch.setattr(arith_core, "_SEGMENT", 97)
     monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 100)
     m = factor_modulus(q)
     units = [a for a in range(q) if gcd(a, q) == 1]
@@ -307,7 +307,7 @@ def test_ones_counts_long_runs_exactly():
 @pytest.mark.parametrize("q", [1, 2, 30030, 1000003])
 def test_long_segments_against_a_plain_sieve(q, monkeypatch, fresh_coprime_cache):
     x = 200_003
-    monkeypatch.setattr(progression_stats, "_K_SEGMENT", 70_001)
+    monkeypatch.setattr(arith_core, "_SEGMENT", 70_001)
     monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 1000)
     squarefree = [True] * (x + 1)
     for d in range(2, math.isqrt(x) + 1):
@@ -321,29 +321,41 @@ def test_long_segments_against_a_plain_sieve(q, monkeypatch, fresh_coprime_cache
 
 
 def test_flag_windows_above_the_cache_stay_within_t(monkeypatch, fresh_coprime_cache):
-    # Above the flag cache no squarefree_flags window covers [1, x]: the
-    # only one is the prefix table of Q, t = 2 * isqrt(x) bytes long.
+    # Above the flag cache no flag window covers [1, x]: the only one is the
+    # prefix table of Q, t = 2 * isqrt(x) bytes long, and the class sieves
+    # its progression alone, about x // q flags in segments.
     x = 2**24 + 3
-    calls = {"flags": [], "cuts": 0}
+    calls = {"flags": [], "progressions": [], "cuts": 0}
     flags_fn = progression_stats.squarefree_flags
+    progression_fn = progression_stats.squarefree_progression
     cuts_fn = progression_stats._coprime_cut_points
 
     def counted_flags(start, length):
         calls["flags"].append(length)
         return flags_fn(start, length)
 
+    def counted_progression(start, step, length):
+        calls["progressions"].append((start, step, length))
+        return progression_fn(start, step, length)
+
     def counted_cuts(*args):
         calls["cuts"] += 1
         return cuts_fn(*args)
 
     monkeypatch.setattr(progression_stats, "squarefree_flags", counted_flags)
+    monkeypatch.setattr(progression_stats, "squarefree_progression", counted_progression)
     monkeypatch.setattr(progression_stats, "_coprime_cut_points", counted_cuts)
     m = factor_modulus(30030)
     first = error_term(x, m, 1)
-    assert calls == {"flags": [2 * math.isqrt(x)], "cuts": 1}
+    t = 2 * math.isqrt(x)
+    assert calls == {"flags": [t], "progressions": [(1, 30030, x // 30030 + 1)], "cuts": 1}
     # Another class at the same (x, q) reuses the coprime count.
     second = error_term(x, m, 17)
-    assert calls == {"flags": [2 * math.isqrt(x)], "cuts": 1}
+    assert calls == {
+        "flags": [t],
+        "progressions": [(1, 30030, x // 30030 + 1), (17, 30030, (x - 17) // 30030 + 1)],
+        "cuts": 1,
+    }
     assert second.coprime_count == first.coprime_count
     plain = squarefree_flags(1, x)
     assert first.progression_count == plain[0::30030].count(1)
