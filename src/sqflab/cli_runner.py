@@ -87,6 +87,17 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _worker_count(text: str) -> int:
+    """scan's --workers or SQFLAB_WORKERS: a whole number of processes, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -212,11 +223,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     q_top = min(args.q_max, x_values[-1])
     flags = squarefree_flags(1, q_top)
     q_tasks = [(q, policy, args.seed) for q in range(args.q_min, q_top + 1) if flags[q - 1]]
-    pool = Pool(processes=args.workers) if args.workers > 1 and len(q_tasks) > 1 else None
+    # More processes than q tasks or cores would only wait.
+    workers = min(args.workers, len(q_tasks), os.cpu_count() or 1)
+    pool = Pool(processes=workers) if workers > 1 else None
     with pool or nullcontext():
         # imap, unlike map, raises the error of the first failing task in
         # order, as the serial loop does, not of the first chunk to finish.
-        run = partial(pool.imap, chunksize=len(q_tasks) // (4 * args.workers) + 1) if pool else map
+        run = partial(pool.imap, chunksize=len(q_tasks) // (4 * workers) + 1) if pool else map
         per_q = list(run(_scan_classes, q_tasks))
         # x in the outer loop: every q of one x reads the same squarefree
         # table, and the rows come out in (X, q, a) order.
@@ -370,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sqflab",
         description="Exact experiments on squarefree numbers in arithmetic progressions.",
     )
-    default_workers = int(os.environ.get("SQFLAB_WORKERS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("error-term", help="exact progression error term at one (x, q, a)")
@@ -392,7 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start-row", type=int, default=0, help="resume: skip leading rows")
-    p.add_argument("--workers", type=int, default=default_workers)
+    # A string default passes through the type too, so a bad SQFLAB_WORKERS
+    # is a usage error of scan alone.
+    p.add_argument(
+        "--workers", type=_worker_count, default=os.environ.get("SQFLAB_WORKERS", "1")
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common_output(p)
     p.set_defaults(func=_cmd_scan)

@@ -9,14 +9,15 @@ error envelope.
 q.  The class count has two routes.  For x <= 2^22 it reads one cached
 flag prefix of [1, x] at stride q.  Above 2^22 it counts the flags of
 only the progression n = a + q*k, about x / q bytes, which arith_core's
-squarefree_progression sieves segment by segment.  The coprime count has one
-route at every x: a signed sum of Q(x // m) over the m built from primes
-of q (`_coprime_cut_points`), where Q(y) counts squarefree n <= y.  Each
-Q(y) comes from y = sum over d of Q(y // d^2), every n being d^2 times a
-squarefree number in exactly one way, with a prefix table of 2 * sqrt(x)
-flags (at most 2^22).  Both counts use arith_core's squarefree sieve,
-but neither Mobius values nor the square-part decomposition, so the
-decomposition can be checked against them.
+squarefree_progression sieves segment by segment.  The coprime count S has
+one route at every x (`_coprime_count`): every n coprime to q is d^2
+times a squarefree number in exactly one way, so S(y) is the count of
+integers in [1, y] coprime to q less the sum of S(y // d^2) over the
+d >= 2 coprime to q.  S is read from the first 2 * sqrt(x) flags (at
+most 2^22) with the multiples of the primes of q struck, and recursed
+above them.  Both counts use arith_core's squarefree sieve, but neither
+Mobius values nor the square-part decomposition, so the decomposition can
+be checked against them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, isqrt
-from typing import Callable, Iterable
+from typing import Iterable
 from zlib import adler32
 
 from sqflab.arith_core import (
@@ -98,7 +99,11 @@ def discrepancy(x: Real, modulus: Modulus, a: int) -> Fraction:
 
 @lru_cache(maxsize=8)
 def _flag_prefix(limit: int) -> bytearray:
-    """Cached squarefree flags of [1, limit], limit <= _FLAG_CACHE_MAX, kept uncopied."""
+    """Cached squarefree flags of [1, limit], limit <= _FLAG_CACHE_MAX, kept uncopied.
+
+    The class count reads them at stride q and the coprime count copies
+    them before striking, so every count at one limit shares one sieve.
+    """
     return squarefree_flags(1, limit)
 
 
@@ -137,91 +142,67 @@ def _class_count(limit: int, q: int, a: int) -> int:
     return sum(map(_ones, squarefree_progression(a, q, (limit - a) // q + 1)))
 
 
-def _coprime_cut_points(limit: int, modulus: Modulus) -> list[tuple[int, int]]:
-    """Pairs (y, w), y ascending, with #{squarefree n <= limit, (n, q) = 1} = sum w*Q(y).
+@lru_cache(maxsize=64)
+def _coprime_count(limit: int, modulus: Modulus) -> int:
+    """S(limit), the squarefree n <= limit coprime to q, by one recursion.
 
-    Q(y) counts squarefree n <= y.  Since prod over p | q of (1 + p^-s)^-1
-    is the sum of lambda(m) m^-s over m whose primes all divide q, each such
-    m <= limit adds its Liouville sign (-1)^Omega(m) at y = limit // m.
-    The weights are merged per y one prime of q at a time: each cut point y
-    with weight w so far passes -w to y // p, w to y // p^2, and so on down
-    to 0, so the many m that share a small y are never listed one by one.
-    Zero weights are dropped as soon as they appear.
-    """
-    weights = {limit: 1}
-    for p in modulus.prime_factors:
-        merged: dict[int, int] = {}
-        for y, w in weights.items():
-            while y:
-                merged[y] = merged.get(y, 0) + w
-                y //= p
-                w = -w
-        weights = {y: w for y, w in merged.items() if w}
-    return sorted(weights.items())
-
-
-@lru_cache(maxsize=1)
-def _squarefree_prefix(t: int) -> tuple[bytearray, array]:
-    """Squarefree flags of [1, t] and their prefix counts, with index y holding Q(y).
-
-    The table of the last t is kept, so the moduli of one x in a scan
-    share it; one entry only, as it takes up to 20 MB at t = 2^22.
-    """
-    flags = squarefree_flags(1, t)
-    return flags, array("I", accumulate(flags, initial=0))
-
-
-def _squarefree_counter(limit: int) -> Callable[[int], int]:
-    """Q(y), the number of squarefree n <= y, for y <= limit, without a walk to y.
-
-    Every n >= 1 is d^2 * s with s squarefree in exactly one way, so
-    y = sum over d >= 1 of Q(y // d^2), that is
-    Q(y) = y - sum over d >= 2 of Q(y // d^2).  Q is read from a prefix
-    count of squarefree_flags(1, t) up to t = 2 * isqrt(limit), at most
-    _FLAG_CACHE_MAX, so the table stays as small as the flag cache; above
-    t it recurses, memoized for the life of the counter.  The terms with
-    d > d_max, where y // d^2 <= v and v is about the cube root of y, are
-    summed per squarefree s <= v instead of per d: d^2 * s <= y holds for
-    isqrt(y // s) values of d, and the first d_max of them are the terms
-    already taken one by one.  The flags and prefix counts come from
-    _squarefree_prefix(t), shared by every counter with the same t.
+    Every n coprime to q is d^2 * s in exactly one way, with s squarefree
+    and d, s coprime to q, so S(y) = phi(y) - sum over d >= 2 coprime to q
+    of S(y // d^2), where phi(y) counts [1, y] coprime to q; for q = 1, S
+    is the plain squarefree count.  S is a prefix count of the flags of
+    [1, t], t = 2 * isqrt(limit) at most _FLAG_CACHE_MAX, copied with the
+    multiples of the primes of q struck; above t it recurses, memoized
+    within the call.  The d with y // d^2 <= v, v about the cube root of y,
+    are counted per coprime squarefree s <= v: from a prefix count of a
+    coprime mask up to r, and from phi's Legendre recursion above r.  No
+    Mobius value or divisor of q enters.  Cached per (limit, q), so the
+    classes of one modulus at one limit share it.
     """
     t = min(2 * isqrt(limit), _FLAG_CACHE_MAX)
-    flags, prefix = _squarefree_prefix(t)
+    # r bounds every d taken one by one: d_max is at most isqrt(y // (t + 1))
+    # when v = t, and at most v + 1 <= min(t, isqrt(y)) otherwise.
+    r = max(isqrt(limit // (t + 1)), min(t, isqrt(limit)))
+    primes = modulus.prime_factors
+    flags = bytearray(_flag_prefix(t))
+    coprime = bytearray(b"\x01") * r
+    for p in primes:
+        flags[p - 1 :: p] = bytes(len(range(p - 1, t, p)))
+        coprime[p - 1 :: p] = bytes(len(range(p - 1, r, p)))
+    base = array("I", accumulate(flags, initial=0))  # base[y] = S(y) for y <= t
+    units = array("I", accumulate(coprime, initial=0))  # units[n] = phi(n) for n <= r
+
+    def phi(y: int, i: int = len(primes)) -> int:
+        """Integers in [1, y] divisible by none of the first i primes of q."""
+        if i == 0 or y < primes[0]:
+            return y
+        return phi(y, i - 1) - phi(y // primes[i - 1], i - 1)
+
     memo: dict[int, int] = {}
 
     def count(y: int) -> int:
         if y <= t:
-            return prefix[y]
+            return base[y]
         total = memo.get(y)
         if total is None:
             v = min(int(y ** (1 / 3)), t)
             d_big = isqrt(y // (t + 1))  # d <= d_big: y // d^2 > t
             d_max = isqrt(y // (v + 1))  # d > d_max: y // d^2 <= v
+            s_big = min(y // (r + 1) ** 2, v)  # s <= s_big: isqrt(y // s) > r
+            head = compress(range(2, d_big + 1), coprime[1:d_big])
+            mid = compress(range(d_big + 1, d_max + 1), coprime[d_big:d_max])
+            tail = compress(range(s_big + 1, v + 1), flags[s_big:v])
             total = (
-                y
-                - sum(count(y // (d * d)) for d in range(2, d_big + 1))
-                - sum(prefix[y // (d * d)] for d in range(d_big + 1, d_max + 1))
-                - sum(isqrt(y // s) for s in compress(range(1, v + 1), flags))
-                + d_max * prefix[v]
+                phi(y)
+                - sum(count(y // (d * d)) for d in head)
+                - sum(base[y // (d * d)] for d in mid)
+                - sum(phi(isqrt(y // s)) for s in compress(range(1, s_big + 1), flags))
+                - sum(units[isqrt(y // s)] for s in tail)
+                + units[d_max] * base[v]
             )
             memo[y] = total
         return total
 
-    return count
-
-
-@lru_cache(maxsize=64)
-def _coprime_count(limit: int, modulus: Modulus) -> int:
-    """Squarefree n <= limit coprime to q: the sum of w * Q(y) over the cut points.
-
-    Q is _squarefree_counter(limit) at every limit, so no flag array longer
-    than 2 * isqrt(limit) is built, and every q at one limit reads the same
-    flag table.  Cached per (limit, q), so the classes of one modulus at
-    one limit share the sum.
-    """
-    count = _squarefree_counter(limit)
-    return sum(weight * count(y) for y, weight in _coprime_cut_points(limit, modulus))
+    return count(limit)
 
 
 def _squarefree_counts(limit: int, modulus: Modulus, a: int) -> tuple[int, int]:
@@ -246,7 +227,7 @@ def squarefree_count_ap(x: Real, modulus: Modulus, a: int) -> int:
 
 
 def squarefree_count_coprime(x: Real, modulus: Modulus) -> int:
-    """Exact count of squarefree n <= x coprime to q (see _coprime_cut_points)."""
+    """Exact count of squarefree n <= x coprime to q (see _coprime_count)."""
     limit = _floor(x)
     return _coprime_count(limit, modulus) if limit >= 1 else 0
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,29 +126,39 @@ def test_scan_builds_no_task_above_the_largest_x(capsys, monkeypatch):
     assert built and max(built) <= 100
 
 
-def test_scan_at_one_x_builds_one_squarefree_table_for_every_q(capsys):
+@pytest.fixture
+def flag_tables(monkeypatch):
+    """Lengths of the flag tables progression_stats builds, from empty caches."""
+    built = []
+    flags_fn = progression_stats.squarefree_flags
+    monkeypatch.setattr(
+        progression_stats, "squarefree_flags",
+        lambda start, length: built.append(length) or flags_fn(start, length),
+    )
     progression_stats._coprime_count.cache_clear()
-    progression_stats._squarefree_prefix.cache_clear()
+    progression_stats._flag_prefix.cache_clear()
+    yield built
+    progression_stats._coprime_count.cache_clear()
+
+
+def test_scan_at_one_x_builds_one_squarefree_table_for_every_q(capsys, flag_tables):
     code, out, _ = run_cli(
         capsys, "scan", "--x", "1048576", "--q-max", "40", "--a", "all", "--workers", "1"
     )
     assert code == 0 and len(out.splitlines()) > 200
     assert progression_stats._coprime_count.cache_info().misses == 26  # one per q
-    assert progression_stats._squarefree_prefix.cache_info().misses == 1
-    progression_stats._coprime_count.cache_clear()
+    # The classes read [1, x]; every coprime count reads t = 2 * isqrt(x) flags.
+    assert sorted(flag_tables) == [2048, 1048576]
 
 
-def test_scan_builds_one_squarefree_table_per_x(capsys):
-    # x walks the outer loop, so a second x builds the table once more, not once per q.
-    progression_stats._coprime_count.cache_clear()
-    progression_stats._squarefree_prefix.cache_clear()
+def test_scan_builds_one_squarefree_table_per_x(capsys, flag_tables):
+    # x walks the outer loop, so a second x builds its tables once more, not once per q.
     code, out, _ = run_cli(
         capsys, "scan", "--x", "1048576", "2097152", "--q-max", "40", "--a", "all",
         "--workers", "1",
     )
     assert code == 0 and len(out.splitlines()) > 400
-    assert progression_stats._squarefree_prefix.cache_info().misses == 2
-    progression_stats._coprime_count.cache_clear()
+    assert sorted(flag_tables) == [2048, 2896, 1048576, 2097152]
 
 
 def test_scan_header_and_rows(capsys):
@@ -192,6 +204,79 @@ def test_scan_workers_do_not_change_output(capsys):
         serial = run_cli(capsys, *args, "--workers", "1")
         parallel = run_cli(capsys, *args, "--workers", "2")
         assert serial == parallel
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "abc", "1.5"])
+def test_scan_workers_must_be_a_positive_integer(capsys, monkeypatch, workers):
+    with pytest.raises(SystemExit) as exc:
+        main([*SCAN, "--workers", workers])
+    assert exc.value.code == 2
+    assert "argument --workers" in capsys.readouterr().err
+    # SQFLAB_WORKERS is the default of scan's --workers alone.
+    monkeypatch.setenv("SQFLAB_WORKERS", workers)
+    with pytest.raises(SystemExit) as exc:
+        main(SCAN)
+    assert exc.value.code == 2
+    assert "argument --workers" in capsys.readouterr().err
+    assert run_cli(capsys, *SCAN, "--workers", "1")[0] == 0
+    assert run_cli(capsys, "optimize")[0] == 0
+
+
+class _SerialPool:
+    """A stand-in for multiprocessing.Pool that records its size and starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, iterable, chunksize=1):
+        return map(func, iterable)
+
+
+@pytest.mark.parametrize(
+    "workers, q_max, cores, size",
+    [
+        ("1000000", "40", 3, 3),  # capped at the cores
+        ("1000000", "3", 8, 3),  # capped at the q tasks: 1, 2, 3
+        ("2", "40", 8, 2),
+        ("1000000", "40", 1, None),  # one core: no pool
+        ("1000000", "1", 8, None),  # one q task: no pool
+    ],
+)
+def test_scan_pool_is_capped_by_tasks_and_cores(capsys, monkeypatch, workers, q_max, cores, size):
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli_runner, "Pool", _SerialPool)
+    monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: cores)
+    args = ["scan", "--x", "300", "--q-max", q_max, "--a", "all"]
+    pooled = run_cli(capsys, *args, "--workers", workers)
+    assert _SerialPool.sizes == ([size] if size else [])
+    assert pooled == run_cli(capsys, *args, "--workers", "1")
+
+
+def test_runs_on_the_standard_library_alone():
+    # No site-packages: every module imports and a command runs without them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import pkgutil, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import sqflab\n"
+        "for info in pkgutil.iter_modules(sqflab.__path__, 'sqflab.'):\n"
+        "    __import__(info.name)\n"
+        "from sqflab.cli_runner import main\n"
+        "raise SystemExit(main(['optimize']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["theta"] == "25/36"
 
 
 def test_scan_bad_range(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab import arith_core, progression_stats
-from sqflab.arith_core import NotCoprimeError, factor_modulus, squarefree_flags
+from sqflab.arith_core import Modulus, NotCoprimeError, factor_modulus, squarefree_flags
 from sqflab.progression_stats import (
     SearchCeilingError,
     count_ap,
@@ -227,37 +227,38 @@ def _cut_points_by_listing(limit, modulus):
     return sorted((y, w) for y, w in weights.items() if w)
 
 
+# q with 0 to 10 primes: 1, the primorials, primes and products of primes
+# above isqrt(20000) = 141, and products that mix both sides.
+_ORACLE_MODULI = [
+    1, 2, 6, 30, 210, 2310, 30030, 510510, 9699690, 223092870, 6469693230,
+    151, 1000003, 149 * 151, 10007 * 10009, 101 * 103 * 107, 3 * 1009 * 1013 * 1019,
+]
+
+
 @given(
-    x=st.one_of(st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**9)),
-    q=st.sampled_from([1, 2, 3981, 30030, 223092870, 2**31 - 1]),
+    x=st.one_of(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=20000)),
+    q=st.sampled_from(_ORACLE_MODULI),
+    cache_max=st.sampled_from([0, 10, 1000]),
 )
-@settings(max_examples=100, deadline=None)
-def test_cut_points_match_a_listing_of_every_m(x, q):
+@settings(max_examples=200, deadline=None)
+def test_coprime_count_against_trial_division(x, q, cache_max):
+    # t = 0 takes every y down the recursion; t = 10 sums the tail per s and
+    # counts its longest d-ranges by the Legendre phi; t = 1000 reads them
+    # all from the coprime prefix.  q = 1 is the plain squarefree count.
     m = factor_modulus(q)
-    cuts = progression_stats._coprime_cut_points(x, m)
-    assert cuts == _cut_points_by_listing(x, m)
-    assert cuts[-1] == (x, 1)
-
-
-def test_squarefree_counter_matches_a_flag_prefix_count():
-    limit = 10**6
-    count = progression_stats._squarefree_counter(limit)
-    t = 2 * math.isqrt(limit)
-    prefix = [0]
-    for f in squarefree_flags(1, limit):
-        prefix.append(prefix[-1] + f)
-    rng = random.Random(8)
-    ys = {1, 2, 3, 4, t - 1, t, t + 1, limit - 1, limit}
-    ys |= {k * k + d for k in range(1, 1001) for d in (-1, 0, 1)}
-    ys |= {rng.randrange(1, limit + 1) for _ in range(500)}
-    for y in sorted(ys):
-        if 1 <= y <= limit:
-            assert count(y) == prefix[y], y
-    # The counter serves every limit, down to x = 1.
-    for small in range(1, 301):
-        count = progression_stats._squarefree_counter(small)
-        for y in range(1, small + 1):
-            assert count(y) == prefix[y], (small, y)
+    flags = _SQUAREFREE_UP_TO_20000
+    want = [0]
+    for n in range(1, x + 1):
+        want.append(want[-1] + (flags[n] and gcd(n, q) == 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(progression_stats, "_FLAG_CACHE_MAX", cache_max)
+        progression_stats._coprime_count.cache_clear()
+        try:
+            assert squarefree_count_coprime(x, m) == want[x]
+            if x <= 300:
+                assert [squarefree_count_coprime(y, m) for y in range(x + 1)] == want
+        finally:
+            progression_stats._coprime_count.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -270,11 +271,12 @@ def flags_past_the_cache():
 def test_coprime_count_matches_a_running_flag_count(
     x, q, flags_past_the_cache, fresh_coprime_cache
 ):
-    # Reference: Q at each cut point as a running count of the flags of [1, x].
+    # Reference: the Liouville sum of Q over the cut points x // m, with Q
+    # a running count of the flags of [1, x].
     flags = flags_past_the_cache[:x]
     m = factor_modulus(q)
     want = running = pos = 0
-    for y, weight in progression_stats._coprime_cut_points(x, m):
+    for y, weight in _cut_points_by_listing(x, m):
         running += flags[pos:y].count(1)
         pos = y
         want += weight * running
@@ -322,13 +324,12 @@ def test_long_segments_against_a_plain_sieve(q, monkeypatch, fresh_coprime_cache
 
 def test_flag_windows_above_the_cache_stay_within_t(monkeypatch, fresh_coprime_cache):
     # Above the flag cache no flag window covers [1, x]: the only one is the
-    # prefix table of Q, t = 2 * isqrt(x) bytes long, and the class sieves
+    # coprime count's table of t = 2 * isqrt(x) flags, and the class sieves
     # its progression alone, about x // q flags in segments.
     x = 2**24 + 3
-    calls = {"flags": [], "progressions": [], "cuts": 0}
+    calls = {"flags": [], "progressions": []}
     flags_fn = progression_stats.squarefree_flags
     progression_fn = progression_stats.squarefree_progression
-    cuts_fn = progression_stats._coprime_cut_points
 
     def counted_flags(start, length):
         calls["flags"].append(length)
@@ -338,28 +339,47 @@ def test_flag_windows_above_the_cache_stay_within_t(monkeypatch, fresh_coprime_c
         calls["progressions"].append((start, step, length))
         return progression_fn(start, step, length)
 
-    def counted_cuts(*args):
-        calls["cuts"] += 1
-        return cuts_fn(*args)
-
     monkeypatch.setattr(progression_stats, "squarefree_flags", counted_flags)
     monkeypatch.setattr(progression_stats, "squarefree_progression", counted_progression)
-    monkeypatch.setattr(progression_stats, "_coprime_cut_points", counted_cuts)
+    progression_stats._flag_prefix.cache_clear()
     m = factor_modulus(30030)
     first = error_term(x, m, 1)
     t = 2 * math.isqrt(x)
-    assert calls == {"flags": [t], "progressions": [(1, 30030, x // 30030 + 1)], "cuts": 1}
-    # Another class at the same (x, q) reuses the coprime count.
+    assert calls == {"flags": [t], "progressions": [(1, 30030, x // 30030 + 1)]}
+    # Another class at the same (x, q) reuses the coprime count: no table is read.
     second = error_term(x, m, 17)
     assert calls == {
         "flags": [t],
         "progressions": [(1, 30030, x // 30030 + 1), (17, 30030, (x - 17) // 30030 + 1)],
-        "cuts": 1,
     }
+    info = progression_stats._flag_prefix.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
     assert second.coprime_count == first.coprime_count
     plain = squarefree_flags(1, x)
     assert first.progression_count == plain[0::30030].count(1)
     assert second.progression_count == plain[16::30030].count(1)
+
+
+@pytest.mark.parametrize("q", [3, 3981, 6469693230])
+@pytest.mark.parametrize("x", [2**22 - 1, 2**22 + 1])
+def test_error_term_reads_no_divisor_or_mobius_value(
+    x, q, flags_past_the_cache, monkeypatch, fresh_coprime_cache
+):
+    # identity_ok compares the decomposition with error_term, so error_term
+    # must not read what the decomposition reads.
+    def refuse(*args):
+        raise AssertionError("error_term read an input of the decomposition")
+
+    monkeypatch.setattr(progression_stats, "count_coprime", refuse)
+    monkeypatch.setattr(Modulus, "squarefree_divisors", property(refuse))
+    monkeypatch.setattr(arith_core, "mobius_segment", refuse)
+    m = factor_modulus(q)
+    flags = bytearray(flags_past_the_cache[:x])
+    want_ap = flags[0::q].count(1)
+    for p in m.prime_factors:
+        flags[p - 1 :: p] = bytes(len(range(p - 1, x, p)))
+    res = error_term(x, m, 1)
+    assert (res.progression_count, res.coprime_count) == (want_ap, flags.count(1))
 
 
 def test_error_term_examples():
