@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -145,9 +145,10 @@ class ResidueTable:
     """c[n] = a*n^v (mod q) for 0 <= n < len(values), read at n mod q.
 
     An entry is -1 where n^v does not exist (v < 0 and gcd(n, q) > 1).  The
-    values cover either one full period of n (len(values) == q) or every
-    n they are read at.  The pipeline builds one for v = -2, and its
-    decomposition pass and every box column read each a*n^-2 from it.
+    values cover one full period of n (len(values) == q) or end before q;
+    a short table holds the n up to its end only.  The pipeline builds one
+    for v = -2 up to isqrt(x): its decomposition pass reads every a*n^-2
+    from it, and so does each box column whose n-range it holds.
     """
 
     v: int
@@ -155,12 +156,16 @@ class ResidueTable:
     a: int
     values: Sequence[int] = field(repr=False)
 
+    def holds(self, n_last: int) -> bool:
+        """Whether the values give a*n^v for every n <= n_last."""
+        return len(self.values) == self.modulus.q or n_last < len(self.values)
+
     def values_for(self, v: int, modulus: Modulus, a: int, n_last: int) -> Sequence[int]:
         """The values, once checked to hold a*n^v (mod q) for every n <= n_last."""
         q = modulus.q
         if (v, modulus, a % q) != (self.v, self.modulus, self.a):
             raise InvariantError(f"{self} does not hold a*n^{v} for a = {a % q} mod {q}")
-        if len(self.values) < q and n_last >= len(self.values):
+        if not self.holds(n_last):
             raise InvariantError(f"{self} ends below n = {n_last}")
         return self.values
 
@@ -174,13 +179,34 @@ def _powers(v: int, modulus: Modulus, a: int, ns: range) -> Iterator[int]:
 def residue_table(v: int, modulus: Modulus, a: int, n_top: int) -> ResidueTable:
     """The table of a*n^v (mod q) for 0 <= n < min(q, n_top + 1).
 
-    Residues below 2^63 are held in a compact array("q"); a larger modulus
-    keeps a list.
+    For v < 0 the units n are inverted together (Montgomery's batch
+    inversion): a forward pass stores at each unit the product of the units
+    before it, one pow inverts the product of them all, and a backward pass
+    takes each n^-1 from the stored product and the running inverse, two
+    multiplications per n.  The same slots then receive a*n^v.  Residues
+    below 2^63 are held in a compact array("q"); a larger modulus keeps a
+    list.
     """
     q = modulus.q
     a %= q
-    values = _powers(v, modulus, a, range(min(q, n_top + 1)))
-    return ResidueTable(v, modulus, a, array("q", values) if q <= _INT64_END else list(values))
+    size = min(q, n_top + 1)
+    if v >= 0:
+        values = _powers(v, modulus, a, range(size))
+        return ResidueTable(v, modulus, a, array("q", values) if q <= _INT64_END else list(values))
+    units = bytearray(b"\x01") * size
+    for p in modulus.prime_factors:
+        units[::p] = bytes(len(range(0, size, p)))
+    table = array("q", [-1]) * size if q <= _INT64_END else [-1] * size
+    product = 1
+    for n in compress(range(size), units):
+        table[n] = product
+        product = product * n % q
+    inverse = pow(product, -1, q)  # of every unit below size
+    for n in compress(range(size - 1, -1, -1), reversed(units)):
+        n_inverse = inverse * table[n] % q
+        inverse = inverse * n % q
+        table[n] = a * n_inverse ** -v % q
+    return ResidueTable(v, modulus, a, table)
 
 
 def _residue_weights(
@@ -266,6 +292,11 @@ class ResidueColumn:
     w_r * ((f - r) // q) is total*Q minus the weight of the residues above
     R, so an m-range costs two bisects.  The residues are built on the
     first count, read from `table` when one is given.
+
+    A column with m_side = True (v < 0 and a a unit only) builds no
+    residues: each count is class_count(-v, -u, n_lo, n_hi, m_lo, m_hi,
+    modulus, a), the mirror n^-v = a*m^-u, which walks the m-range
+    instead of the n-range.
     """
 
     u: int
@@ -275,6 +306,13 @@ class ResidueColumn:
     modulus: Modulus
     a: int
     table: ResidueTable | None = field(default=None, repr=False, compare=False)
+    m_side: bool = False
+
+    def __post_init__(self) -> None:
+        if self.m_side and (self.v >= 0 or gcd(self.a, self.modulus.q) != 1):
+            raise ValueError(
+                f"the m side needs v < 0 and a unit a, got v={self.v}, a={self.a}"
+            )
 
     @cached_property
     def _table(self) -> tuple[list[int], list[int]]:
@@ -293,6 +331,10 @@ class ResidueColumn:
         return [r for r, _ in pairs], list(accumulate((w for _, w in pairs), initial=0))
 
     def count(self, m_lo: Real, m_hi: Real) -> int:
+        if self.m_side:
+            return class_count(
+                -self.v, -self.u, self.n_lo, self.n_hi, m_lo, m_hi, self.modulus, self.a
+            )
         residues, prefix = self._table
         (q_lo, r_lo), (q_hi, r_hi) = (
             divmod(max(math.floor(m), 0), self.modulus.q) for m in (m_lo, m_hi)

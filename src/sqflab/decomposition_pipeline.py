@@ -16,10 +16,11 @@ the only division, by phi(q), happens once at the end.
 Both stages are indexed by the residue a/n^2 mod q: term n counts the
 class a/n^2, and a box counts the m with m = a/n^2.  `pipeline_report`
 computes each of them once, in one `ResidueTable` of a/n^2 for n below
-min(q, n_top + 1), where n_top is the larger of isqrt(x) and the last n
-of the top box column.  The decomposition pass and every box column read
-it at n mod q, so for q <= isqrt(x) the pipeline computes q residues, not
-one per n.
+min(q, isqrt(x) + 1).  The decomposition pass and every box column whose
+n-range the table holds read it at n mod q, so for q <= isqrt(x) the
+pipeline computes q residues, not one per n.  Only the top column can
+reach past the table, when q > isqrt(x) + 1; its boxes are counted from
+their m side, n^2 = a/m, whose ranges hold at most 8 integers.
 """
 
 from __future__ import annotations
@@ -324,8 +325,9 @@ def _box_row(
 
     The count, the amplification applicability and the amplified and
     trivial bounds of the dyadic box all come from evaluate_bounds, which
-    counts the box from its n-anchor's column.  Boxes with M < m0 are held
-    to the crude small_m_estimate instead.
+    counts the box from its n-anchor's column: on the n side, or on the m
+    side for a column past the head-residue table.  Boxes with M < m0 are
+    held to the crude small_m_estimate instead.
     """
     query = BoxQuery(1, -2, m_anchor, n_anchor, modulus, a, dyadic=True)
     report = evaluate_bounds(query, alpha, column)
@@ -411,14 +413,19 @@ def pipeline_report(
     n_max = isqrt(math.floor(x))
     _mu_prefix(n_max)
     boxes = covering_boxes(x, n0)
-    # One table of a/n^2 serves the decomposition pass and every box column,
-    # and one residue column per n-anchor serves every box of that column.
-    n_top = max([n_max, *(math.floor(2 * n_anchor) for _, n_anchor in boxes)])
-    table = residue_table(-2, modulus, a, n_top)
+    # One table of a/n^2 up to isqrt(x) serves the decomposition pass and
+    # every box column whose n-range it holds, and one residue column per
+    # n-anchor serves every box of that column.  Only the top column can
+    # reach past the table; its m-ranges hold at most 8 integers, so its
+    # boxes are counted from the m side.
+    table = residue_table(-2, modulus, a, n_max)
     split, cross = _decompose(x, modulus, a, n0, table)
     direct = error_term(x, modulus, a)
     columns = {
-        n_anchor: ResidueColumn(1, -2, n_anchor, 2 * n_anchor, modulus, a, table)
+        n_anchor: ResidueColumn(
+            1, -2, n_anchor, 2 * n_anchor, modulus, a, table,
+            m_side=not table.holds(math.floor(2 * n_anchor)),
+        )
         for _, n_anchor in boxes
     }
     rows = tuple(

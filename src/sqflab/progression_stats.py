@@ -169,7 +169,10 @@ def _coprime_count(limit: int, modulus: Modulus) -> int:
         flags[p - 1 :: p] = bytes(len(range(p - 1, t, p)))
         coprime[p - 1 :: p] = bytes(len(range(p - 1, r, p)))
     base = array("I", accumulate(flags, initial=0))  # base[y] = S(y) for y <= t
-    units = array("I", accumulate(coprime, initial=0))  # units[n] = phi(n) for n <= r
+    # units[n] = phi(n) for n <= r, which is n when no prime of q is <= r.
+    units = range(r + 1)
+    if any(p <= r for p in primes):
+        units = array("I", accumulate(coprime, initial=0))
 
     def phi(y: int, i: int = len(primes)) -> int:
         """Integers in [1, y] divisible by none of the first i primes of q."""

@@ -36,11 +36,16 @@ def test_tracer_installs_counts_and_restores(tracer):
     t.install()
     try:
         assert decomposition_pipeline.count_coprime is not progression_stats.count_coprime
+        # q = 1000003 leaves the top column past the head-residue table, so
+        # its boxes are counted from the m side.
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_runner.main(["pipeline", "--x", "10000", "--q", "101", "--a", "3"])
+            codes = [
+                cli_runner.main(["pipeline", "--x", "10000", "--q", q, "--a", "3"])
+                for q in ("101", "1000003")
+            ]
     finally:
         t.uninstall()
-    assert code == 0
+    assert codes == [0, 0]
     assert t.counters["decomposition_pipeline.term_evals"] > 0
     assert t.counters["decomposition_pipeline.boxes"] > 0
     assert {s[1] for s in t.spans} >= {"main", "pipeline_report", "error_term", "count_box"}

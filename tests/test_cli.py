@@ -413,6 +413,12 @@ ABOVE_THE_CACHE = [
     # before the fold replaced the walk over every n of each box.
     ("pipeline --x 10000000000 --q 3981 --a 7", 4852,
      "f604d370632aafbe68c18d9f2255bb49646c251a0ecf7d485fee0b83e9e6b220"),
+    # q > isqrt(x) + 1, so the top column reaches past the head-residue
+    # table; recorded before that column was counted from its m side.
+    ("pipeline --x 10000000000 --q 9699690 --a 1", 17669,
+     "3c0675164b08e644d5a125d54659d03abe966f6cb19ea4847f27b25bdfb055ab"),
+    ("pipeline --x 10000000000 --q 1000000007 --a 3", 28924,
+     "314e6db0b2fc6fe8d8f8b0a2e46fcbb12b3b5a4e65c9d80ebd66b3679c4d4dd0"),
 ]
 
 

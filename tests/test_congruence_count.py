@@ -32,6 +32,7 @@ from sqflab.congruence_count import (
     scan_boxes,
     sqrt_mod_prime,
 )
+from sqflab.decomposition_pipeline import pipeline_report
 from sqflab.progression_stats import squarefree_moduli
 
 
@@ -174,6 +175,9 @@ def test_column_counts_every_m_range_like_the_oracle(
     n_lo = n_start % (3 * q + 1) + fractions[0]
     n_hi = math.floor(n_lo) + span + fractions[1]
     column = ResidueColumn(u, v, n_lo, n_hi, modulus, a)
+    # For v < 0 and a unit a, the same column counted from its m side.
+    unit = v < 0 and gcd(a, q) == 1
+    m_side = ResidueColumn(u, v, n_lo, n_hi, modulus, a, m_side=True) if unit else column
     # m from (1/2, 1] on, ranges across multiples of q, and for small q one
     # range over every residue twice, so a wrong weight cannot hide.
     ranges = [(0.5, 1.5), (0.5, 2 * q + 1.5)] if q <= 30 else [(0.5, 1.5)]
@@ -183,16 +187,21 @@ def test_column_counts_every_m_range_like_the_oracle(
     for m_lo, m_hi in ranges:
         expected = double_loop_oracle(u, v, m_hi, n_hi, q, a % q, m_lo=m_lo, n_lo=n_lo)
         assert column.count(m_lo, m_hi) == expected, (m_lo, m_hi)
+        assert m_side.count(m_lo, m_hi) == expected, (m_lo, m_hi)
         assert class_count(u, v, m_lo, m_hi, n_lo, n_hi, modulus, a) == expected
 
 
 def test_count_box_takes_a_column_for_its_own_n_side_only():
     m = factor_modulus(30)
     column = ResidueColumn(1, -2, 40, 80, m, 7)
+    m_side = ResidueColumn(1, -2, 40, 80, m, 7, m_side=True)
     for m_bound in (0.5, 1, 16, 45.5, 1000):
         query = BoxQuery(1, -2, m_bound, 40, m, 7, dyadic=True)
-        assert count_box(query, column) == count_box(query)
+        assert count_box(query, column) == count_box(query, m_side) == count_box(query)
         assert evaluate_bounds(query, column=column) == evaluate_bounds(query)
+    for v, a in ((2, 7), (-2, 6)):
+        with pytest.raises(ValueError, match="the m side needs v < 0 and a unit a"):
+            ResidueColumn(1, v, 40, 80, m, a, m_side=True)
     for other in (
         BoxQuery(1, -2, 8, 41, m, 7, dyadic=True),
         BoxQuery(1, -2, 8, 40, m, 11, dyadic=True),
@@ -207,17 +216,19 @@ def test_count_box_takes_a_column_for_its_own_n_side_only():
 PRIMORIAL_53 = math.prod(p for p in range(2, 54) if all(p % d for d in range(2, p)))
 
 
-@pytest.mark.parametrize("q", [1, 2, 30, 2310, 3981, PRIMORIAL_53])
+@pytest.mark.parametrize("q", [1, 2, 30, 2310, 3981, 10007, PRIMORIAL_53])
 @pytest.mark.parametrize("n_top", [0, 1, 44, 3980, 10000])
 def test_residue_table_matches_pow_entry_by_entry(q, n_top):
-    # n_top below q gives a table that ends at n_top, above q one full period.
+    # n_top below q gives a table that ends at n_top, above q one full period;
+    # the prime 10007 is above every n_top, so all its n >= 1 are units.
     modulus = factor_modulus(q)
     a = (q - 1) * 5 + 7  # reduced modulo q by the table
-    table = residue_table(-2, modulus, a, n_top)
-    assert (table.v, table.modulus, table.a) == (-2, modulus, a % q)
-    assert len(table.values) == min(q, n_top + 1)
-    for n, c in enumerate(table.values):
-        assert c == (a * pow(n, -2, q) % q if gcd(n, q) == 1 else -1), n
+    for v in (-1, -2):
+        table = residue_table(v, modulus, a, n_top)
+        assert (table.v, table.modulus, table.a) == (v, modulus, a % q)
+        assert len(table.values) == min(q, n_top + 1)
+        for n, c in enumerate(table.values):
+            assert c == (a * pow(n, v, q) % q if gcd(n, q) == 1 else -1), (v, n)
 
 
 @given(
@@ -249,6 +260,54 @@ def test_column_on_a_table_counts_like_the_oracle(
         expected = double_loop_oracle(u, v, m_hi, n_hi, q, a % q, m_lo=m_lo, n_lo=n_lo)
         assert column.count(m_lo, m_hi) == expected, (m_lo, m_hi)
         assert class_count(u, v, m_lo, m_hi, n_lo, n_hi, modulus, a) == expected
+
+
+def _prime_next_to(n, step):
+    """The first prime from n on, walking by step (+1 or -1)."""
+    while n < 2 or any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+        n += step
+    return n
+
+
+@given(
+    x=st.integers(min_value=4, max_value=2 * 10**4),
+    q_kind=st.sampled_from([1, 2, 6, "below", "above", 2310, 30030, 9699690]),
+    a_start=st.integers(min_value=0, max_value=10**7),
+    n0_fraction=st.floats(min_value=0, max_value=1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pipeline_counts_each_box_like_the_oracle_from_either_side(
+    x, q_kind, a_start, n0_fraction
+):
+    # The head-residue table ends at isqrt(x): q up to isqrt(x) + 1 gives a
+    # full period and every column reads it; a larger q leaves the top
+    # column past its end, and that column alone is counted from its m side.
+    root = isqrt(x)
+    if q_kind == "below":
+        q = _prime_next_to(root + 1, -1)
+    elif q_kind == "above":
+        q = _prime_next_to(root + 2, 1)
+    else:
+        q = q_kind
+    a = next(c for c in range(a_start, a_start + q + 1) if gcd(c, q) == 1) % q
+    n0 = min(1 + n0_fraction * (math.sqrt(x) - 1), math.sqrt(x))
+    calls = []
+    count = congruence_count.class_count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            congruence_count, "class_count", lambda *args: calls.append(args) or count(*args)
+        )
+        rep = pipeline_report(x, factor_modulus(q), a, n0=n0)
+    for row in rep.boxes:
+        m, n = row.m_anchor, row.n_anchor
+        assert row.count == double_loop_oracle(1, -2, 2 * m, 2 * n, q, a, m_lo=m, n_lo=n)
+    top = [row for row in rep.boxes if row.n_anchor == max(r.n_anchor for r in rep.boxes)]
+    if q > root + 1 and top and math.floor(2 * top[0].n_anchor) > root:
+        assert [args[:4] for args in calls] == [
+            (2, -1, row.n_anchor, 2 * row.n_anchor) for row in top
+        ]
+    else:
+        assert calls == []
 
 
 def test_a_table_for_another_congruence_or_range_raises():

@@ -308,7 +308,7 @@ def test_pipeline_builds_one_column_per_n_anchor(monkeypatch):
 @pytest.mark.parametrize("q", [1, 2, 30, 2310, 3981])
 def test_pipeline_builds_one_table_for_the_pass_and_every_column(monkeypatch, x, q):
     # q below isqrt(x) gives a table of one period, read at n mod q; q above
-    # it a table that ends at the top of the last column.
+    # it a table that ends at isqrt(x).
     tables = []
     build = congruence_count.residue_table
     monkeypatch.setattr(
@@ -322,9 +322,8 @@ def test_pipeline_builds_one_table_for_the_pass_and_every_column(monkeypatch, x,
     assert rep.identity_ok
     assert len(tables) == 1
     (table,) = tables
-    n_top = max([isqrt(x)] + [math.floor(2 * row.n_anchor) for row in rep.boxes])
     assert (table.v, table.modulus, table.a) == (-2, m, a)
-    assert len(table.values) == min(q, n_top + 1)
+    assert len(table.values) == min(q, isqrt(x) + 1)
     for n, c in enumerate(table.values):
         assert c == (a * pow(n, -2, q) % q if gcd(n, q) == 1 else -1), n
 
