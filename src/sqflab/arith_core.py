@@ -117,7 +117,7 @@ class SieveWindow:
         if self.length < 0:
             raise ValueError("window length must be >= 0")
         if len(self.mu) != self.length:
-            raise ValueError("mu must have exactly `length` entries")
+            raise InvariantError("mu must have exactly `length` entries")
 
     @property
     def end(self) -> int:
@@ -149,7 +149,7 @@ class Modulus:
         for p in self.prime_factors:
             prod *= p
         if prod != self.q:
-            raise ValueError("prime_factors do not multiply to q")
+            raise InvariantError("prime_factors do not multiply to q")
 
     @cached_property
     def crt_basis(self) -> tuple[int, ...]:
@@ -174,20 +174,26 @@ def factor_modulus(q: int) -> Modulus:
     """Factor a squarefree modulus; reject anything with a square factor.
 
     Callers must not proceed with non-squarefree q, so the rejection is an
-    exception rather than a flag.
+    exception rather than a flag.  Trial division stops at MOBIUS_SIEVE_MAX:
+    every q <= 10^14 factors completely, and a q it leaves unfactored is refused.
     """
     if q < 1:
         raise ValueError(f"modulus must be a positive integer, got {q}")
     factors = []
     rest = q
     p = 2
-    while p * p <= rest:
+    while p * p <= rest and p <= MOBIUS_SIEVE_MAX:
         if rest % p == 0:
             rest //= p
             if rest % p == 0:
                 raise NotSquarefreeError(f"{q} is divisible by {p}^2")
             factors.append(p)
         p += 1 if p == 2 else 2
+    if p * p <= rest:
+        raise ValueError(
+            f"{q} leaves {rest} unfactored by trial division up to MOBIUS_SIEVE_MAX = "
+            f"{MOBIUS_SIEVE_MAX}"
+        )
     if rest > 1:
         factors.append(rest)
     phi = 1

@@ -4,7 +4,8 @@ Counts are exact integers obtained by solving for the residue classes of m
 that the n side hits, with n folded modulo q, and counting lattice points
 by division; the cost is O(min(N, q) * roots), never O(M*N).  Negative
 exponents follow the convention that n^v means the modular inverse of n
-raised to |v|.
+raised to |v|.  The residues of any n-window come from one batch inversion;
+a ResidueColumn walks its n side where its table holds it, its m side past it.
 
 Bound envelopes (trivial, Weil, Pierce amplification, and the alpha
 interpolation between the two Pierce orientations) are evaluated with
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, islice
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from sqflab.arith_core import InvariantError, Modulus, NotCoprimeError
 from sqflab.exponent_calculus import AMPLIFICATION_MN, AMPLIFICATION_RANGE, BLEND
@@ -146,9 +147,9 @@ class ResidueTable:
 
     An entry is -1 where n^v does not exist (v < 0 and gcd(n, q) > 1).  The
     values cover one full period of n (len(values) == q) or end before q;
-    a short table holds the n up to its end only.  The pipeline builds one
-    for v = -2 up to isqrt(x): its decomposition pass reads every a*n^-2
-    from it, and so does each box column whose n-range it holds.
+    a short table holds the n up to its end only.  Each decomposition pass
+    reads every a*n^-2 from one built for v = -2 up to isqrt(x), and in the
+    pipeline so does each box column whose n-range it holds.
     """
 
     v: int
@@ -170,43 +171,49 @@ class ResidueTable:
         return self.values
 
 
-def _powers(v: int, modulus: Modulus, a: int, ns: range) -> Iterator[int]:
-    """a*n^v (mod q) for each n, or -1 where n^v does not exist (v < 0, gcd(n, q) > 1)."""
-    q = modulus.q
-    return (a * pow(n, v, q) % q if v >= 0 or gcd(n, q) == 1 else -1 for n in ns)
-
-
-def residue_table(v: int, modulus: Modulus, a: int, n_top: int) -> ResidueTable:
-    """The table of a*n^v (mod q) for 0 <= n < min(q, n_top + 1).
+def _residue_window(v: int, modulus: Modulus, a: int, n_first: int, stop: int) -> Sequence[int]:
+    """a*n^v (mod q) for n_first <= n < stop; -1 where v < 0 and gcd(n, q) > 1.
 
     For v < 0 the units n are inverted together (Montgomery's batch
     inversion): a forward pass stores at each unit the product of the units
     before it, one pow inverts the product of them all, and a backward pass
     takes each n^-1 from the stored product and the running inverse, two
-    multiplications per n.  The same slots then receive a*n^v.  Residues
-    below 2^63 are held in a compact array("q"); a larger modulus keeps a
-    list.
+    multiplications per n.  Residues below 2^63 are held in a compact
+    array("q"); a larger modulus keeps a list.  |v| <= 2 is raised by
+    multiplication, a larger |v| by pow, as n**|v| would grow huge.
+    """
+    q = modulus.q
+    k = abs(v)
+    if v >= 0:
+        ns = range(n_first, stop)
+        values = [a * (n * n if k == 2 else n if k == 1 else pow(n, k, q)) % q for n in ns]
+        return array("q", values) if q <= _INT64_END else values
+    size = stop - n_first
+    window = array("q", [-1]) * size if q <= _INT64_END else [-1] * size
+    units = bytearray(b"\x01") * size
+    for p in modulus.prime_factors:
+        first = -n_first % p
+        units[first::p] = bytes(len(range(first, size, p)))
+    product = 1
+    for i in compress(range(size), units):
+        window[i] = product
+        product = product * (n_first + i) % q
+    inverse = pow(product, -1, q)  # of every unit in the window
+    for i in compress(range(size - 1, -1, -1), reversed(units)):
+        inv = inverse * window[i] % q  # n^-1
+        inverse = inverse * (n_first + i) % q
+        window[i] = a * (inv * inv if k == 2 else inv if k == 1 else pow(inv, k, q)) % q
+    return window
+
+
+def residue_table(v: int, modulus: Modulus, a: int, n_top: int) -> ResidueTable:
+    """The table of a*n^v (mod q) for 0 <= n < min(q, n_top + 1).
+
+    Its values are the residue window that starts at n = 0.
     """
     q = modulus.q
     a %= q
-    size = min(q, n_top + 1)
-    if v >= 0:
-        values = _powers(v, modulus, a, range(size))
-        return ResidueTable(v, modulus, a, array("q", values) if q <= _INT64_END else list(values))
-    units = bytearray(b"\x01") * size
-    for p in modulus.prime_factors:
-        units[::p] = bytes(len(range(0, size, p)))
-    table = array("q", [-1]) * size if q <= _INT64_END else [-1] * size
-    product = 1
-    for n in compress(range(size), units):
-        table[n] = product
-        product = product * n % q
-    inverse = pow(product, -1, q)  # of every unit below size
-    for n in compress(range(size - 1, -1, -1), reversed(units)):
-        n_inverse = inverse * table[n] % q
-        inverse = inverse * n % q
-        table[n] = a * n_inverse ** -v % q
-    return ResidueTable(v, modulus, a, table)
+    return ResidueTable(v, modulus, a, _residue_window(v, modulus, a, 0, min(q, n_top + 1)))
 
 
 def _residue_weights(
@@ -225,8 +232,8 @@ def _residue_weights(
     v < 0 the n not coprime to q cannot satisfy the congruence and are
     skipped.  The m of a solution of m^u = a*n^v are the roots of c.
 
-    The c of the first min(span, q) integers are computed per n, or taken
-    from `table` as one or two slices when one is given.
+    The c of the first min(span, q) integers are computed as one residue
+    window, or taken from `table` as one or two slices when one is given.
     """
     q = modulus.q
     a %= q
@@ -235,7 +242,7 @@ def _residue_weights(
     periods, partial = divmod(max(math.floor(n_hi) - n_first + 1, 0), q)
     stop = n_first + (q if periods else partial)
     if table is None:
-        cs: Iterable[int] = _powers(v, modulus, a, range(n_first, stop))
+        cs = _residue_window(v, modulus, a, n_first, stop)
     else:
         values = table.values_for(v, modulus, a, stop - 1)
         i = n_first % q
@@ -287,57 +294,49 @@ def class_count(
 class ResidueColumn:
     """The m-residues of one n-range, sorted once to answer many m-ranges.
 
+    The congruence m^u = a*n^v (mod q) takes v, q and a from `table`, and
     count(m_lo, m_hi) equals class_count(u, v, m_lo, m_hi, n_lo, n_hi,
-    modulus, a).  With f = floor(m_hi) = Q*q + R, the sum of
-    w_r * ((f - r) // q) is total*Q minus the weight of the residues above
-    R, so an m-range costs two bisects.  The residues are built on the
-    first count, read from `table` when one is given.
-
-    A column with m_side = True (v < 0 and a a unit only) builds no
-    residues: each count is class_count(-v, -u, n_lo, n_hi, m_lo, m_hi,
-    modulus, a), the mirror n^-v = a*m^-u, which walks the m-range
-    instead of the n-range.
+    modulus, a).  Where the table holds the n-range, the column walks its n
+    side: with f = floor(m_hi) = Q*q + R, the sum of w_r * ((f - r) // q) is
+    total*Q minus the weight of the residues above R, so an m-range costs
+    two bisects over residues read from the table on the first count.
+    Past the table's end it walks its m side, which needs v < 0 and a unit
+    a: each count is class_count(-v, -u, n_lo, n_hi, m_lo, m_hi, modulus,
+    a), the mirror n^-v = a*m^-u.
     """
 
     u: int
-    v: int
     n_lo: Real
     n_hi: Real
-    modulus: Modulus
-    a: int
-    table: ResidueTable | None = field(default=None, repr=False, compare=False)
-    m_side: bool = False
-
-    def __post_init__(self) -> None:
-        if self.m_side and (self.v >= 0 or gcd(self.a, self.modulus.q) != 1):
-            raise ValueError(
-                f"the m side needs v < 0 and a unit a, got v={self.v}, a={self.a}"
-            )
+    table: ResidueTable
 
     @cached_property
-    def _table(self) -> tuple[list[int], list[int]]:
-        """Sorted residues and the prefix sums of their weights."""
-        weights = _residue_weights(
-            self.v, self.n_lo, self.n_hi, self.modulus, self.a, self.table
-        )
+    def _sorted(self) -> tuple[list[int], list[int]] | None:
+        """Sorted residues and the prefix sums of their weights; None on the m side."""
+        t = self.table
+        n_last = math.floor(self.n_hi)
+        if not t.holds(n_last):
+            if t.v < 0 and gcd(t.a, t.modulus.q) == 1:
+                return None
+            raise InvariantError(f"{t} ends below n = {n_last}")
+        weights = _residue_weights(t.v, self.n_lo, self.n_hi, t.modulus, t.a, t)
         if self.u == 1:
             # The one root of c is c itself.
             residues = sorted(weights)
             return residues, list(accumulate(map(weights.__getitem__, residues), initial=0))
         # Distinct c have disjoint roots, so each residue of m appears once.
         pairs = sorted(
-            (r, w) for c, w in weights.items() for r in power_roots(c, self.modulus, self.u)
+            (r, w) for c, w in weights.items() for r in power_roots(c, t.modulus, self.u)
         )
         return [r for r, _ in pairs], list(accumulate((w for _, w in pairs), initial=0))
 
     def count(self, m_lo: Real, m_hi: Real) -> int:
-        if self.m_side:
-            return class_count(
-                -self.v, -self.u, self.n_lo, self.n_hi, m_lo, m_hi, self.modulus, self.a
-            )
-        residues, prefix = self._table
+        t = self.table
+        if self._sorted is None:
+            return class_count(-t.v, -self.u, self.n_lo, self.n_hi, m_lo, m_hi, t.modulus, t.a)
+        residues, prefix = self._sorted
         (q_lo, r_lo), (q_hi, r_hi) = (
-            divmod(max(math.floor(m), 0), self.modulus.q) for m in (m_lo, m_hi)
+            divmod(max(math.floor(m), 0), t.modulus.q) for m in (m_lo, m_hi)
         )
         return (
             prefix[-1] * (q_hi - q_lo)
@@ -347,10 +346,10 @@ class ResidueColumn:
 
     def serves(self, query: BoxQuery) -> bool:
         """Whether the query's box has this column's congruence and n-range."""
-        q = self.modulus.q
+        t = self.table
         _, _, n_lo, n_hi = query.ranges
-        return (query.u, query.v, query.modulus, query.residue % q) == (
-            self.u, self.v, self.modulus, self.a % q
+        return (query.u, query.v, query.modulus, query.residue % t.modulus.q) == (
+            self.u, t.v, t.modulus, t.a
         ) and (math.floor(n_lo), math.floor(n_hi)) == (
             math.floor(self.n_lo), math.floor(self.n_hi)
         )

@@ -14,13 +14,14 @@ are integers at floor(x) // n^2, accumulated per side of the cutoff, and
 the only division, by phi(q), happens once at the end.
 
 Both stages are indexed by the residue a/n^2 mod q: term n counts the
-class a/n^2, and a box counts the m with m = a/n^2.  `pipeline_report`
-computes each of them once, in one `ResidueTable` of a/n^2 for n below
-min(q, isqrt(x) + 1).  The decomposition pass and every box column whose
-n-range the table holds read it at n mod q, so for q <= isqrt(x) the
-pipeline computes q residues, not one per n.  Only the top column can
-reach past the table, when q > isqrt(x) + 1; its boxes are counted from
-their m side, n^2 = a/m, whose ranges hold at most 8 integers.
+class a/n^2, and a box counts the m with m = a/n^2.  Each is computed once,
+in one `ResidueTable` of a/n^2 for n below min(q, isqrt(x) + 1), built by
+batch inversion.  The decomposition pass always reads it at n mod q, so
+for q <= isqrt(x) it computes q residues, not one per n.  In
+`pipeline_report` every box column reads the same table; only the top
+column can reach past it, when q > isqrt(x) + 1, and that column counts
+its boxes from their m side, n^2 = a/m, whose ranges hold at most 8
+integers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
 from sqflab.arith_core import InvariantError, Modulus, mobius_sieve
@@ -76,7 +77,7 @@ def _check_cutoff(x: Real, n0: Real) -> None:
 
 
 def _decompose(
-    x: Real, modulus: Modulus, a: int, n0: Real, table: ResidueTable | None = None
+    x: Real, modulus: Modulus, a: int, n0: Real, table: ResidueTable
 ) -> tuple[TailSplit, Fraction]:
     """The decomposed error split at n0, and the removed main term, in one pass.
 
@@ -90,15 +91,14 @@ def _decompose(
     `a` must already be a unit in [0, q).
 
     The residue a/n^2 of term n is read from `table` at n mod q, whose -1
-    entries mark the n not coprime to q.  Without a table, each squarefree
-    n computes its own.
+    entries mark the n not coprime to q.
     """
     fx = math.floor(x)
     n_max = isqrt(fx)
     n_split = min(math.floor(n0), n_max)
     mu = _mu_prefix(n_max) if n_max >= 1 else ()
     q = modulus.q
-    residues = None if table is None else table.values_for(-2, modulus, a, n_max)
+    residues = table.values_for(-2, modulus, a, n_max)
     sums = []
     last_y = cop_n = 0  # y only falls as n grows: count_coprime once per y
     for first, last in ((1, n_split), (n_split + 1, n_max)):
@@ -107,14 +107,9 @@ def _decompose(
             m = mu[n - 1]
             if m == 0:
                 continue
-            if residues is None:
-                if gcd(n, q) != 1:
-                    continue
-                r = a * pow(n, -2, q) % q
-            else:
-                r = residues[n % q]
-                if r < 0:
-                    continue
+            r = residues[n % q]
+            if r < 0:
+                continue
             y = fx // (n * n)
             if y != last_y:
                 last_y, cop_n = y, count_coprime(y, modulus)
@@ -131,6 +126,13 @@ def _decompose(
     return split, Fraction(removed, phi)
 
 
+def _head_table(x: Real, modulus: Modulus, a: int) -> ResidueTable:
+    """a/n^2 up to isqrt(x), once the Mobius prefix has refused an isqrt(x) too large."""
+    n_max = isqrt(math.floor(x))
+    _mu_prefix(n_max)
+    return residue_table(-2, modulus, a, n_max)
+
+
 def decompose_error(x: Real, modulus: Modulus, a: int) -> Fraction:
     """Error term reassembled from the square-part identity, exactly.
 
@@ -140,7 +142,7 @@ def decompose_error(x: Real, modulus: Modulus, a: int) -> Fraction:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     a = _unit_residue(modulus, a)
-    split, _ = _decompose(x, modulus, a, 0)
+    split, _ = _decompose(x, modulus, a, 0, _head_table(x, modulus, a))
     return split.total
 
 
@@ -153,7 +155,7 @@ def tail_split(x: Real, modulus: Modulus, a: int, n0: Real) -> TailSplit:
     """
     _check_cutoff(x, n0)
     a = _unit_residue(modulus, a)
-    split, _ = _decompose(x, modulus, a, n0)
+    split, _ = _decompose(x, modulus, a, n0, _head_table(x, modulus, a))
     return split
 
 
@@ -408,25 +410,15 @@ def pipeline_report(
     n0 = default_n0 if n0 is None else float(n0)
     _check_cutoff(x, n0)
 
-    # The Mobius prefix goes first: it refuses an isqrt(x) above
-    # MOBIUS_SIEVE_MAX before the residue table or the direct route is built.
-    n_max = isqrt(math.floor(x))
-    _mu_prefix(n_max)
+    # The table comes first, so its Mobius prefix refuses a too-large isqrt(x)
+    # before the direct route runs.  Only the top column can reach past it;
+    # its m-ranges hold at most 8 integers, so it counts from the m side.
+    table = _head_table(x, modulus, a)
     boxes = covering_boxes(x, n0)
-    # One table of a/n^2 up to isqrt(x) serves the decomposition pass and
-    # every box column whose n-range it holds, and one residue column per
-    # n-anchor serves every box of that column.  Only the top column can
-    # reach past the table; its m-ranges hold at most 8 integers, so its
-    # boxes are counted from the m side.
-    table = residue_table(-2, modulus, a, n_max)
     split, cross = _decompose(x, modulus, a, n0, table)
     direct = error_term(x, modulus, a)
     columns = {
-        n_anchor: ResidueColumn(
-            1, -2, n_anchor, 2 * n_anchor, modulus, a, table,
-            m_side=not table.holds(math.floor(2 * n_anchor)),
-        )
-        for _, n_anchor in boxes
+        n_anchor: ResidueColumn(1, n_anchor, 2 * n_anchor, table) for _, n_anchor in boxes
     }
     rows = tuple(
         _box_row(m_anchor, n_anchor, modulus, a, m0, alpha, columns[n_anchor])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from sqflab import arith_core
 from sqflab.arith_core import (
+    InvariantError,
+    Modulus,
     NotCoprimeError,
     NotSquarefreeError,
     SieveWindow,
@@ -131,7 +133,8 @@ def test_window_bounds_checks():
         w.mu_at(11)
     with pytest.raises(ValueError):
         SieveWindow(start=0, length=1, mu=[1])
-    with pytest.raises(ValueError):
+    # mobius_segment is the only builder in the package: a wrong length is a bug.
+    with pytest.raises(InvariantError):
         SieveWindow(start=1, length=2, mu=[1])
 
 
@@ -215,6 +218,23 @@ def test_factor_modulus_examples():
         factor_modulus(12)
     with pytest.raises(ValueError):
         factor_modulus(0)
+    # factor_modulus is the only builder in the package: a wrong product is a bug.
+    with pytest.raises(InvariantError, match="do not multiply to q"):
+        Modulus(q=30, prime_factors=(2, 3), phi=2, omega=2)
+
+
+def test_factor_modulus_stops_trial_division_at_the_sieve_bound(monkeypatch):
+    # Every q <= MOBIUS_SIEVE_MAX^2 factors completely, even with two prime
+    # factors just below the bound.
+    assert factor_modulus(9999973 * 9999991).prime_factors == (9999973, 9999991)
+    monkeypatch.setattr(arith_core, "MOBIUS_SIEVE_MAX", 100)
+    # A cofactor that is prime, or 1, once p^2 passes it needs no divisor
+    # above the bound; one that still has p^2 <= rest is refused.
+    assert factor_modulus(97 * 89).prime_factors == (89, 97)
+    assert factor_modulus(6 * 10007).prime_factors == (2, 3, 10007)
+    for q in (101 * 103, 2 * 101 * 103, 101 * 101):
+        with pytest.raises(ValueError, match="MOBIUS_SIEVE_MAX = 100"):
+            factor_modulus(q)
 
 
 def test_squarefree_divisors_are_built_once_per_modulus():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sqflab import cli_runner, congruence_count, progression_stats
+from sqflab import arith_core, cli_runner, congruence_count, progression_stats
 from sqflab.cli_runner import CSV_HEADER, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -45,6 +45,19 @@ def test_error_term_rejects_nonsquarefree(capsys):
     code, _, err = run_cli(capsys, "error-term", "--x", "30", "--q", "12", "--a", "1")
     assert code == 2
     assert "divisible" in err
+
+
+def test_a_modulus_left_unfactored_exits_2(capsys, monkeypatch):
+    # With the trial-division bound at 100, 101 * 103 stands for a q whose
+    # cofactor is still above MOBIUS_SIEVE_MAX^2 when the bound is reached.
+    monkeypatch.setattr(arith_core, "MOBIUS_SIEVE_MAX", 100)
+    for command in (
+        "error-term --x 100 --q 10403 --a 1",
+        "count-box --u 1 --v -2 --m 10 --n 10 --q 10403 --a 1",
+    ):
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, out) == (2, "")
+        assert "unfactored by trial division up to MOBIUS_SIEVE_MAX = 100" in err
 
 
 def test_error_term_rejects_noncoprime(capsys):
@@ -419,6 +432,20 @@ ABOVE_THE_CACHE = [
      "3c0675164b08e644d5a125d54659d03abe966f6cb19ea4847f27b25bdfb055ab"),
     ("pipeline --x 10000000000 --q 1000000007 --a 3", 28924,
      "314e6db0b2fc6fe8d8f8b0a2e46fcbb12b3b5a4e65c9d80ebd66b3679c4d4dd0"),
+    # Recorded before every count took its residues from batch inversion
+    # over an n-window: a dyadic box with N < q < 2N, the u = 2 and v = 1
+    # orientations, a q above 2^63 (list-held residues), and a decomposition
+    # pass with q > isqrt(x) above the flag cache.
+    ("count-box --u 1 --v -2 --m 3000 --n 5000 --q 7919 --a 3 --dyadic", 512,
+     "38554e95a817cd611e7628e1a301f6cd4fe09db162722be69c3112737cd70677"),
+    ("count-box --u 2 --v -1 --m 20000 --n 3000 --q 3981 --a 7", 516,
+     "64349dea6681404d395426f917aa69178f630d83b77408771ed9fa5d0913808e"),
+    ("count-box --u 1 --v 1 --m 5000 --n 20000 --q 30030 --a 17 --dyadic", 445,
+     "e35d5918dc76aeeecbe80457d08815e711dceaa69465cf9663496faea6441d85"),
+    ("count-box --u 1 --v -2 --m 2000 --n 3000 --q 32589158477190044730 --a 59", 623,
+     "d6cd7788349dc60827e5f0c96107c5b80e3f6a0503e72a861d7d11b69b1cb14e"),
+    ("error-term --x 50000000 --q 1000003 --a 1 --decompose", 249,
+     "d503e27a642a6c56d917c6a23604d7dddef5bacfbc242806bad8bd6b20af9416"),
 ]
 
 

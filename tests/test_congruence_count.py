@@ -1,5 +1,6 @@
 """Box counts against the O(MN) double-loop oracle; bound envelope checks."""
 
+import builtins
 import math
 import random
 from fractions import Fraction
@@ -174,10 +175,11 @@ def test_column_counts_every_m_range_like_the_oracle(
     span = max(periods * q + offset, 0) if periods else int(below * q)
     n_lo = n_start % (3 * q + 1) + fractions[0]
     n_hi = math.floor(n_lo) + span + fractions[1]
-    column = ResidueColumn(u, v, n_lo, n_hi, modulus, a)
-    # For v < 0 and a unit a, the same column counted from its m side.
+    column = ResidueColumn(u, n_lo, n_hi, residue_table(v, modulus, a, math.floor(n_hi)))
+    # For v < 0 and a unit a, the same column on a table that ends at n = 0,
+    # which leaves it to count from its m side unless q = 1 or n_hi < 1.
     unit = v < 0 and gcd(a, q) == 1
-    m_side = ResidueColumn(u, v, n_lo, n_hi, modulus, a, m_side=True) if unit else column
+    m_side = ResidueColumn(u, n_lo, n_hi, residue_table(v, modulus, a, 0)) if unit else column
     # m from (1/2, 1] on, ranges across multiples of q, and for small q one
     # range over every residue twice, so a wrong weight cannot hide.
     ranges = [(0.5, 1.5), (0.5, 2 * q + 1.5)] if q <= 30 else [(0.5, 1.5)]
@@ -193,15 +195,17 @@ def test_column_counts_every_m_range_like_the_oracle(
 
 def test_count_box_takes_a_column_for_its_own_n_side_only():
     m = factor_modulus(30)
-    column = ResidueColumn(1, -2, 40, 80, m, 7)
-    m_side = ResidueColumn(1, -2, 40, 80, m, 7, m_side=True)
+    column = ResidueColumn(1, 40, 80, residue_table(-2, m, 7, 80))
+    # A table that ends at n = 0 leaves the column to its m side.
+    m_side = ResidueColumn(1, 40, 80, residue_table(-2, m, 7, 0))
     for m_bound in (0.5, 1, 16, 45.5, 1000):
         query = BoxQuery(1, -2, m_bound, 40, m, 7, dyadic=True)
         assert count_box(query, column) == count_box(query, m_side) == count_box(query)
         assert evaluate_bounds(query, column=column) == evaluate_bounds(query)
+    # The m side needs v < 0 and a unit a; past its table any other column raises.
     for v, a in ((2, 7), (-2, 6)):
-        with pytest.raises(ValueError, match="the m side needs v < 0 and a unit a"):
-            ResidueColumn(1, v, 40, 80, m, a, m_side=True)
+        with pytest.raises(InvariantError, match="ends below n = 80"):
+            ResidueColumn(1, 40, 80, residue_table(v, m, a, 0)).count(1, 500)
     for other in (
         BoxQuery(1, -2, 8, 41, m, 7, dyadic=True),
         BoxQuery(1, -2, 8, 40, m, 11, dyadic=True),
@@ -217,18 +221,36 @@ PRIMORIAL_53 = math.prod(p for p in range(2, 54) if all(p % d for d in range(2, 
 
 
 @pytest.mark.parametrize("q", [1, 2, 30, 2310, 3981, 10007, PRIMORIAL_53])
-@pytest.mark.parametrize("n_top", [0, 1, 44, 3980, 10000])
+@pytest.mark.parametrize(
+    "n_top",
+    [
+        0, 1, 44, 3980, 10000,
+        pytest.param((1, 2), id="window-from-q-2"),
+        pytest.param((3, 5000), id="window-from-3q-5000"),
+    ],
+)
 def test_residue_table_matches_pow_entry_by_entry(q, n_top):
-    # n_top below q gives a table that ends at n_top, above q one full period;
-    # the prime 10007 is above every n_top, so all its n >= 1 are units.
+    # An int n_top is a table: below q it ends at n_top, above q it holds
+    # one full period; the prime 10007 is above every n_top, so all its
+    # n >= 1 are units.  A pair (k, back) is the window of min(q, 10^4) n
+    # from max(k*q - back, 1), which crosses a multiple of q, and so a
+    # multiple of every prime of q.
     modulus = factor_modulus(q)
     a = (q - 1) * 5 + 7  # reduced modulo q by the table
-    for v in (-1, -2):
-        table = residue_table(v, modulus, a, n_top)
-        assert (table.v, table.modulus, table.a) == (v, modulus, a % q)
-        assert len(table.values) == min(q, n_top + 1)
-        for n, c in enumerate(table.values):
-            assert c == (a * pow(n, v, q) % q if gcd(n, q) == 1 else -1), (v, n)
+    for v in (-3, -2, -1, 1, 2, 3):  # |v| = 3 is raised by pow, |v| <= 2 by multiplication
+        if isinstance(n_top, int):
+            n_first, table = 0, residue_table(v, modulus, a, n_top)
+            assert (table.v, table.modulus, table.a) == (v, modulus, a % q)
+            values = table.values
+            assert len(values) == min(q, n_top + 1)
+        else:
+            k, back = n_top
+            n_first = max(k * q - back, 1)
+            stop = n_first + min(q, 10**4)
+            values = congruence_count._residue_window(v, modulus, a % q, n_first, stop)
+            assert len(values) == stop - n_first
+        for n, c in enumerate(values, n_first):
+            assert c == (a * pow(n, v, q) % q if v > 0 or gcd(n, q) == 1 else -1), (v, n)
 
 
 @given(
@@ -254,7 +276,7 @@ def test_column_on_a_table_counts_like_the_oracle(
     n_lo = n_start % (3 * q + 1) + fractions[0]
     n_hi = math.floor(n_lo) + span + fractions[1]
     table = residue_table(v, modulus, a, math.floor(n_hi) + reach)
-    column = ResidueColumn(u, v, n_lo, n_hi, modulus, a, table)
+    column = ResidueColumn(u, n_lo, n_hi, table)
     start, f_lo, length, f_hi = m_range
     for m_lo, m_hi in ((0.5, 1.5), (start + f_lo, start + length + f_hi)):
         expected = double_loop_oracle(u, v, m_hi, n_hi, q, a % q, m_lo=m_lo, n_lo=n_lo)
@@ -312,24 +334,21 @@ def test_pipeline_counts_each_box_like_the_oracle_from_either_side(
 
 def test_a_table_for_another_congruence_or_range_raises():
     m30, m3981 = factor_modulus(30), factor_modulus(3981)
-    table = residue_table(-2, m30, 7, 200)
-    assert ResidueColumn(1, -2, 40, 80, m30, 37, table).count(1, 500) == (
-        ResidueColumn(1, -2, 40, 80, m30, 7).count(1, 500)
+    table = residue_table(-2, m30, 37, 200)  # a = 37 is held as 7
+    assert ResidueColumn(1, 40, 80, table).count(1, 500) == (
+        class_count(1, -2, 1, 500, 40, 80, m30, 7)
     )
-    for column in (
-        ResidueColumn(1, -2, 40, 80, m30, 11, table),
-        ResidueColumn(1, -1, 40, 80, m30, 7, table),
-        ResidueColumn(1, -2, 40, 80, factor_modulus(210), 7, table),
-    ):
+    for v, modulus, a in ((-2, m30, 11), (-1, m30, 7), (-2, factor_modulus(210), 7)):
         with pytest.raises(InvariantError, match="does not hold"):
-            column.count(1, 500)
-    # A table shorter than q serves the n up to its end only.
+            congruence_count._residue_weights(v, 40, 80, modulus, a, table)
+    # A table shorter than q serves the n up to its end only; a column that
+    # reaches past it counts from its m side.
     short = residue_table(-2, m3981, 7, 160)
-    assert ResidueColumn(1, -2, 80, 160, m3981, 7, short).count(1, 9000) == (
-        ResidueColumn(1, -2, 80, 160, m3981, 7).count(1, 9000)
-    )
+    for n_hi in (160, 161):
+        expected = double_loop_oracle(1, -2, 9000, n_hi, 3981, 7, m_lo=1, n_lo=80)
+        assert ResidueColumn(1, 80, n_hi, short).count(1, 9000) == expected
     with pytest.raises(InvariantError, match="ends below n = 161"):
-        ResidueColumn(1, -2, 80, 161, m3981, 7, short).count(1, 9000)
+        congruence_count._residue_weights(-2, 80, 161, m3981, 7, short)
 
 
 def test_residue_weights_read_a_table_without_pow(monkeypatch):
@@ -347,6 +366,19 @@ def test_residue_weights_read_a_table_without_pow(monkeypatch):
         assert congruence_count._residue_weights(-2, lo, hi, m, 7, table) == want
     with pytest.raises(AssertionError, match="pow called"):
         congruence_count._residue_weights(-2, 40, 80, m, 7)
+
+    # Without a table, the n of a box are inverted together: for v < 0,
+    # class_count calls pow once however many n it walks.
+    calls = []
+    monkeypatch.setattr(
+        congruence_count, "pow", lambda *args: calls.append(args) or builtins.pow(*args)
+    )
+    big = factor_modulus(1000003)
+    for v in (-1, -2):
+        for n_bound in (10, 10**4):
+            calls.clear()
+            assert class_count(1, v, 0, 50, 0, n_bound, big, 7) >= 0
+            assert len(calls) == 1, (v, n_bound)
 
 
 def test_residue_sum_rule():

@@ -140,7 +140,7 @@ def decomposition_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_one_pass_against_term_by_term_sum(inputs):
     x, m, a, n0 = inputs
-    split, removed = _decompose(x, m, a, n0)
+    split, removed = _decompose(x, m, a, n0, residue_table(-2, m, a, isqrt(math.floor(x))))
     assert (split.head, split.tail, removed) == decomposition_oracle(x, m, a, n0)
 
 
@@ -151,7 +151,6 @@ def test_one_pass_reads_a_table_like_the_per_n_residues(inputs, reach):
     x, m, a, n0 = inputs
     table = residue_table(-2, m, a, isqrt(math.floor(x)) + reach)
     split, removed = _decompose(x, m, a, n0, table)
-    assert (split, removed) == _decompose(x, m, a, n0)
     assert (split.head, split.tail, removed) == decomposition_oracle(x, m, a, n0)
 
 
@@ -168,18 +167,22 @@ def test_one_pass_refuses_a_table_for_another_congruence_or_range():
         _decompose(10**4, m, 7, 5, residue_table(-2, m, 7, 99))
 
 
-def test_error_term_decompose_builds_no_table(monkeypatch):
-    # decompose_error and tail_split compute one residue per squarefree n,
-    # at q = 7 far below isqrt(x) as well as above it.
-    def no_table(*args):
-        raise AssertionError("residue table built without pipeline_report")
-
-    monkeypatch.setattr(decomposition_pipeline, "residue_table", no_table)
+def test_error_term_decompose_and_tail_split_build_one_table_each(monkeypatch):
+    # Each builds the table of a/n^2 up to isqrt(x), at q = 7 far below
+    # isqrt(x) as well as above it.
+    built = []
+    monkeypatch.setattr(
+        decomposition_pipeline,
+        "residue_table",
+        lambda *args: built.append(args) or residue_table(*args),
+    )
     for q, a in ((7, 3), (3981, 7)):
         m = factor_modulus(q)
+        built.clear()
         assert decompose_error(10**6, m, a) == error_term(10**6, m, a).error
         split = tail_split(10**6, m, a, 10)
         assert (split.head, split.tail) == decomposition_oracle(10**6, m, a, 10)[:2]
+        assert built == [(-2, m, a, 1000)] * 2
 
 
 def test_enumerate_boxes_exhaustive_small():
@@ -447,7 +450,7 @@ def test_decompose_counts_the_coprime_integers_once_per_y(monkeypatch):
         "count_coprime",
         lambda y, modulus: calls.append(y) or count_coprime(y, modulus),
     )
-    split, _ = _decompose(x, m, 1, 100)
+    split, _ = _decompose(x, m, 1, 100, residue_table(-2, m, 1, isqrt(x)))
     terms = [n for n in range(1, isqrt(x) + 1) if gcd(n, 3162) == 1 and mobius_oracle(n)]
     assert len(calls) == len(set(calls)) == len({x // (n * n) for n in terms}) == 305
     assert split.total == error_term(x, m, 1).error
