@@ -29,7 +29,7 @@ from sqflab.arith_core import (
     factor_modulus,
     squarefree_flags,
 )
-from sqflab.congruence_count import BoxQuery, check_symmetry, evaluate_bounds
+from sqflab.congruence_count import BoxQuery, check_root_exponent, check_symmetry, evaluate_bounds
 from sqflab.decomposition_pipeline import decompose_error, pipeline_report
 from sqflab.exponent_calculus import (
     BLEND,
@@ -267,6 +267,10 @@ def _cmd_count_box(args: argparse.Namespace) -> int:
         raise ValueError(
             f"box walks {walk} integers, above the budget of {COUNT_BOX_WALK_MAX}"
         )
+    # Refused before counting: the box's roots, then its symmetry mirror's u = -v.
+    check_root_exponent(args.u)
+    if args.v < 0:
+        check_root_exponent(-args.v)
     report = evaluate_bounds(query, args.alpha)
     payload = {
         "u": args.u,

@@ -1,8 +1,9 @@
 """Counting solutions of m^u = a*n^v (mod q) inside boxes, with bound envelopes.
 
-Counts are exact integers obtained by solving for the residue classes of m
-that the n side hits, with n folded modulo q, and counting lattice points
-by division; the cost is O(min(N, q) * roots), never O(M*N).  Negative
+Counts are exact integers: the residue classes of m that the n side hits,
+with n folded modulo q, are held as sorted multisets, and an m-range is
+counted from them with two bisects per multiset; the cost is sorting
+O(min(N, q) * roots) residues, never O(M*N).  Negative
 exponents follow the convention that n^v means the modular inverse of n
 raised to |v|.  The residues of any n-window come from one batch inversion;
 a ResidueColumn walks its n side where its table holds it, its m side past it.
@@ -22,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, islice
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -80,6 +81,12 @@ def sqrt_mod_prime(c: int, p: int) -> list[int]:
     return sorted({r, p - r})
 
 
+def check_root_exponent(u: int) -> None:
+    """Reject a root exponent that power_roots does not solve (u outside {1, 2})."""
+    if u not in (1, 2):
+        raise ValueError(f"unsupported exponent u={u}; only u in {{1, 2}} is implemented")
+
+
 def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
     """All residues x mod q with x**u = c (mod q), for u in {1, 2}.
 
@@ -89,10 +96,9 @@ def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
     """
     q = modulus.q
     c %= q
-    if u == 1:
-        return [c]
     if u != 2:
-        raise ValueError(f"unsupported exponent u={u}; only u in {{1, 2}} is implemented")
+        check_root_exponent(u)  # so u = 1, whose one root is c
+        return [c]
     if q == 1:
         return [0]
     per_prime = []
@@ -132,6 +138,9 @@ class BoxQuery:
             raise NotCoprimeError(
                 f"residue {self.residue} is not coprime to {self.modulus.q}"
             )
+        for name, side in (("m", self.m_bound), ("n", self.n_bound)) if self.dyadic else ():
+            if abs(2 * side) == math.inf:
+                raise ValueError(f"dyadic side {name} = {side} doubles past the largest float")
 
     @property
     def ranges(self) -> tuple[Real, Real, Real, Real]:
@@ -216,24 +225,19 @@ def residue_table(v: int, modulus: Modulus, a: int, n_top: int) -> ResidueTable:
     return ResidueTable(v, modulus, a, _residue_window(v, modulus, a, 0, min(q, n_top + 1)))
 
 
-def _residue_weights(
-    v: int,
-    n_lo: Real,
-    n_hi: Real,
-    modulus: Modulus,
-    a: int,
+def _m_residues(
+    u: int, v: int, n_lo: Real, n_hi: Real, modulus: Modulus, a: int,
     table: ResidueTable | None = None,
-) -> dict[int, int]:
-    """The residues c = a*n^v (mod q) of the n in (n_lo, n_hi], each with its weight.
+) -> tuple[tuple[list[int], int], ...]:
+    """The m-residues of the n in (n_lo, n_hi], as sorted multisets with weights.
 
-    c depends on n mod q only, so a range longer than q is folded: its
-    first q integers stand for the q residues of n, each weighted by the
-    range's full periods, plus one for those in its partial period.  For
-    v < 0 the n not coprime to q cannot satisfy the congruence and are
-    skipped.  The m of a solution of m^u = a*n^v are the roots of c.
-
-    The c of the first min(span, q) integers are computed as one residue
-    window, or taken from `table` as one or two slices when one is given.
+    The m of a solution of m^u = a*n^v are the roots of c = a*n^v (mod q),
+    solved once per distinct c; for v < 0 the n not coprime to q (c = -1)
+    have none.  c depends on n mod q only, so a range longer than q is
+    folded: the roots of its first q integers form one multiset, weighted
+    by the range's full periods, and those of its partial period another,
+    weighted by 1.  The c come from one residue window, or from `table` as
+    one or two slices when one is given.
     """
     q = modulus.q
     a %= q
@@ -248,16 +252,35 @@ def _residue_weights(
         i = n_first % q
         j = i + stop - n_first
         cs = values[i:j] if j <= q else values[i:] + values[: j - q]
-    # The n of the partial period lie in one more period than the rest.
-    rest = iter(cs)
-    weights = Counter(islice(rest, partial))
-    if periods:
-        for c in weights:
-            weights[c] *= periods + 1
-        for c, k in Counter(rest).items():
-            weights[c] += periods * k
-    weights.pop(-1, None)
-    return weights
+    # Without a full period, cs is the partial period itself, weighted by 1.
+    head = cs[:partial] if periods else ()
+    if u == 1:  # the one root of c is c itself
+        full, part = list(cs), list(head)
+    else:
+        full, part, head_counts = [], [], Counter(head)
+        for c, k in Counter(cs).items():
+            if c >= 0:
+                roots = power_roots(c, modulus, u)
+                full += roots * k if k > 1 else roots
+                if c in head_counts:
+                    part += roots * head_counts[c]
+    for roots in (full, part):  # sorted, with the c = -1 of the non-units dropped
+        roots.sort()
+        del roots[: bisect_right(roots, -1)]
+    return (full, periods or 1), (part, 1)
+
+
+def _count_m_range(sets: Iterable[tuple[list[int], int]], m_lo: Real, m_hi: Real, q: int) -> int:
+    """The m in (m_lo, m_hi], m >= 1, that lie in the weighted residue multisets.
+
+    With floor(m) = Q*q + R, a multiset of size s holds s*(Q_hi - Q_lo) of
+    them plus its residues in (R_lo, R_hi], which two bisects count.
+    """
+    (q_lo, r_lo), (q_hi, r_hi) = (divmod(max(math.floor(m), 0), q) for m in (m_lo, m_hi))
+    return sum(
+        w * (len(rs) * (q_hi - q_lo) + bisect_right(rs, r_hi) - bisect_right(rs, r_lo))
+        for rs, w in sets
+    )
 
 
 def class_count(
@@ -276,18 +299,9 @@ def class_count(
     classes needs the non-unit ones).  For v < 0, n runs over the n coprime
     to q only; other n cannot satisfy the congruence and are skipped.
     m ranges over positive integers only.  This is the one-range case of
-    ResidueColumn: the weights are summed directly, with no sort.
+    ResidueColumn, counted by the same two helpers.
     """
-    q = modulus.q
-    # With f_lo, f_hi >= 0, #{f_lo < m <= f_hi : m = r (mod q)} is
-    # (f_hi - r) // q - (f_lo - r) // q.
-    f_lo = max(math.floor(m_lo), 0)
-    f_hi = max(math.floor(m_hi), 0)
-    return sum(
-        w * ((f_hi - r) // q - (f_lo - r) // q)
-        for c, w in _residue_weights(v, n_lo, n_hi, modulus, a).items()
-        for r in power_roots(c, modulus, u)
-    )
+    return _count_m_range(_m_residues(u, v, n_lo, n_hi, modulus, a), m_lo, m_hi, modulus.q)
 
 
 @dataclass(frozen=True)
@@ -297,12 +311,11 @@ class ResidueColumn:
     The congruence m^u = a*n^v (mod q) takes v, q and a from `table`, and
     count(m_lo, m_hi) equals class_count(u, v, m_lo, m_hi, n_lo, n_hi,
     modulus, a).  Where the table holds the n-range, the column walks its n
-    side: with f = floor(m_hi) = Q*q + R, the sum of w_r * ((f - r) // q) is
-    total*Q minus the weight of the residues above R, so an m-range costs
-    two bisects over residues read from the table on the first count.
-    Past the table's end it walks its m side, which needs v < 0 and a unit
-    a: each count is class_count(-v, -u, n_lo, n_hi, m_lo, m_hi, modulus,
-    a), the mirror n^-v = a*m^-u.
+    side: its sorted residue multisets are read from the table on the first
+    count, and each m-range then costs two bisects per multiset.  Past the
+    table's end it walks its m side, which needs v < 0 and a unit a: each
+    count is class_count(-v, -u, n_lo, n_hi, m_lo, m_hi, modulus, a), the
+    mirror n^-v = a*m^-u.
     """
 
     u: int
@@ -311,38 +324,21 @@ class ResidueColumn:
     table: ResidueTable
 
     @cached_property
-    def _sorted(self) -> tuple[list[int], list[int]] | None:
-        """Sorted residues and the prefix sums of their weights; None on the m side."""
+    def _residues(self) -> tuple[tuple[list[int], int], ...] | None:
+        """The n side's weighted residue multisets; None on the m side."""
         t = self.table
         n_last = math.floor(self.n_hi)
         if not t.holds(n_last):
             if t.v < 0 and gcd(t.a, t.modulus.q) == 1:
                 return None
             raise InvariantError(f"{t} ends below n = {n_last}")
-        weights = _residue_weights(t.v, self.n_lo, self.n_hi, t.modulus, t.a, t)
-        if self.u == 1:
-            # The one root of c is c itself.
-            residues = sorted(weights)
-            return residues, list(accumulate(map(weights.__getitem__, residues), initial=0))
-        # Distinct c have disjoint roots, so each residue of m appears once.
-        pairs = sorted(
-            (r, w) for c, w in weights.items() for r in power_roots(c, t.modulus, self.u)
-        )
-        return [r for r, _ in pairs], list(accumulate((w for _, w in pairs), initial=0))
+        return _m_residues(self.u, t.v, self.n_lo, self.n_hi, t.modulus, t.a, t)
 
     def count(self, m_lo: Real, m_hi: Real) -> int:
         t = self.table
-        if self._sorted is None:
+        if self._residues is None:
             return class_count(-t.v, -self.u, self.n_lo, self.n_hi, m_lo, m_hi, t.modulus, t.a)
-        residues, prefix = self._sorted
-        (q_lo, r_lo), (q_hi, r_hi) = (
-            divmod(max(math.floor(m), 0), t.modulus.q) for m in (m_lo, m_hi)
-        )
-        return (
-            prefix[-1] * (q_hi - q_lo)
-            + prefix[bisect_right(residues, r_hi)]
-            - prefix[bisect_right(residues, r_lo)]
-        )
+        return _count_m_range(self._residues, m_lo, m_hi, t.modulus.q)
 
     def serves(self, query: BoxQuery) -> bool:
         """Whether the query's box has this column's congruence and n-range."""

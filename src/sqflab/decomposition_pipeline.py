@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 from typing import Sequence
 
@@ -103,10 +104,8 @@ def _decompose(
     last_y = cop_n = 0  # y only falls as n grows: count_coprime once per y
     for first, last in ((1, n_split), (n_split + 1, n_max)):
         ap = cop = unsigned_cop = 0
-        for n in range(first, last + 1):
+        for n in compress(range(first, last + 1), mu[first - 1 : last]):  # squarefree n
             m = mu[n - 1]
-            if m == 0:
-                continue
             r = residues[n % q]
             if r < 0:
                 continue

@@ -400,6 +400,34 @@ def test_count_box_budget_spares_the_unwalked_side(capsys):
     assert json.loads(out)["count"] > 0
 
 
+EXPONENT = "unsupported exponent u={}; only u in {{1, 2}} is implemented"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        # 2 * side overflows to inf before any floor.
+        ("--u 1 --v -2 --m 1e308 --n 10 --q 101 --a 3 --dyadic", "dyadic side m = 1e+308"),
+        ("--u 1 --v 2 --m 10 --n 1e308 --q 101 --a 3 --dyadic", "dyadic side n = 1e+308"),
+        ("--u 1 --v 2 --m 1e308 --n 10 --q 101 --a 3 --dyadic", "dyadic side m = 1e+308"),
+        # The mirror of v < 0 has u = -v; the box's own u is checked first.
+        ("--u 1 --v -3 --m 9000000 --n 9000000 --q 999983 --a 5", EXPONENT.format(3)),
+        ("--u 3 --v -4 --m 100 --n 100 --q 1009 --a 5", EXPONENT.format(3)),
+        # Empty boxes, whose mirror cannot be counted either.
+        ("--u 1 --v -3 --m 0.5 --n 100 --q 1009 --a 5", EXPONENT.format(3)),
+        ("--u 3 --v 1 --m 100 --n 0.5 --q 1009 --a 5", EXPONENT.format(3)),
+    ],
+)
+def test_count_box_refuses_before_counting(capsys, monkeypatch, command, message):
+    def unreachable(*args):
+        raise AssertionError("counted a refused box")
+
+    monkeypatch.setattr(congruence_count, "_residue_window", unreachable)
+    code, out, err = run_cli(capsys, "count-box", *command.split())
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err
+
+
 def test_readme_commands_match_golden_digests(capsys):
     """The README commands print the bytes recorded in perfbench/golden.json."""
     for case in json.loads(GOLDEN.read_text(encoding="utf-8")):
@@ -446,6 +474,17 @@ ABOVE_THE_CACHE = [
      "d6cd7788349dc60827e5f0c96107c5b80e3f6a0503e72a861d7d11b69b1cb14e"),
     ("error-term --x 50000000 --q 1000003 --a 1 --decompose", 249,
      "d503e27a642a6c56d917c6a23604d7dddef5bacfbc242806bad8bd6b20af9416"),
+    # Recorded before boxes were counted from sorted residue multisets: a
+    # folded box with a partial period and repeated c, the u = 2 roots of
+    # v = 2 and v = -2, and a q far above both spans.
+    ("count-box --u 2 --v -2 --m 4000 --n 3000 --q 1001 --a 4 --dyadic", 511,
+     "8761f5d9eb5345a399b9a8da4721c8b96fc81ca4b7e1e79a4129cf935d536f14"),
+    ("count-box --u 2 --v 2 --m 700 --n 2500 --q 2310 --a 1", 441,
+     "965ec31bd7af2164ece0d695edfe382d71b832f902293054f75d6a5af950be81"),
+    ("count-box --u 1 --v 2 --m 9000 --n 7000 --q 3003 --a 5 --dyadic", 445,
+     "2bd378a9c8eaac2f5b1a1b4dcf954c4553afb86aa76279f9a6a450b9925b93c4"),
+    ("count-box --u 2 --v -2 --m 2500 --n 2500 --q 223092870 --a 1", 610,
+     "5fca4c5e2eb383cb91f26fa90b67269ab3e0de195f6aa98e24090922c3efcb34"),
 ]
 
 

@@ -128,7 +128,7 @@ _BOUND = st.integers(min_value=0, max_value=48).map(lambda k: k / 2)
 
 
 @given(
-    uv=st.sampled_from([(1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]),
+    uv=st.sampled_from([(1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1), (2, 2), (2, -2)]),
     m_lo=_BOUND,
     m_len=_BOUND,
     n_lo=_BOUND,
@@ -150,7 +150,7 @@ _FRACTION = st.sampled_from([0, 0.5, 0.25, 0.7071067811865476])
 
 
 @given(
-    uv=st.sampled_from([(1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)]),
+    uv=st.sampled_from([(1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1), (2, 2), (2, -2)]),
     q=st.sampled_from([1, 2, 30, 2310]),
     a=st.integers(min_value=0, max_value=5000),
     periods=st.integers(min_value=0, max_value=2),
@@ -340,7 +340,7 @@ def test_a_table_for_another_congruence_or_range_raises():
     )
     for v, modulus, a in ((-2, m30, 11), (-1, m30, 7), (-2, factor_modulus(210), 7)):
         with pytest.raises(InvariantError, match="does not hold"):
-            congruence_count._residue_weights(v, 40, 80, modulus, a, table)
+            congruence_count._m_residues(1, v, 40, 80, modulus, a, table)
     # A table shorter than q serves the n up to its end only; a column that
     # reaches past it counts from its m side.
     short = residue_table(-2, m3981, 7, 160)
@@ -348,7 +348,7 @@ def test_a_table_for_another_congruence_or_range_raises():
         expected = double_loop_oracle(1, -2, 9000, n_hi, 3981, 7, m_lo=1, n_lo=80)
         assert ResidueColumn(1, 80, n_hi, short).count(1, 9000) == expected
     with pytest.raises(InvariantError, match="ends below n = 161"):
-        congruence_count._residue_weights(-2, 80, 161, m3981, 7, short)
+        congruence_count._m_residues(1, -2, 80, 161, m3981, 7, short)
 
 
 def test_residue_weights_read_a_table_without_pow(monkeypatch):
@@ -356,16 +356,16 @@ def test_residue_weights_read_a_table_without_pow(monkeypatch):
     table = residue_table(-2, m, 7, 9000)
     # Ranges inside one period, across a multiple of q, and over two periods.
     ranges = [(40, 80), (0.5, 8.7), (2000, 4000), (3980, 3981), (100, 9000)]
-    expected = [congruence_count._residue_weights(-2, lo, hi, m, 7) for lo, hi in ranges]
+    expected = [congruence_count._m_residues(1, -2, lo, hi, m, 7) for lo, hi in ranges]
 
     def no_pow(*args):
         raise AssertionError("pow called although a table was given")
 
     monkeypatch.setattr(congruence_count, "pow", no_pow, raising=False)
     for (lo, hi), want in zip(ranges, expected):
-        assert congruence_count._residue_weights(-2, lo, hi, m, 7, table) == want
+        assert congruence_count._m_residues(1, -2, lo, hi, m, 7, table) == want
     with pytest.raises(AssertionError, match="pow called"):
-        congruence_count._residue_weights(-2, 40, 80, m, 7)
+        congruence_count._m_residues(1, -2, 40, 80, m, 7)
 
     # Without a table, the n of a box are inverted together: for v < 0,
     # class_count calls pow once however many n it walks.

@@ -294,11 +294,11 @@ def test_pipeline_raises_on_a_coverage_gap(monkeypatch):
 
 def test_pipeline_builds_one_column_per_n_anchor(monkeypatch):
     built = []
-    weights = congruence_count._residue_weights
+    residues = congruence_count._m_residues
     monkeypatch.setattr(
         congruence_count,
-        "_residue_weights",
-        lambda *args: built.append(args[1:3]) or weights(*args),
+        "_m_residues",
+        lambda *args: built.append(args[2:4]) or residues(*args),
     )
     m = factor_modulus(3981)
     rep = pipeline_report(10**8, m, 7)
