@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -234,10 +234,11 @@ def _m_residues(
     The m of a solution of m^u = a*n^v are the roots of c = a*n^v (mod q),
     solved once per distinct c; for v < 0 the n not coprime to q (c = -1)
     have none.  c depends on n mod q only, so a range longer than q is
-    folded: the roots of its first q integers form one multiset, weighted
-    by the range's full periods, and those of its partial period another,
-    weighted by 1.  The c come from one residue window, or from `table` as
-    one or two slices when one is given.
+    folded.  For u = 1 the c of its first q integers are one multiset,
+    weighted by its full periods, and those of its partial period another;
+    for u = 2 each root is held once, grouped by the number of n with its c,
+    so at most q residues are held.  The c come from one residue window, or
+    from `table` as one or two slices when one is given.
     """
     q = modulus.q
     a %= q
@@ -255,19 +256,17 @@ def _m_residues(
     # Without a full period, cs is the partial period itself, weighted by 1.
     head = cs[:partial] if periods else ()
     if u == 1:  # the one root of c is c itself
-        full, part = list(cs), list(head)
-    else:
-        full, part, head_counts = [], [], Counter(head)
+        sets = ((list(cs), periods or 1), (list(head), 1))
+    else:  # distinct c have disjoint roots: each is kept once, by its c's weight
+        buckets, head_counts = defaultdict(list), Counter(head)
         for c, k in Counter(cs).items():
             if c >= 0:
-                roots = power_roots(c, modulus, u)
-                full += roots * k if k > 1 else roots
-                if c in head_counts:
-                    part += roots * head_counts[c]
-    for roots in (full, part):  # sorted, with the c = -1 of the non-units dropped
+                buckets[k * (periods or 1) + head_counts.get(c, 0)] += power_roots(c, modulus, u)
+        sets = tuple((roots, w) for w, roots in buckets.items())
+    for roots, _ in sets:  # sorted, with the c = -1 of the non-units dropped
         roots.sort()
         del roots[: bisect_right(roots, -1)]
-    return (full, periods or 1), (part, 1)
+    return sets
 
 
 def _count_m_range(sets: Iterable[tuple[list[int], int]], m_lo: Real, m_hi: Real, q: int) -> int:

@@ -351,6 +351,38 @@ def test_a_table_for_another_congruence_or_range_raises():
         congruence_count._m_residues(1, -2, 80, 161, m3981, 7, short)
 
 
+@pytest.mark.parametrize(
+    "u, v, n_lo, n_hi, q, a",
+    [
+        (2, -2, 3000, 6000, 1001, 4),
+        (2, 2, 0, 2500, 2310, 1),
+        (2, -1, 0, 5000, 1009, 3),
+        (2, -2, 0, 3 * 5 * 7 * 11 * 13 * 17 * 19 + 1000, 3 * 5 * 7 * 11 * 13 * 17 * 19, 1),
+    ],
+)
+def test_u2_multisets_hold_each_root_once(u, v, n_lo, n_hi, q, a):
+    # For v = +-2 one c is shared by up to 2^omega(q) n and has as many roots;
+    # each root is held once, weighted by the n of the range that hit its c.
+    modulus = factor_modulus(q)
+    sets = congruence_count._m_residues(u, v, n_lo, n_hi, modulus, a)
+    roots = [r for rs, _ in sets for r in rs]
+    assert len(roots) == len(set(roots)) <= q
+    if q < 10**4:
+        hits = sum(
+            len(power_roots(a * mod_pow(n, v, q), modulus, u))
+            for n in range(n_lo + 1, n_hi + 1)
+            if v > 0 or gcd(n, q) == 1
+        )
+        expected = double_loop_oracle(u, v, 40, n_hi, q, a, n_lo=n_lo)
+    else:  # a = 1 makes every a*n^-2 a unit square, with 2^omega(q) roots
+        units = sum(gcd(n, q) == 1 for n in range(1, n_hi - q + 1))
+        hits = (modulus.phi + units) << modulus.omega
+        # The mirror walks the short side, so it counts the m <= 40 cheaply.
+        expected = class_count(-v, -u, n_lo, n_hi, 0, 40, modulus, a)
+    assert sum(w * len(rs) for rs, w in sets) == hits
+    assert congruence_count._count_m_range(sets, 0, 40, q) == expected
+
+
 def test_residue_weights_read_a_table_without_pow(monkeypatch):
     m = factor_modulus(3981)
     table = residue_table(-2, m, 7, 9000)
