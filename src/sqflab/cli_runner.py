@@ -1,8 +1,12 @@
 """Command-line surface: every subsystem as a subcommand with CSV/JSON output.
 
-Exit codes: 0 success, 2 input validation failure, 3 internal invariant
-violation (a bug signal, distinct from misuse so CI can tell them apart).
-Identical arguments and seed produce byte-identical output.
+Each `_cmd_*` returns its result, a JSON-ready payload or scan's CSV text,
+or raises.  `main` alone writes the result, through `_emit`, and maps
+exceptions to exit codes: 0 success, 2 input validation failure (ValueError
+or OSError), 3 internal invariant violation (RuntimeError, such as a failed
+identity or symmetry check: a bug signal, distinct from misuse so CI can
+tell them apart).  Identical arguments and seed produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from sqflab.arith_core import (
     MOBIUS_SIEVE_MAX,
     InvariantError,
     Modulus,
-    NotCoprimeError,
-    NotSquarefreeError,
     factor_modulus,
     squarefree_flags,
 )
@@ -40,12 +42,7 @@ from sqflab.exponent_calculus import (
     parse_term_menu,
     verify_choices,
 )
-from sqflab.progression_stats import (
-    _unit_residue,
-    error_term,
-    least_squarefree,
-    reference_ratio,
-)
+from sqflab.progression_stats import _unit_residue, error_term, least_squarefree
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,7 +95,9 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(result: str | dict | list, output: str | None) -> None:
+    """Write a command's result: text as it is, anything else as indented JSON."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -122,7 +121,7 @@ def _check_error_term_budget(x: int, q: int) -> None:
 # error-term
 
 
-def _cmd_error_term(args: argparse.Namespace) -> int:
+def _cmd_error_term(args: argparse.Namespace) -> dict:
     modulus = factor_modulus(args.q)
     _check_error_term_budget(args.x, modulus.q)
     result = error_term(args.x, modulus, args.a)
@@ -134,18 +133,17 @@ def _cmd_error_term(args: argparse.Namespace) -> int:
         "count_ap": result.progression_count,
         "count_coprime": result.coprime_count,
         "error": str(result.error),
-        "reference_ratio": reference_ratio(args.x, modulus, args.a, result),
+        "reference_ratio": result.reference_ratio,
     }
     if args.decompose:
         decomposed = decompose_error(args.x, modulus, args.a)
         payload["error_decomposed"] = str(decomposed)
         payload["identity_ok"] = decomposed == result.error
         if not payload["identity_ok"]:
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
-            print("internal error: decomposition identity violated", file=sys.stderr)
-            return EXIT_INVARIANT
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return EXIT_OK
+            raise InvariantError(
+                f"decomposition identity violated: {result.error} != {decomposed}"
+            )
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +200,14 @@ def _scan_rows(
     rows = []
     for a, n_qa, corollary in classes:
         res = error_term(x, modulus, a)
-        ratio = reference_ratio(x, modulus, a, res)
+        ratio = res.reference_ratio
         counts = (res.progression_count, res.coprime_count)
         error = (res.error.numerator, res.error.denominator)
         rows.append((x, modulus.q, a, *counts, *error, ratio, n_qa, corollary))
     return rows
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> str | list[dict]:
     if args.q_min < 1 or args.q_max < args.q_min:
         raise ValueError(f"bad q range [{args.q_min}, {args.q_max}]")
     if any(x < 1 for x in args.x):
@@ -243,34 +241,29 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             f"{x},{q},{a},{cap},{ccop},{enum},{eden},"
             f"{_fmt_float(ratio)},{n_qa},{_fmt_float(cor)}"
         )
-    text = "\n".join(lines) + "\n"
     if args.format == "json":
         keys = CSV_HEADER.split(",")
-        payload = [dict(zip(keys, line.split(","))) for line in lines[1:]]
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+        return [dict(zip(keys, line.split(","))) for line in lines[1:]]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # count-box
 
 
-def _cmd_count_box(args: argparse.Namespace) -> int:
+def _cmd_count_box(args: argparse.Namespace) -> dict:
     modulus = factor_modulus(args.q)
     query = BoxQuery(args.u, args.v, args.m, args.n, modulus, args.a, args.dyadic)
-    m_lo, m_hi, n_lo, n_hi = query.ranges
-    walk = math.floor(n_hi) - math.floor(n_lo)
-    if args.v < 0:
-        walk = max(walk, math.floor(m_hi) - math.floor(m_lo))
+    # For v < 0 the symmetry mirror counts the box again; its n side is the box's m side.
+    boxes = (query, query.mirror) if args.v < 0 else (query,)
+    walk = max(math.floor(b.ranges[3]) - math.floor(b.ranges[2]) for b in boxes)
     if walk > COUNT_BOX_WALK_MAX:
         raise ValueError(
             f"box walks {walk} integers, above the budget of {COUNT_BOX_WALK_MAX}"
         )
-    # Refused before counting: the box's roots, then its symmetry mirror's u = -v.
-    check_root_exponent(args.u)
-    if args.v < 0:
-        check_root_exponent(-args.v)
+    # Refused before counting: the box's roots, then its mirror's.
+    for box in boxes:
+        check_root_exponent(box.u)
     report = evaluate_bounds(query, args.alpha)
     payload = {
         "u": args.u,
@@ -293,37 +286,32 @@ def _cmd_count_box(args: argparse.Namespace) -> int:
     }
     if args.v < 0:
         sym = check_symmetry(query, report.count)
-        payload["symmetry"] = {
-            "mirrored_count": sym.mirrored_count,
-            "equal": sym.equal,
-        }
         if not sym.equal:
-            _emit(json.dumps(payload, indent=2) + "\n", args.output)
-            print("internal error: symmetry relation violated", file=sys.stderr)
-            return EXIT_INVARIANT
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return EXIT_OK
+            raise InvariantError(
+                f"symmetry relation violated: {sym.count} != {sym.mirrored_count}"
+            )
+        payload["symmetry"] = {"mirrored_count": sym.mirrored_count, "equal": sym.equal}
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> dict:
     modulus = factor_modulus(args.q)
     _check_error_term_budget(args.x, modulus.q)
     report = pipeline_report(
         args.x, modulus, args.a, m0=args.m0, n0=args.n0, alpha=args.alpha
     )
-    _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.output)
-    return EXIT_OK
+    return report.as_dict()
 
 
 # ---------------------------------------------------------------------------
 # optimize
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _cmd_optimize(args: argparse.Namespace) -> dict:
     if args.menu_file is not None:
         with open(args.menu_file, encoding="utf-8") as fh:
             terms = parse_term_menu(fh.read())
@@ -370,8 +358,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     else:
         payload["theta"] = None
         payload["binding_constraint"] = result.binding_constraint
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return EXIT_OK
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +440,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (NotSquarefreeError, NotCoprimeError, ValueError, OSError) as exc:
+        _emit(args.func(args), args.output)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    return EXIT_OK
 
 
 def run() -> None:

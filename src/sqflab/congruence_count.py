@@ -40,7 +40,7 @@ _INT64_END = 1 << 63
 
 
 def sqrt_mod_prime(c: int, p: int) -> list[int]:
-    """All x in [0, p) with x*x = c (mod p), p prime.
+    """All x in [0, p) with x*x = c (mod p), p prime, in no particular order.
 
     Tonelli-Shanks in the general case; p = 2 and c = 0 are handled directly,
     and quadratic non-residues return the empty list.
@@ -55,7 +55,7 @@ def sqrt_mod_prime(c: int, p: int) -> list[int]:
         return []
     if p % 4 == 3:
         r = pow(c, (p + 1) // 4, p)
-        return sorted({r, p - r})
+        return [r, p - r]
     # Tonelli-Shanks: write p-1 = s * 2^e with s odd.
     s, e = p - 1, 0
     while s % 2 == 0:
@@ -78,7 +78,7 @@ def sqrt_mod_prime(c: int, p: int) -> list[int]:
         base = b * b % p
         t = t * base % p
         m = i
-    return sorted({r, p - r})
+    return [r, p - r]
 
 
 def check_root_exponent(u: int) -> None:
@@ -88,7 +88,7 @@ def check_root_exponent(u: int) -> None:
 
 
 def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
-    """All residues x mod q with x**u = c (mod q), for u in {1, 2}.
+    """All residues x mod q with x**u = c (mod q), for u in {1, 2}, in no particular order.
 
     Squarefree q lets the u = 2 case reduce to one square root per prime
     factor, recombined through the Chinese remainder basis.  Exponents
@@ -110,7 +110,7 @@ def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
     combined = [0]
     for roots, e in zip(per_prime, modulus.crt_basis):
         combined = [(x + r * e) % q for x in combined for r in roots]
-    return sorted(combined)
+    return combined
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,18 @@ class BoxQuery:
         if self.dyadic:
             return self.m_bound, 2 * self.m_bound, self.n_bound, 2 * self.n_bound
         return 0, self.m_bound, 0, self.n_bound
+
+    @property
+    def mirror(self) -> BoxQuery:
+        """The box counted from its other side: (u, v) -> (-v, -u), M and N swapped.
+
+        n^-v = a*m^-u has the solutions of m^u = a*n^v with m and n
+        exchanged, so the two counts agree.  The mirror exists only for
+        v < 0; otherwise its u would not be positive.
+        """
+        if self.v >= 0:
+            raise ValueError("symmetry mirror requires v < 0")
+        return replace(self, u=-self.v, v=-self.u, m_bound=self.n_bound, n_bound=self.m_bound)
 
 
 @dataclass(frozen=True)
@@ -406,18 +418,13 @@ class SymmetryCheck:
 
 
 def check_symmetry(query: BoxQuery, count: int | None = None) -> SymmetryCheck:
-    """Compare a count against its mirror with (u, v) -> (-v, -u) and M, N swapped.
+    """Compare a count against that of query.mirror (which needs v < 0).
 
-    The mirror only exists for v < 0 (otherwise the mirrored u would not be
-    positive).  The two exact counts must always agree; the pair is returned
-    for reporting.  A caller already holding count_box(query) passes it as
+    The two exact counts must always agree; the pair is returned for
+    reporting.  A caller already holding count_box(query) passes it as
     `count`, so only the mirror is counted.
     """
-    if query.v >= 0:
-        raise ValueError("symmetry mirror requires v < 0")
-    mirrored = replace(
-        query, u=-query.v, v=-query.u, m_bound=query.n_bound, n_bound=query.m_bound
-    )
+    mirrored = query.mirror
     return SymmetryCheck(
         query=query,
         mirrored=mirrored,
@@ -432,7 +439,8 @@ class BoundReport:
 
     Inapplicable fields (box outside the amplification range) are None, not
     an exception.  `ratios` maps bound name to count/bound for the bounds
-    that apply.
+    that apply; a bound that overflowed to inf gives 0.0, as it does for
+    every count a float holds.
     """
 
     count: int
@@ -450,7 +458,7 @@ class BoundReport:
             if bound is None or bound == 0.0:
                 out[name] = None
             else:
-                out[name] = self.count / bound
+                out[name] = self.count / bound if bound < math.inf else 0.0
         return out
 
 

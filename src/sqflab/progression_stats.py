@@ -239,7 +239,8 @@ def squarefree_count_coprime(x: Real, modulus: Modulus) -> int:
 class ErrorTermResult:
     """One exact evaluation of the progression error term.
 
-    error = progression_count - coprime_count / phi(q), held as a Fraction.
+    error = progression_count - coprime_count / phi(q), held as a Fraction;
+    reference_ratio is the one float read from it.
     """
 
     x: Real
@@ -255,6 +256,16 @@ class ErrorTermResult:
             raise InvariantError("progression count lies outside [0, x // q + 1]")
         if not self.progression_count <= self.coprime_count <= fx:
             raise InvariantError("coprime count lies outside [count_ap, x]")
+
+    @property
+    def reference_ratio(self) -> float:
+        """|error| divided by the classical envelope sqrt(x/q) + sqrt(q).
+
+        Monitoring quantity for the implied constant of the square-root
+        error term; reported, never asserted against.
+        """
+        q = self.modulus.q
+        return abs(float(self.error)) / (math.sqrt(float(self.x) / q) + math.sqrt(q))
 
 
 def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
@@ -274,22 +285,9 @@ def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
     )
 
 
-def reference_ratio(
-    x: Real, modulus: Modulus, a: int, result: ErrorTermResult | None = None
-) -> float:
-    """|error| divided by the classical envelope sqrt(x/q) + sqrt(q).
-
-    Monitoring quantity for the implied constant of the square-root error
-    term; reported, never asserted against.  A caller that already holds
-    error_term(x, modulus, a) passes it as `result` instead of having it
-    computed again.
-    """
-    if result is None:
-        result = error_term(x, modulus, a)
-    elif (result.x, result.modulus, result.residue) != (x, modulus, a % modulus.q):
-        raise ValueError("result was computed for a different (x, q, a)")
-    denom = math.sqrt(float(x) / modulus.q) + math.sqrt(modulus.q)
-    return abs(float(result.error)) / denom
+def reference_ratio(x: Real, modulus: Modulus, a: int) -> float:
+    """The reference_ratio of error_term(x, modulus, a)."""
+    return error_term(x, modulus, a).reference_ratio
 
 
 def least_squarefree(modulus: Modulus, a: int, ceiling: int | None = None) -> int:

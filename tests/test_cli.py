@@ -70,11 +70,24 @@ def test_identity_violation_is_exit_3(capsys, monkeypatch):
     from fractions import Fraction
 
     monkeypatch.setattr(cli_runner, "decompose_error", lambda *a, **k: Fraction(1, 7))
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "error-term", "--x", "30", "--q", "5", "--a", "1", "--decompose"
     )
-    assert code == 3
-    assert "internal error" in err
+    assert (code, out) == (3, "")
+    assert err == "internal error: decomposition identity violated: 5/4 != 1/7\n"
+
+
+def test_symmetry_violation_is_exit_3(tmp_path, capsys, monkeypatch):
+    def off_by_one(query, count):
+        return congruence_count.SymmetryCheck(query, query.mirror, count, count + 1)
+
+    monkeypatch.setattr(cli_runner, "check_symmetry", off_by_one)
+    target = tmp_path / "box.json"
+    for output in ([], ["--output", str(target)]):
+        code, out, err = run_cli(capsys, *BOX, "--m", "10", "--n", "10", *output)
+        assert (code, out) == (3, "")
+        assert err == "internal error: symmetry relation violated: 15 != 16\n"
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(
@@ -563,3 +576,80 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["error"] == "5/4"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["error-term --x 30 --q 5 --a 1 --decompose", "scan --x 1000 --q-max 5 --a all"],
+)
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *command.split(), "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "count-box --u 1 --v 1 --m 1e308 --n 10 --q 1 --a 1",
+        "count-box --u 2 --v 1 --m 1e308 --n 10 --q 2 --a 1",
+    ],
+)
+def test_count_box_ratio_against_an_infinite_bound_is_zero(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["count"] > 10**308
+    infinite = [name for name, bound in payload["bounds"].items() if bound == float("inf")]
+    assert "trivial" in infinite
+    assert all(payload["ratios"][name] == 0.0 for name in infinite)
+
+
+SUCCESS = [
+    "error-term --x 1000 --q 13 --a 4 --decompose",
+    "scan --x 1000 --q-max 5",
+    "scan --x 1000 --q-max 5 --format json",
+    "count-box --u 1 --v -2 --m 10 --n 10 --q 7 --a 1",
+    "pipeline --x 10000 --q 101 --a 3",
+    "optimize",
+]
+REFUSED = [
+    "error-term --x 30 --q 12 --a 1",
+    "scan --x 100 --q-min 9 --q-max 3",
+    "count-box --u 1 --v -3 --m 10 --n 10 --q 7 --a 1",
+    "pipeline --x 10000 --q 101 --a 3 --alpha 5",
+    "optimize --menu-file no-such-menu.txt",
+]
+
+
+def test_main_writes_each_result_once_and_nothing_on_failure(capsys, monkeypatch):
+    from fractions import Fraction
+
+    emitted = []
+    monkeypatch.setattr(cli_runner, "_emit", lambda result, output: emitted.append(result))
+    for command in SUCCESS:
+        emitted.clear()
+        assert run_cli(capsys, *command.split()) == (0, "", "")
+        assert len(emitted) == 1, command
+    for command in REFUSED:
+        emitted.clear()
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, out, emitted) == (2, "", []), command
+        assert err.startswith("error: ")
+    monkeypatch.setattr(cli_runner, "decompose_error", lambda *a, **k: Fraction(1, 7))
+    monkeypatch.setattr(
+        cli_runner, "check_symmetry",
+        lambda query, count: congruence_count.SymmetryCheck(query, query.mirror, count, 0),
+    )
+
+    def violated(*args, **kwargs):
+        raise arith_core.InvariantError("decomposition identity violated: 1 != 2")
+
+    monkeypatch.setattr(cli_runner, "pipeline_report", violated)
+    for command in (SUCCESS[0], SUCCESS[3], SUCCESS[4]):
+        emitted.clear()
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, out, emitted) == (3, "", []), command
+        assert err.startswith("internal error: ")

@@ -152,12 +152,13 @@ def run(command: str, tmp: Path) -> dict:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    record = {"command": command, "code": code}
-    for name, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
-        record[name] = _digest(text.replace(str(tmp), "{tmp}").encode("utf-8"))
+    texts = {"stdout": out.getvalue(), "stderr": err.getvalue()}
     if "--output" in argv:
         target = Path(argv[argv.index("--output") + 1])
-        record["output"] = _digest(target.read_bytes()) if target.is_file() else None
+        texts["output"] = target.read_text(encoding="utf-8") if target.is_file() else None
+    record = {"command": command, "code": code}
+    for name, text in texts.items():
+        record[name] = text if text is None else _digest(text.replace(str(tmp), "{tmp}").encode())
     return record
 
 

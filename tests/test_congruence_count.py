@@ -67,7 +67,7 @@ def random_instances(count, seed, q_max=300, side_max=200):
 def test_sqrt_mod_prime_exhaustive():
     for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]:
         for c in range(p):
-            roots = sqrt_mod_prime(c, p)
+            roots = sorted(sqrt_mod_prime(c, p))
             expected = sorted(x for x in range(p) if x * x % p == c)
             assert roots == expected, (c, p)
 
@@ -77,7 +77,7 @@ def test_power_roots_against_brute_force():
         for c in range(min(m.q, 25)):
             assert power_roots(c, m, 1) == [c]
             expected = sorted(x for x in range(m.q) if x * x % m.q == c % m.q)
-            assert power_roots(c, m, 2) == expected, (c, m.q)
+            assert sorted(power_roots(c, m, 2)) == expected, (c, m.q)
 
 
 def test_power_roots_rejects_higher_exponents():

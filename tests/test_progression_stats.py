@@ -406,11 +406,9 @@ def test_reference_ratio_examples():
     expected = (5 / 4) / (math.sqrt(6) + math.sqrt(5))
     assert reference_ratio(30, m5, 1) == pytest.approx(expected, rel=1e-12)
     assert reference_ratio(1000, factor_modulus(1), 0) == 0.0
-    # An existing result is reused, and must belong to the same (x, q, a).
+    # The function reads the property of the result it computes.
     res = error_term(30, m5, 6)
-    assert reference_ratio(30, m5, 6, res) == reference_ratio(30, m5, 1)
-    with pytest.raises(ValueError):
-        reference_ratio(31, m5, 1, res)
+    assert res.reference_ratio == reference_ratio(30, m5, 1)
 
 
 def test_least_squarefree_examples():
