@@ -498,6 +498,19 @@ ABOVE_THE_CACHE = [
      "2bd378a9c8eaac2f5b1a1b4dcf954c4553afb86aa76279f9a6a450b9925b93c4"),
     ("count-box --u 2 --v -2 --m 2500 --n 2500 --q 223092870 --a 1", 610,
      "5fca4c5e2eb383cb91f26fa90b67269ab3e0de195f6aa98e24090922c3efcb34"),
+    # Recorded before the u = 2 roots were solved once per residue mod each
+    # prime of q: 297083 of 3*297083 above 16 times a short window (solved
+    # per residue), the prime 70793 and 23*19421 under it (swept), a full
+    # period of 510510 and partial ones; each orientation runs u = 2 on one
+    # side of the symmetry check.
+    ("count-box --u 2 --v -1 --m 3000 --n 2500 --q 891249 --a 5", 599,
+     "4c1bb9fb9da21723cf1cde0b01653044d8ce62327da6cc5efcc173341732cc3e"),
+    ("count-box --u 1 --v -2 --m 30000 --n 20000 --q 70793 --a 3 --dyadic", 515,
+     "1fdce7509736a52df85498d6309958ddffea225e59cbd2120360d5a71b5f5740"),
+    ("count-box --u 2 --v -1 --m 40000 --n 600000 --q 510510 --a 19", 520,
+     "05a34de02ebc94566340c689c97f03b8eb64de7292770426f7d710df420e5b14"),
+    ("count-box --u 1 --v -2 --m 9000 --n 700 --q 446683 --a 2 --dyadic", 595,
+     "77fb607a64b9bd69345c32633b4586772b56d259a17a4aa0a7a8ab0e09d0079b"),
 ]
 
 
