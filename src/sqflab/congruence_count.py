@@ -3,10 +3,13 @@
 Counts are exact integers: the residue classes of m that the n side hits,
 with n folded modulo q, are held as sorted multisets, and an m-range is
 counted from them with two bisects per multiset; the cost is sorting
-O(min(N, q) * roots) residues, never O(M*N).  Negative
-exponents follow the convention that n^v means the modular inverse of n
-raised to |v|.  The residues of any n-window come from one batch inversion;
-a ResidueColumn walks its n side where its table holds it, its m side past it.
+O(min(N, q) * roots) residues, never O(M*N).  For u = 2 the roots of every
+c are found one prime p of q at a time: a p of at most _SWEEP_FACTOR times
+the window's distinct c is squared out once into a table of all its roots,
+and a larger p is solved per c.  Negative exponents follow the convention
+that n^v means the modular inverse of n raised to |v|.  The residues of any
+n-window come from one batch inversion; a ResidueColumn walks its n side
+where its table holds it, its m side past it.
 
 Bound envelopes (trivial, Weil, Pierce amplification, and the alpha
 interpolation between the two Pierce orientations) are evaluated with
@@ -23,7 +26,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -37,6 +40,10 @@ _AMP_RANGE = float(AMPLIFICATION_RANGE)
 
 # A residue table below this modulus fits array("q").
 _INT64_END = 1 << 63
+
+# _prime_roots squares all of [0, p/2] when the prime p is at most this many
+# times the number of distinct c it serves; otherwise each c is solved mod p.
+_SWEEP_FACTOR = 16
 
 
 def sqrt_mod_prime(c: int, p: int) -> list[int]:
@@ -87,12 +94,20 @@ def check_root_exponent(u: int) -> None:
         raise ValueError(f"unsupported exponent u={u}; only u in {{1, 2}} is implemented")
 
 
-def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
+def power_roots(
+    c: int,
+    modulus: Modulus,
+    u: int,
+    prime_roots: Sequence[Sequence[int] | None] | None = None,
+) -> list[int]:
     """All residues x mod q with x**u = c (mod q), for u in {1, 2}, in no particular order.
 
     Squarefree q lets the u = 2 case reduce to one square root per prime
-    factor, recombined through the Chinese remainder basis.  Exponents
-    u >= 3 are outside the supported surface and raise.
+    factor, recombined through the Chinese remainder basis.  The primes are
+    tried smallest first, so a non-residue mod any of them returns early.
+    The roots mod p come from the table for p in `prime_roots` (built by
+    _prime_roots) where it has one, and from sqrt_mod_prime otherwise.
+    Exponents u >= 3 are outside the supported surface and raise.
     """
     q = modulus.q
     c %= q
@@ -102,8 +117,12 @@ def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
     if q == 1:
         return [0]
     per_prime = []
-    for p in modulus.prime_factors:
-        roots = sqrt_mod_prime(c, p)
+    for p, swept in zip(modulus.prime_factors, prime_roots or repeat(None)):
+        if swept is None:
+            roots = sqrt_mod_prime(c, p)
+        else:  # x <= p - x, and x is the one root of 0 (and of 1 mod 2)
+            x = swept[c % p]
+            roots = (x, p - x) if 0 < x < p - x else (x,) if x >= 0 else ()
         if not roots:
             return []
         per_prime.append(roots)
@@ -111,6 +130,28 @@ def power_roots(c: int, modulus: Modulus, u: int) -> list[int]:
     for roots, e in zip(per_prime, modulus.crt_basis):
         combined = [(x + r * e) % q for x in combined for r in roots]
     return combined
+
+
+def _prime_roots(modulus: Modulus, distinct: int) -> list[Sequence[int] | None]:
+    """Per prime p of q, the smaller square root of every residue mod p (-1 if none), or None.
+
+    `distinct` is the number of distinct c that power_roots will solve.  A
+    prime with p <= _SWEEP_FACTOR * distinct is swept: squaring every x in
+    [0, p/2] fills an array of p entries, so no array holds more than
+    _SWEEP_FACTOR entries per c it serves.  A larger prime gets None, and
+    power_roots solves each c that reaches it with sqrt_mod_prime; the c of
+    a window that short against p rarely share a residue mod p.  The roots
+    of r are x and p - x, which are one root when x = 0 or p = 2.
+    """
+    out: list[Sequence[int] | None] = []
+    for p in modulus.prime_factors:
+        roots = None
+        if p <= _SWEEP_FACTOR * distinct:
+            roots = array("q", [-1]) * p
+            for x in range(p // 2 + 1):
+                roots[x * x % p] = x
+        out.append(roots)
+    return out
 
 
 @dataclass(frozen=True)
@@ -270,10 +311,15 @@ def _m_residues(
     if u == 1:  # the one root of c is c itself
         sets = ((list(cs), periods or 1), (list(head), 1))
     else:  # distinct c have disjoint roots: each is kept once, by its c's weight
-        buckets, head_counts = defaultdict(list), Counter(head)
-        for c, k in Counter(cs).items():
-            if c >= 0:
-                buckets[k * (periods or 1) + head_counts.get(c, 0)] += power_roots(c, modulus, u)
+        counts, head_counts = Counter(cs), Counter(head)
+        counts.pop(-1, None)
+        prime_roots = _prime_roots(modulus, len(counts))
+        buckets = defaultdict(list)
+        for c, k in counts.items():
+            buckets[k * (periods or 1) + head_counts.get(c, 0)] += power_roots(
+                c, modulus, u, prime_roots
+            )
+        del counts, prime_roots  # freed before the roots are sorted
         sets = tuple((roots, w) for w, roots in buckets.items())
     for roots, _ in sets:  # sorted, with the c = -1 of the non-units dropped
         roots.sort()

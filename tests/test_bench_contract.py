@@ -9,6 +9,7 @@ would break the traced benchmark run into a failing unit test.
 import contextlib
 import io
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,25 @@ def test_tracer_installs_counts_and_restores(tracer):
     assert all(t.spans[s[2]][1] == "evaluate_bounds" for s in t.spans if s[1] == "count_box")
     for name, fn in originals.items():
         assert getattr(decomposition_pipeline, name) is fn
+
+
+@pytest.mark.parametrize("q", [891249, 111])
+def test_traced_u2_box_counts_one_root_solve_per_distinct_c(tracer, q):
+    # The u = 2 side of count-box --u 2 --v -1 solves the roots of each
+    # distinct c = a*n^-1 (mod q) once: at most one solve per n of its
+    # window.  891249 = 3*297083 solves its large prime per c; 111 = 3*37
+    # sweeps both primes, and its window of 2500 n holds every unit.
+    n_top, a = 2500, 5
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_runner.main(
+                ["count-box", "--u", "2", "--v", "-1", "--m", "3000", "--n", str(n_top),
+                 "--q", str(q), "--a", str(a)]
+            )
+    finally:
+        t.uninstall()
+    assert code == 0
+    distinct = {a * pow(n, -1, q) % q for n in range(1, n_top + 1) if gcd(n, q) == 1}
+    assert 0 < t.counters["congruence_count.root_solves"] == len(distinct) <= n_top

@@ -85,6 +85,46 @@ def test_power_roots_rejects_higher_exponents():
         power_roots(1, factor_modulus(7), 3)
 
 
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def test_prime_roots_match_sqrt_mod_prime_on_every_residue_below_3000(monkeypatch):
+    # Every residue of every prime below 3000, with the rule forced to each
+    # side: p = 2, p = 3 (mod 4), and p = 1 (mod 4) and (mod 8), which
+    # sqrt_mod_prime solves by Tonelli-Shanks.
+    primes = _primes_below(3000)
+    assert {2, 17, 41, 2969} <= set(primes)
+    for p in primes:
+        modulus = factor_modulus(p)
+        tables = {}
+        for side, factor in (("solve", 0), ("sweep", 10**9)):
+            monkeypatch.setattr(congruence_count, "_SWEEP_FACTOR", factor)
+            tables[side] = congruence_count._prime_roots(modulus, p)
+        assert tables["solve"] == [None]  # power_roots calls sqrt_mod_prime
+        (swept,) = tables["sweep"]
+        squares = [[] for _ in range(p)]
+        for x in range(p):
+            squares[x * x % p].append(x)
+        assert list(swept) == [roots[0] if roots else -1 for roots in squares]
+        for c, expected in enumerate(squares):
+            solved = sorted(power_roots(c, modulus, 2, tables["solve"]))
+            assert sorted(power_roots(c, modulus, 2, tables["sweep"])) == solved == expected, (c, p)
+
+
+def test_prime_roots_sweep_a_prime_up_to_16_times_the_c():
+    # 3*37 is swept whole; 297083 of 3*297083 is above 16 times 3000 c, and
+    # is swept only from 18568 c on.  Without c no prime is swept.
+    def solved(q, distinct):
+        return [t is None for t in congruence_count._prime_roots(factor_modulus(q), distinct)]
+
+    assert solved(111, 50) == [False, False]
+    assert solved(891249, 3000) == [False, True]
+    assert solved(891249, 18567) == [False, True]
+    assert solved(891249, 18568) == [False, False]
+    assert solved(891249, 0) == [True, True]
+
+
 def test_count_box_spec_examples():
     m7 = factor_modulus(7)
     assert count_box(BoxQuery(1, -2, 10, 10, m7, 1)) == 15
@@ -133,7 +173,9 @@ _BOUND = st.integers(min_value=0, max_value=48).map(lambda k: k / 2)
     m_len=_BOUND,
     n_lo=_BOUND,
     n_len=_BOUND,
-    q=st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 30, 31]),
+    # 3*297083, 13*13679 and 510510 have primes on both sides of the
+    # square-root sweep rule for these short windows.
+    q=st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 30, 31, 891249, 177827, 510510]),
     a=st.integers(min_value=0, max_value=40),
 )
 @settings(max_examples=300, deadline=None)
@@ -351,6 +393,39 @@ def test_a_table_for_another_congruence_or_range_raises():
         congruence_count._m_residues(1, -2, 80, 161, m3981, 7, short)
 
 
+def _per_prime_oracle(v, n_lo, n_hi, q, a, m_top):
+    """Root hits of c = a*n^v (mod q) over the n in (n_lo, n_hi], and solutions with m <= m_top.
+
+    The hits are the pairs (n, x) with x^2 = c, the solutions those of
+    m^2 = c with 1 <= m <= m_top.  Brute force one prime at a time: c
+    depends on n mod q only, so by the Chinese remainder theorem each full
+    period of n gives a product over the primes p of q of sums over n mod p;
+    the n of the partial period are taken one by one.
+    """
+    primes = factor_modulus(q).prime_factors
+    images, roots = {}, {}  # per p: the n mod p giving each c, the x with each square
+    for p in primes:
+        images[p], roots[p] = [0] * p, [0] * p
+        for n in range(p):
+            roots[p][n * n % p] += 1
+            if v > 0 or n:
+                images[p][a * pow(n, v, p) % p] += 1
+    periods, partial = divmod(n_hi - n_lo, q)
+    hits = periods * math.prod(
+        sum(k * r for k, r in zip(images[p], roots[p])) for p in primes
+    )
+    solutions = periods * sum(
+        math.prod(images[p][m * m % p] for p in primes) for m in range(1, m_top + 1)
+    )
+    squares = [m * m % q for m in range(1, m_top + 1)]
+    for n in range(n_hi - partial + 1, n_hi + 1):
+        if v > 0 or gcd(n, q) == 1:
+            c = a * pow(n, v, q) % q
+            hits += math.prod(roots[p][c % p] for p in primes)
+            solutions += squares.count(c)
+    return hits, solutions
+
+
 @pytest.mark.parametrize(
     "u, v, n_lo, n_hi, q, a",
     [
@@ -358,27 +433,45 @@ def test_a_table_for_another_congruence_or_range_raises():
         (2, 2, 0, 2500, 2310, 1),
         (2, -1, 0, 5000, 1009, 3),
         (2, -2, 0, 3 * 5 * 7 * 11 * 13 * 17 * 19 + 1000, 3 * 5 * 7 * 11 * 13 * 17 * 19, 1),
+        # 297083 of 3*297083 and 13679 of 13*13679 are above 16 times these
+        # windows, so their roots are solved per c and those of 3 and 13
+        # swept; every prime of 510510 is swept, over a partial period, a
+        # full one and more.
+        *[
+            (2, v, n_lo, n_hi, q, a)
+            for v in (-2, -1, 1, 2)
+            for n_lo, n_hi, q, a in (
+                (0, 3000, 3 * 297083, 5),
+                (500, 1200, 13 * 13679, 7),
+                (100, 4100, 510510, 19),
+            )
+        ],
+        *[(2, v, 0, 510510 + 1000, 510510, 19) for v in (-2, 2)],
+        *[(2, v, 300, 300 + 13 * 13679 + 50, 13 * 13679, 7) for v in (-1, 1)],
     ],
 )
-def test_u2_multisets_hold_each_root_once(u, v, n_lo, n_hi, q, a):
+def test_u2_multisets_hold_each_root_once(monkeypatch, u, v, n_lo, n_hi, q, a):
     # For v = +-2 one c is shared by up to 2^omega(q) n and has as many roots;
     # each root is held once, weighted by the n of the range that hit its c.
     modulus = factor_modulus(q)
     sets = congruence_count._m_residues(u, v, n_lo, n_hi, modulus, a)
     roots = [r for rs, _ in sets for r in rs]
     assert len(roots) == len(set(roots)) <= q
-    if q < 10**4:
+    if n_hi - n_lo <= 6000:
         hits = sum(
             len(power_roots(a * mod_pow(n, v, q), modulus, u))
             for n in range(n_lo + 1, n_hi + 1)
             if v > 0 or gcd(n, q) == 1
         )
         expected = double_loop_oracle(u, v, 40, n_hi, q, a, n_lo=n_lo)
-    else:  # a = 1 makes every a*n^-2 a unit square, with 2^omega(q) roots
-        units = sum(gcd(n, q) == 1 for n in range(1, n_hi - q + 1))
-        hits = (modulus.phi + units) << modulus.omega
-        # The mirror walks the short side, so it counts the m <= 40 cheaply.
-        expected = class_count(-v, -u, n_lo, n_hi, 0, 40, modulus, a)
+        # Every prime solved per c, and every prime swept, give the same multisets.
+        for factor in (0, 10**9):
+            monkeypatch.setattr(congruence_count, "_SWEEP_FACTOR", factor)
+            assert congruence_count._m_residues(u, v, n_lo, n_hi, modulus, a) == sets
+    else:
+        hits, expected = _per_prime_oracle(v, n_lo, n_hi, q, a, 40)
+    if v < 0:  # the mirror walks the short side, so it counts the m <= 40 cheaply
+        assert class_count(-v, -u, n_lo, n_hi, 0, 40, modulus, a) == expected
     assert sum(w * len(rs) for rs, w in sets) == hits
     assert congruence_count._count_m_range(sets, 0, 40, q) == expected
 
