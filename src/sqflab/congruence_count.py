@@ -209,9 +209,10 @@ class ResidueTable:
 
     An entry is -1 where n^v does not exist (v < 0 and gcd(n, q) > 1).  The
     values cover one full period of n (len(values) == q) or end before q;
-    a short table holds the n up to its end only.  Each decomposition pass
-    reads every a*n^-2 from one built for v = -2 up to isqrt(x), and in the
-    pipeline so does each box column whose n-range it holds.
+    a short table holds the n up to its end only.  The decomposition pass
+    builds one for v = -2 up to isqrt(x), reads every a*n^-2 from it, and
+    lends it to the pipeline's box columns; a column whose n-range it holds
+    reads its residues from it.
     """
 
     v: int
@@ -222,15 +223,6 @@ class ResidueTable:
     def holds(self, n_last: int) -> bool:
         """Whether the values give a*n^v for every n <= n_last."""
         return len(self.values) == self.modulus.q or n_last < len(self.values)
-
-    def values_for(self, v: int, modulus: Modulus, a: int, n_last: int) -> Sequence[int]:
-        """The values, once checked to hold a*n^v (mod q) for every n <= n_last."""
-        q = modulus.q
-        if (v, modulus, a % q) != (self.v, self.modulus, self.a):
-            raise InvariantError(f"{self} does not hold a*n^{v} for a = {a % q} mod {q}")
-        if not self.holds(n_last):
-            raise InvariantError(f"{self} ends below n = {n_last}")
-        return self.values
 
 
 def _residue_window(v: int, modulus: Modulus, a: int, n_first: int, stop: int) -> Sequence[int]:
@@ -280,7 +272,7 @@ def residue_table(v: int, modulus: Modulus, a: int, n_top: int) -> ResidueTable:
 
 def _m_residues(
     u: int, v: int, n_lo: Real, n_hi: Real, modulus: Modulus, a: int,
-    table: ResidueTable | None = None,
+    values: Sequence[int] | None = None,
 ) -> tuple[tuple[list[int], int], ...]:
     """The m-residues of the n in (n_lo, n_hi], as sorted multisets with weights.
 
@@ -291,7 +283,8 @@ def _m_residues(
     weighted by its full periods, and those of its partial period another;
     for u = 2 each root is held once, grouped by the number of n with its c,
     so at most q residues are held.  The c come from one residue window, or
-    from `table` as one or two slices when one is given.
+    as one or two slices of `values` when given: the values of a
+    ResidueTable of a*n^v (mod q) that holds every n of the range.
     """
     q = modulus.q
     a %= q
@@ -299,10 +292,9 @@ def _m_residues(
     n_first = max(math.floor(n_lo), 0) + 1
     periods, partial = divmod(max(math.floor(n_hi) - n_first + 1, 0), q)
     stop = n_first + (q if periods else partial)
-    if table is None:
+    if values is None:
         cs = _residue_window(v, modulus, a, n_first, stop)
     else:
-        values = table.values_for(v, modulus, a, stop - 1)
         i = n_first % q
         j = i + stop - n_first
         cs = values[i:j] if j <= q else values[i:] + values[: j - q]
@@ -389,7 +381,7 @@ class ResidueColumn:
             if t.v < 0 and gcd(t.a, t.modulus.q) == 1:
                 return None
             raise InvariantError(f"{t} ends below n = {n_last}")
-        return _m_residues(self.u, t.v, self.n_lo, self.n_hi, t.modulus, t.a, t)
+        return _m_residues(self.u, t.v, self.n_lo, self.n_hi, t.modulus, t.a, t.values)
 
     def count(self, m_lo: Real, m_hi: Real) -> int:
         t = self.table

@@ -14,14 +14,14 @@ are integers at floor(x) // n^2, accumulated per side of the cutoff, and
 the only division, by phi(q), happens once at the end.
 
 Both stages are indexed by the residue a/n^2 mod q: term n counts the
-class a/n^2, and a box counts the m with m = a/n^2.  Each is computed once,
-in one `ResidueTable` of a/n^2 for n below min(q, isqrt(x) + 1), built by
-batch inversion.  The decomposition pass always reads it at n mod q, so
-for q <= isqrt(x) it computes q residues, not one per n.  In
-`pipeline_report` every box column reads the same table; only the top
-column can reach past it, when q > isqrt(x) + 1, and that column counts
-its boxes from their m side, n^2 = a/m, whose ranges hold at most 8
-integers.
+class a/n^2, and a box counts the m with m = a/n^2.  Each is computed once:
+the decomposition pass builds its Mobius values and one `ResidueTable` of
+a/n^2 for n below min(q, isqrt(x) + 1), by batch inversion, and reads the
+table at n mod q, so for q <= isqrt(x) it computes q residues, not one per
+n.  The pass returns the table, and `pipeline_report` lends it to every box
+column; only the top column can reach past it, when q > isqrt(x) + 1, and
+that column counts its boxes from their m side, n^2 = a/m, whose ranges
+hold at most 8 integers.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from math import isqrt
-from typing import Sequence
 
 from sqflab.arith_core import InvariantError, Modulus, mobius_sieve
 from sqflab.congruence_count import (
@@ -51,12 +49,6 @@ from sqflab.progression_stats import (
     discrepancy,  # noqa: F401  the per-term quantity; perfbench's tracer counts it here
     error_term,
 )
-
-
-@lru_cache(maxsize=8)
-def _mu_prefix(limit: int) -> Sequence[int]:
-    """mu(1..limit) as the sieve's array("b"), cached uncopied; index i holds mu(i+1)."""
-    return mobius_sieve(limit).mu
 
 
 @dataclass(frozen=True)
@@ -78,9 +70,9 @@ def _check_cutoff(x: Real, n0: Real) -> None:
 
 
 def _decompose(
-    x: Real, modulus: Modulus, a: int, n0: Real, table: ResidueTable
-) -> tuple[TailSplit, Fraction]:
-    """The decomposed error split at n0, and the removed main term, in one pass.
+    x: Real, modulus: Modulus, a: int, n0: Real
+) -> tuple[TailSplit, Fraction, ResidueTable]:
+    """The decomposed error split at n0, the removed main term and the head table, in one pass.
 
     Term n of the square-part identity is mu(n) * discrepancy(x/n^2, q, a/n^2)
     for squarefree n <= sqrt(x) coprime to q, and a discrepancy is
@@ -91,15 +83,19 @@ def _decompose(
     the majorization removes.  It divides by phi(q) once, at the end.
     `a` must already be a unit in [0, q).
 
-    The residue a/n^2 of term n is read from `table` at n mod q, whose -1
-    entries mark the n not coprime to q.
+    The pass builds what it reads: the Mobius values up to isqrt(x) first,
+    so that a too-large isqrt(x) is refused before any table, then the table
+    of a/n^2 up to isqrt(x).  The residue of term n is read from it at
+    n mod q, and its -1 entries mark the n not coprime to q.  The table is
+    returned for the box columns, which read the same residues.
     """
     fx = math.floor(x)
     n_max = isqrt(fx)
     n_split = min(math.floor(n0), n_max)
-    mu = _mu_prefix(n_max) if n_max >= 1 else ()
+    mu = mobius_sieve(n_max).mu  # index i holds mu(i + 1)
+    table = residue_table(-2, modulus, a, n_max)
+    residues = table.values
     q = modulus.q
-    residues = table.values_for(-2, modulus, a, n_max)
     sums = []
     last_y = cop_n = 0  # y only falls as n grows: count_coprime once per y
     for first, last in ((1, n_split), (n_split + 1, n_max)):
@@ -122,14 +118,7 @@ def _decompose(
         head=Fraction(head_ap) - Fraction(head_cop, phi),
         tail=Fraction(tail_ap) - Fraction(tail_cop, phi),
     )
-    return split, Fraction(removed, phi)
-
-
-def _head_table(x: Real, modulus: Modulus, a: int) -> ResidueTable:
-    """a/n^2 up to isqrt(x), once the Mobius prefix has refused an isqrt(x) too large."""
-    n_max = isqrt(math.floor(x))
-    _mu_prefix(n_max)
-    return residue_table(-2, modulus, a, n_max)
+    return split, Fraction(removed, phi), table
 
 
 def decompose_error(x: Real, modulus: Modulus, a: int) -> Fraction:
@@ -140,9 +129,7 @@ def decompose_error(x: Real, modulus: Modulus, a: int) -> Fraction:
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    a = _unit_residue(modulus, a)
-    split, _ = _decompose(x, modulus, a, 0, _head_table(x, modulus, a))
-    return split.total
+    return _decompose(x, modulus, _unit_residue(modulus, a), 0)[0].total
 
 
 def tail_split(x: Real, modulus: Modulus, a: int, n0: Real) -> TailSplit:
@@ -153,9 +140,7 @@ def tail_split(x: Real, modulus: Modulus, a: int, n0: Real) -> TailSplit:
     instead of bounded.
     """
     _check_cutoff(x, n0)
-    a = _unit_residue(modulus, a)
-    split, _ = _decompose(x, modulus, a, n0, _head_table(x, modulus, a))
-    return split
+    return _decompose(x, modulus, _unit_residue(modulus, a), n0)[0]
 
 
 def small_m_estimate(m_bound: Real, n_bound: Real, modulus: Modulus) -> float:
@@ -409,12 +394,12 @@ def pipeline_report(
     n0 = default_n0 if n0 is None else float(n0)
     _check_cutoff(x, n0)
 
-    # The table comes first, so its Mobius prefix refuses a too-large isqrt(x)
-    # before the direct route runs.  Only the top column can reach past it;
-    # its m-ranges hold at most 8 integers, so it counts from the m side.
-    table = _head_table(x, modulus, a)
+    # The pass comes first, so its Mobius sieve refuses a too-large isqrt(x)
+    # before the direct route runs.  Every column reads the pass's table;
+    # only the top column can reach past it, and its m-ranges hold at most
+    # 8 integers, so it counts from the m side.
+    split, cross, table = _decompose(x, modulus, a, n0)
     boxes = covering_boxes(x, n0)
-    split, cross = _decompose(x, modulus, a, n0, table)
     direct = error_term(x, modulus, a)
     columns = {
         n_anchor: ResidueColumn(1, n_anchor, 2 * n_anchor, table) for _, n_anchor in boxes

@@ -186,7 +186,6 @@ def sup_box_exponent(
     coeff_n: RationalLike,
     constraints: Sequence[LinearConstraint],
     rho: RationalLike,
-    offset: ExponentForm = ZERO_FORM,
     label: str = "box-supremum",
 ) -> ExponentForm:
     """Maximize coeff_m * m + coeff_n * n over a polygon, in exact rationals.
@@ -241,7 +240,7 @@ def sup_box_exponent(
                 raise UnboundedError(
                     f"objective unbounded along direction ({d_m}, {d_n})"
                 )
-    return best_form.plus(offset, label=best_form.label)
+    return best_form
 
 
 @dataclass(frozen=True)
@@ -260,24 +259,20 @@ class ThetaResult:
 
 
 def compute_theta(
-    terms: Sequence[ExponentForm],
-    target: ExponentForm = EQUIDISTRIBUTION_TARGET,
-    rho_min: RationalLike = Fraction(1, 2),
-    rho_max: RationalLike = Fraction(1),
+    terms: Sequence[ExponentForm], rho_min: RationalLike = Fraction(1, 2)
 ) -> ThetaResult:
-    """sup of the rho for which every term stays at or below the target.
+    """sup of the rho for which every term stays at or below EQUIDISTRIBUTION_TARGET.
 
     All data are linear in rho, so the feasible set is an interval cut out
-    by exact rational endpoints; theta is its upper end (capped at rho_max,
+    by exact rational endpoints; theta is its upper end (capped at rho = 1,
     where the domain itself closes).
     """
     if not terms:
         raise ValueError("need at least one term")
-    rho_min = _frac(rho_min)
-    rho_max = _frac(rho_max)
-    upper = rho_max
+    target = EQUIDISTRIBUTION_TARGET
+    upper = Fraction(1)
     binding: str | None = None
-    lower = rho_min
+    lower = _frac(rho_min)
     for term in terms:
         slope = term.coeff_rho - target.coeff_rho
         room = target.coeff_x - term.coeff_x
@@ -292,7 +287,7 @@ def compute_theta(
             return ThetaResult(
                 theta=None, binding_constraint=term.label, slack_at_theta={}, feasible=False
             )
-    if lower > upper or lower >= rho_max:
+    if lower > upper or lower >= 1:
         return ThetaResult(theta=None, binding_constraint=binding, slack_at_theta={}, feasible=False)
     slack = {
         term.label: target.value_at(upper) - term.value_at(upper) for term in terms
@@ -330,15 +325,14 @@ def anchor_exponents(rho: RationalLike) -> tuple[Fraction, Fraction, bool]:
     return m0, n0, floored
 
 
-def region_constraints(
-    m0: Fraction, n0: Fraction, x_cap: ExponentForm | None = None
-) -> list[LinearConstraint]:
+def region_constraints(m0: Fraction, n0: Fraction) -> list[LinearConstraint]:
     """The exponent-level box region: m >= m0, n >= n0, m + 2n <= 1."""
-    cap = x_cap if x_cap is not None else ExponentForm(Fraction(1), Fraction(0), "volume")
     return [
         lower_bound_m(ExponentForm(m0, Fraction(0), "m-anchor")),
         lower_bound_n(ExponentForm(n0, Fraction(0), "n-anchor")),
-        LinearConstraint(Fraction(1), Fraction(2), cap, "volume-cap"),
+        LinearConstraint(
+            Fraction(1), Fraction(2), ExponentForm(Fraction(1), Fraction(0), "volume"), "volume-cap"
+        ),
     ]
 
 

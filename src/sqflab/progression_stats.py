@@ -53,10 +53,6 @@ class SearchCeilingError(RuntimeError):
     """A bounded scan ran past its ceiling; treat as a bug signal."""
 
 
-def _floor(x: Real) -> int:
-    return math.floor(x)
-
-
 def count_ap(x: Real, q: int, a: int) -> int:
     """#{1 <= m <= x : m = a (mod q)}, exactly.
 
@@ -64,7 +60,7 @@ def count_ap(x: Real, q: int, a: int) -> int:
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    fx = _floor(x)
+    fx = math.floor(x)
     if fx < 1:
         return 0
     a %= q
@@ -77,7 +73,7 @@ def count_ap(x: Real, q: int, a: int) -> int:
 
 def count_coprime(x: Real, modulus: Modulus) -> int:
     """#{1 <= m <= x : gcd(m, q) = 1} via inclusion-exclusion over divisors."""
-    fx = _floor(x)
+    fx = math.floor(x)
     if fx < 1:
         return 0
     total = 0
@@ -226,12 +222,12 @@ def _squarefree_counts(limit: int, modulus: Modulus, a: int) -> tuple[int, int]:
 def squarefree_count_ap(x: Real, modulus: Modulus, a: int) -> int:
     """Exact count of squarefree n <= x in the class a mod q (a must be a unit)."""
     a = _unit_residue(modulus, a)
-    return _squarefree_counts(_floor(x), modulus, a)[0]
+    return _squarefree_counts(math.floor(x), modulus, a)[0]
 
 
 def squarefree_count_coprime(x: Real, modulus: Modulus) -> int:
     """Exact count of squarefree n <= x coprime to q (see _coprime_count)."""
-    limit = _floor(x)
+    limit = math.floor(x)
     return _coprime_count(limit, modulus) if limit >= 1 else 0
 
 
@@ -251,7 +247,7 @@ class ErrorTermResult:
     error: Fraction
 
     def __post_init__(self) -> None:
-        fx = _floor(self.x)
+        fx = math.floor(self.x)
         if not 0 <= self.progression_count <= fx // self.modulus.q + 1:
             raise InvariantError("progression count lies outside [0, x // q + 1]")
         if not self.progression_count <= self.coprime_count <= fx:
@@ -273,7 +269,7 @@ def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     a = _unit_residue(modulus, a)
-    prog, cop = _squarefree_counts(_floor(x), modulus, a)
+    prog, cop = _squarefree_counts(math.floor(x), modulus, a)
     err = Fraction(prog) - Fraction(cop, modulus.phi)
     return ErrorTermResult(
         x=x,

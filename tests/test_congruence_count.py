@@ -380,17 +380,12 @@ def test_a_table_for_another_congruence_or_range_raises():
     assert ResidueColumn(1, 40, 80, table).count(1, 500) == (
         class_count(1, -2, 1, 500, 40, 80, m30, 7)
     )
-    for v, modulus, a in ((-2, m30, 11), (-1, m30, 7), (-2, factor_modulus(210), 7)):
-        with pytest.raises(InvariantError, match="does not hold"):
-            congruence_count._m_residues(1, v, 40, 80, modulus, a, table)
     # A table shorter than q serves the n up to its end only; a column that
     # reaches past it counts from its m side.
     short = residue_table(-2, m3981, 7, 160)
     for n_hi in (160, 161):
         expected = double_loop_oracle(1, -2, 9000, n_hi, 3981, 7, m_lo=1, n_lo=80)
         assert ResidueColumn(1, 80, n_hi, short).count(1, 9000) == expected
-    with pytest.raises(InvariantError, match="ends below n = 161"):
-        congruence_count._m_residues(1, -2, 80, 161, m3981, 7, short)
 
 
 def _per_prime_oracle(v, n_lo, n_hi, q, a, m_top):
@@ -488,7 +483,7 @@ def test_residue_weights_read_a_table_without_pow(monkeypatch):
 
     monkeypatch.setattr(congruence_count, "pow", no_pow, raising=False)
     for (lo, hi), want in zip(ranges, expected):
-        assert congruence_count._m_residues(1, -2, lo, hi, m, 7, table) == want
+        assert congruence_count._m_residues(1, -2, lo, hi, m, 7, table.values) == want
     with pytest.raises(AssertionError, match="pow called"):
         congruence_count._m_residues(1, -2, 40, 80, m, 7)
 

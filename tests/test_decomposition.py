@@ -140,31 +140,8 @@ def decomposition_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_one_pass_against_term_by_term_sum(inputs):
     x, m, a, n0 = inputs
-    split, removed = _decompose(x, m, a, n0, residue_table(-2, m, a, isqrt(math.floor(x))))
+    split, removed, _ = _decompose(x, m, a, n0)
     assert (split.head, split.tail, removed) == decomposition_oracle(x, m, a, n0)
-
-
-@given(decomposition_inputs(), st.sampled_from([0, 1, 400]))
-@settings(max_examples=150, deadline=None)
-def test_one_pass_reads_a_table_like_the_per_n_residues(inputs, reach):
-    # The table ends at isqrt(x), just past it, or past a period of q.
-    x, m, a, n0 = inputs
-    table = residue_table(-2, m, a, isqrt(math.floor(x)) + reach)
-    split, removed = _decompose(x, m, a, n0, table)
-    assert (split.head, split.tail, removed) == decomposition_oracle(x, m, a, n0)
-
-
-def test_one_pass_refuses_a_table_for_another_congruence_or_range():
-    m = factor_modulus(3981)
-    for table in (
-        residue_table(-2, m, 8, 100),
-        residue_table(-1, m, 7, 100),
-        residue_table(-2, factor_modulus(30), 7, 100),
-    ):
-        with pytest.raises(InvariantError, match="does not hold"):
-            _decompose(10**4, m, 7, 5, table)
-    with pytest.raises(InvariantError, match="ends below n = 100"):
-        _decompose(10**4, m, 7, 5, residue_table(-2, m, 7, 99))
 
 
 def test_error_term_decompose_and_tail_split_build_one_table_each(monkeypatch):
@@ -293,18 +270,34 @@ def test_pipeline_raises_on_a_coverage_gap(monkeypatch):
 
 
 def test_pipeline_builds_one_column_per_n_anchor(monkeypatch):
+    # Each column reads the pass's table once where the table holds its
+    # n-range: one full period for q below isqrt(x), the n up to isqrt(x)
+    # for q above it, whose top column counts from its m side instead.
     built = []
     residues = congruence_count._m_residues
     monkeypatch.setattr(
         congruence_count,
         "_m_residues",
-        lambda *args: built.append(args[2:4]) or residues(*args),
+        lambda *args: built.append(args) or residues(*args),
     )
-    m = factor_modulus(3981)
-    rep = pipeline_report(10**8, m, 7)
-    n_anchors = {row.n_anchor for row in rep.boxes}
-    assert len(rep.boxes) > len(n_anchors) > 1
-    assert sorted(built) == sorted((n, 2 * n) for n in n_anchors)
+    x = 10**8
+    full_periods = set()
+    # The default n0 leaves q = 30 a single column, so it gets a lower one.
+    for q, n0 in ((30, 100.0), (3981, None), (1000003, None)):
+        built.clear()
+        rep = pipeline_report(x, factor_modulus(q), 7, n0=n0)
+        n_anchors = {row.n_anchor for row in rep.boxes}
+        assert len(rep.boxes) > len(n_anchors) > 1
+        from_table = [args for args in built if len(args) > 6]
+        held = [n for n in n_anchors if q <= isqrt(x) or math.floor(2 * n) <= isqrt(x)]
+        assert sorted(args[2:4] for args in from_table) == sorted((n, 2 * n) for n in held)
+        # The other calls count the top column's boxes from their m side.
+        assert all(args[:2] == (2, -1) for args in built if len(args) <= 6)
+        for args in from_table:
+            values, n_hi = args[6], args[3]
+            assert len(values) == q or math.floor(n_hi) < len(values)
+            full_periods.add(len(values) == q)
+    assert full_periods == {True, False}
 
 
 @pytest.mark.parametrize("x", [10**6, 10**8])
@@ -390,7 +383,11 @@ def test_pipeline_invariant_failures_raise_invariant_error(monkeypatch, shift, b
     monkeypatch.setattr(
         decomposition_pipeline,
         "_decompose",
-        lambda *a: (TailSplit(head=error + shift, tail=Fraction(0)), Fraction(0)),
+        lambda *a: (
+            TailSplit(head=error + shift, tail=Fraction(0)),
+            Fraction(0),
+            residue_table(-2, m101, 3, 100),
+        ),
     )
     if boxes is not None:
         monkeypatch.setattr(decomposition_pipeline, "covering_boxes", lambda *a: boxes)
@@ -435,11 +432,31 @@ def test_pipeline_rejects_bad_inputs():
 
 def test_pipeline_refuses_a_deep_mobius_prefix_before_the_direct_count(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("the direct route ran first")
+        raise AssertionError("a table or the direct route ran before the refusal")
 
-    monkeypatch.setattr(decomposition_pipeline, "error_term", unreachable)
-    with pytest.raises(ValueError, match="exceeds the Mobius sieve bound"):
-        pipeline_report(10**15, factor_modulus(1000003), 1)
+    sieved = []
+    sieve = decomposition_pipeline.mobius_sieve
+    monkeypatch.setattr(
+        decomposition_pipeline, "mobius_sieve", lambda limit: sieved.append(limit) or sieve(limit)
+    )
+    m = factor_modulus(1000003)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition_pipeline, "error_term", unreachable)
+        patch.setattr(decomposition_pipeline, "residue_table", unreachable)
+        for run in (
+            lambda: pipeline_report(10**15, m, 1),
+            lambda: decompose_error(10**15, m, 1),
+            lambda: tail_split(10**15, m, 1, 10),
+        ):
+            with pytest.raises(ValueError, match="exceeds the Mobius sieve bound"):
+                run()
+    assert sieved == [isqrt(10**15)] * 3
+    # A report that completes sieves once, and so does the next one at the
+    # same x: no cache holds a Mobius prefix between calls.
+    sieved.clear()
+    for _ in range(2):
+        assert pipeline_report(10**6, m, 1).identity_ok
+    assert sieved == [1000, 1000]
 
 
 def test_decompose_counts_the_coprime_integers_once_per_y(monkeypatch):
@@ -450,7 +467,7 @@ def test_decompose_counts_the_coprime_integers_once_per_y(monkeypatch):
         "count_coprime",
         lambda y, modulus: calls.append(y) or count_coprime(y, modulus),
     )
-    split, _ = _decompose(x, m, 1, 100, residue_table(-2, m, 1, isqrt(x)))
+    split, _, _ = _decompose(x, m, 1, 100)
     terms = [n for n in range(1, isqrt(x) + 1) if gcd(n, 3162) == 1 and mobius_oracle(n)]
     assert len(calls) == len(set(calls)) == len({x // (n * n) for n in terms}) == 305
     assert split.total == error_term(x, m, 1).error
