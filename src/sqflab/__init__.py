@@ -16,8 +16,6 @@ from sqflab.arith_core import (
     is_squarefree,
     mobius_segment,
     mobius_sieve,
-    mod_inverse,
-    mod_pow,
     primes_up_to,
     squarefree_flags,
 )

@@ -1,4 +1,4 @@
-"""Exact integer primitives: stride sieves, modulus factorization, modular arithmetic.
+"""Exact integer primitives: stride sieves and modulus factorization.
 
 All values returned here are exact Python integers.  Every sieve is a
 bytearray slice per prime, with primes from one cached table (the largest
@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
 
 # A Mobius window flips its signs once per prime below its end, so its end
@@ -101,23 +101,22 @@ def is_squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SieveWindow:
-    """Mobius values over the integer interval [start, start+length).
+    """Mobius values over the integer interval [start, start+length), length = len(mu).
 
     mu[i] belongs to {-1, 0, +1} and is the Mobius value of start+i; the
     squarefree indicator of start+i is mu[i]**2.
     """
 
     start: int
-    length: int
     mu: Sequence[int]
 
     def __post_init__(self) -> None:
         if self.start < 1:
             raise ValueError("window start must be >= 1")
-        if self.length < 0:
-            raise ValueError("window length must be >= 0")
-        if len(self.mu) != self.length:
-            raise InvariantError("mu must have exactly `length` entries")
+
+    @property
+    def length(self) -> int:
+        return len(self.mu)
 
     @property
     def end(self) -> int:
@@ -134,22 +133,26 @@ class SieveWindow:
 class Modulus:
     """A squarefree modulus with its certificate of squarefreeness.
 
-    The product of prime_factors equals q, which is only possible for
-    squarefree q; phi and omega are the Euler totient and the number of
-    prime factors.
+    The prime factors ascend strictly from above 1 and multiply to q, so no
+    prime divides q twice: q is squarefree.  phi and omega, the Euler
+    totient and the number of prime factors, are read from them.
     """
 
     q: int
     prime_factors: tuple[int, ...]
-    phi: int
-    omega: int
 
     def __post_init__(self) -> None:
-        prod = 1
-        for p in self.prime_factors:
-            prod *= p
-        if prod != self.q:
-            raise InvariantError("prime_factors do not multiply to q")
+        factors = self.prime_factors
+        if any(p >= r for p, r in zip((1,) + factors, factors)) or prod(factors) != self.q:
+            raise InvariantError("prime_factors must ascend strictly and multiply to q")
+
+    @cached_property
+    def phi(self) -> int:
+        return prod(p - 1 for p in self.prime_factors)
+
+    @cached_property
+    def omega(self) -> int:
+        return len(self.prime_factors)
 
     @cached_property
     def crt_basis(self) -> tuple[int, ...]:
@@ -196,10 +199,7 @@ def factor_modulus(q: int) -> Modulus:
         )
     if rest > 1:
         factors.append(rest)
-    phi = 1
-    for p in factors:
-        phi *= p - 1
-    return Modulus(q=q, prime_factors=tuple(factors), phi=phi, omega=len(factors))
+    return Modulus(q=q, prime_factors=tuple(factors))
 
 
 def squarefree_progression(
@@ -278,7 +278,7 @@ def mobius_segment(start: int, length: int) -> SieveWindow:
         i0 = -start % p
         if i0 < length:
             signs[i0::p] = signs[i0::p].translate(_FLIP)
-    return SieveWindow(start=start, length=length, mu=array("b", signs))
+    return SieveWindow(start=start, mu=array("b", signs))
 
 
 def mobius_sieve(limit: int) -> SieveWindow:
@@ -287,23 +287,3 @@ def mobius_sieve(limit: int) -> SieveWindow:
         raise ValueError(f"limit must be >= 1, got {limit}")
     return mobius_segment(1, limit)
 
-
-def mod_inverse(n: int, q: int) -> int:
-    """Multiplicative inverse of n modulo q, in [0, q)."""
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    if q == 1:
-        return 0
-    try:
-        return pow(n, -1, q)
-    except ValueError:
-        raise NotCoprimeError(f"{n} is not invertible modulo {q}") from None
-
-
-def mod_pow(n: int, e: int, q: int) -> int:
-    """n**e modulo q, where a negative e means the inverse raised to |e|."""
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    if e >= 0:
-        return pow(n, e, q)
-    return pow(mod_inverse(n, q), -e, q)

@@ -37,6 +37,7 @@ from sqflab.exponent_calculus import (
     BLEND,
     COROLLARY,
     MENUS,
+    RHO_MIN,
     compute_theta,
     corollary_exponent,
     parse_term_menu,
@@ -329,9 +330,8 @@ def _cmd_optimize(args: argparse.Namespace) -> dict:
         "feasible": result.feasible,
     }
     if result.feasible:
-        if result.theta is None:
-            raise InvariantError("a feasible menu returned no theta")
-        choice = verify_choices(result.theta) if result.theta < 1 else None
+        # The anchor choices are defined for RHO_MIN <= rho < 1 only.
+        choice = verify_choices(result.theta) if RHO_MIN <= result.theta < 1 else None
         payload.update(
             {
                 "theta": str(result.theta),
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="distribution exponent from a term menu")
     p.add_argument("--menu", choices=sorted(MENUS), default="default")
     p.add_argument("--menu-file", default=None, help="custom menu file (label cx crho)")
-    p.add_argument("--rho-min", type=_parse_fraction, default=Fraction(1, 2))
+    p.add_argument("--rho-min", type=_parse_fraction, default=RHO_MIN)
     _add_common_output(p)
     p.set_defaults(func=_cmd_optimize)
 

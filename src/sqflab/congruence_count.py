@@ -89,7 +89,7 @@ def sqrt_mod_prime(c: int, p: int) -> list[int]:
 
 
 def check_root_exponent(u: int) -> None:
-    """Reject a root exponent that power_roots does not solve (u outside {1, 2})."""
+    """Reject a root exponent that the counts do not solve (u outside {1, 2})."""
     if u not in (1, 2):
         raise ValueError(f"unsupported exponent u={u}; only u in {{1, 2}} is implemented")
 
@@ -97,23 +97,20 @@ def check_root_exponent(u: int) -> None:
 def power_roots(
     c: int,
     modulus: Modulus,
-    u: int,
     prime_roots: Sequence[Sequence[int] | None] | None = None,
 ) -> list[int]:
-    """All residues x mod q with x**u = c (mod q), for u in {1, 2}, in no particular order.
+    """All residues x mod q with x*x = c (mod q), in no particular order.
 
-    Squarefree q lets the u = 2 case reduce to one square root per prime
-    factor, recombined through the Chinese remainder basis.  The primes are
-    tried smallest first, so a non-residue mod any of them returns early.
-    The roots mod p come from the table for p in `prime_roots` (built by
-    _prime_roots) where it has one, and from sqrt_mod_prime otherwise.
-    Exponents u >= 3 are outside the supported surface and raise.
+    Only square roots are solved here: the u = 1 count reads its one root,
+    c itself, directly.  Squarefree q reduces them to one square root per
+    prime factor, recombined through the Chinese remainder basis.  The
+    primes are tried smallest first, so a non-residue mod any of them
+    returns early.  The roots mod p come from the table for p in
+    `prime_roots` (built by _prime_roots) where it has one, and from
+    sqrt_mod_prime otherwise.
     """
     q = modulus.q
     c %= q
-    if u != 2:
-        check_root_exponent(u)  # so u = 1, whose one root is c
-        return [c]
     if q == 1:
         return [0]
     per_prime = []
@@ -284,8 +281,10 @@ def _m_residues(
     for u = 2 each root is held once, grouped by the number of n with its c,
     so at most q residues are held.  The c come from one residue window, or
     as one or two slices of `values` when given: the values of a
-    ResidueTable of a*n^v (mod q) that holds every n of the range.
+    ResidueTable of a*n^v (mod q) that holds every n of the range.  A u
+    outside {1, 2} is refused before any n is read.
     """
+    check_root_exponent(u)
     q = modulus.q
     a %= q
     # Integers in (n_lo, n_hi] are floor(n_lo)+1 .. floor(n_hi).
@@ -309,7 +308,7 @@ def _m_residues(
         buckets = defaultdict(list)
         for c, k in counts.items():
             buckets[k * (periods or 1) + head_counts.get(c, 0)] += power_roots(
-                c, modulus, u, prime_roots
+                c, modulus, prime_roots
             )
         del counts, prime_roots  # freed before the roots are sorted
         sets = tuple((roots, w) for w, roots in buckets.items())
@@ -446,9 +445,12 @@ class SymmetryCheck:
     """Pair of counts related by swapping box orientation and exponents."""
 
     query: BoxQuery
-    mirrored: BoxQuery
     count: int
     mirrored_count: int
+
+    @property
+    def mirrored(self) -> BoxQuery:
+        return self.query.mirror
 
     @property
     def equal(self) -> bool:
@@ -462,12 +464,10 @@ def check_symmetry(query: BoxQuery, count: int | None = None) -> SymmetryCheck:
     reporting.  A caller already holding count_box(query) passes it as
     `count`, so only the mirror is counted.
     """
-    mirrored = query.mirror
     return SymmetryCheck(
         query=query,
-        mirrored=mirrored,
         count=count_box(query) if count is None else count,
-        mirrored_count=count_box(mirrored),
+        mirrored_count=count_box(query.mirror),
     )
 
 
@@ -552,22 +552,17 @@ def evaluate_bounds(
     )
 
 
-def geometric_grid(
-    q: int,
-    lo_exponent: float = 1 - _AMP_RANGE,
-    hi_exponent: float = _AMP_RANGE,
-    ratio: float = 2.0,
-) -> list[tuple[float, float]]:
-    """(M, N) lattice with both sides running over q^lo..q^hi geometrically.
+def geometric_grid(q: int, ratio: float = 2.0) -> list[tuple[float, float]]:
+    """(M, N) lattice with both sides running geometrically by `ratio`.
 
-    By default the sides run up to the amplification range and down as far
-    below sqrt(q) as that is above it.
+    The sides run up to the amplification range q^AMPLIFICATION_RANGE and
+    down as far below sqrt(q) as that is above it.
     """
     if ratio <= 1:
         raise ValueError("ratio must exceed 1")
     sides = []
-    side = q**lo_exponent
-    top = q**hi_exponent
+    side = q ** (1 - _AMP_RANGE)
+    top = q**_AMP_RANGE
     while side <= top * (1 + 1e-12):
         sides.append(side)
         side *= ratio
@@ -575,17 +570,11 @@ def geometric_grid(
 
 
 def scan_boxes(
-    modulus: Modulus,
-    a: int,
-    boxes: Iterable[tuple[Real, Real]],
-    u: int = 1,
-    v: int = -2,
-    alpha: Fraction = BLEND.alpha,
-    dyadic: bool = False,
+    modulus: Modulus, a: int, boxes: Iterable[tuple[Real, Real]]
 ) -> list[tuple[BoxQuery, BoundReport]]:
-    """Evaluate bounds over a grid of boxes, ordered by (M, N)."""
+    """Evaluate bounds over a grid of boxes [1, M] x [1, N] of m*n^2 = a, ordered by (M, N)."""
     rows = []
     for m_bound, n_bound in sorted(boxes):
-        query = BoxQuery(u, v, m_bound, n_bound, modulus, a, dyadic)
-        rows.append((query, evaluate_bounds(query, alpha)))
+        query = BoxQuery(1, -2, m_bound, n_bound, modulus, a)
+        rows.append((query, evaluate_bounds(query)))
     return rows

@@ -74,10 +74,12 @@ ZERO_FORM = ExponentForm(Fraction(0), Fraction(0), "one")
 # The analysis exponents, read by every other module; BLEND, DEFAULT_MENU,
 # THETA and COROLLARY are derived from them below.  AMPLIFICATION_MN is
 # (e, f) of the amplification bound M^e * N^f, whose swap is the other
-# orientation; it holds for M <= q^AMPLIFICATION_RANGE.  The anchors are
-# the sizes of m0 and n0 up to their constant factor 2.
+# orientation; it holds for M <= q^AMPLIFICATION_RANGE.  RHO_MIN is the
+# lower end of the rho domain on which the anchor choices are defined.
+# The anchors are the sizes of m0 and n0 up to their constant factor 2.
 AMPLIFICATION_MN = (Fraction(2, 3), Fraction(1, 4))
 AMPLIFICATION_RANGE = Fraction(3, 4)
+RHO_MIN = Fraction(1, 2)
 M_ANCHOR = ExponentForm(Fraction(1), Fraction(-3, 2), "m-anchor")
 N_ANCHOR = ExponentForm(Fraction(1, 2), Fraction(-3, 8), "n-anchor")
 EQUIDISTRIBUTION_TARGET = ExponentForm(Fraction(1), Fraction(-1), "equidistribution-target")
@@ -144,13 +146,13 @@ class LinearConstraint:
         object.__setattr__(self, "coeff_n", _frac(self.coeff_n))
 
 
-def lower_bound_m(form: ExponentForm, label: str = "") -> LinearConstraint:
+def lower_bound_m(form: ExponentForm) -> LinearConstraint:
     """m >= form, written as -m <= -form."""
-    return LinearConstraint(Fraction(-1), Fraction(0), form.scaled(-1), label or "m-floor")
+    return LinearConstraint(Fraction(-1), Fraction(0), form.scaled(-1), "m-floor")
 
 
-def lower_bound_n(form: ExponentForm, label: str = "") -> LinearConstraint:
-    return LinearConstraint(Fraction(0), Fraction(-1), form.scaled(-1), label or "n-floor")
+def lower_bound_n(form: ExponentForm) -> LinearConstraint:
+    return LinearConstraint(Fraction(0), Fraction(-1), form.scaled(-1), "n-floor")
 
 
 def _vertex_forms(
@@ -186,7 +188,6 @@ def sup_box_exponent(
     coeff_n: RationalLike,
     constraints: Sequence[LinearConstraint],
     rho: RationalLike,
-    label: str = "box-supremum",
 ) -> ExponentForm:
     """Maximize coeff_m * m + coeff_n * n over a polygon, in exact rationals.
 
@@ -227,7 +228,7 @@ def sup_box_exponent(
                 best_value = value
                 best_form = m_form.scaled(coeff_m).plus(
                     n_form.scaled(coeff_n),
-                    label=f"{label}[{constraints[i].label or i}&{constraints[j].label or j}]",
+                    label=f"box-supremum[{constraints[i].label or i}&{constraints[j].label or j}]",
                 )
     if best_form is None:
         raise InfeasibleError("constraint region is empty or has no vertex")
@@ -249,17 +250,20 @@ class ThetaResult:
 
     For every rho strictly below theta, each term exponent sits strictly
     below the target's; slack_at_theta records the per-term gap at theta
-    itself (zero for the binding term).
+    itself (zero for the binding term).  An infeasible menu has no theta.
     """
 
     theta: Fraction | None
     binding_constraint: str | None
     slack_at_theta: dict[str, Fraction]
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.theta is not None
 
 
 def compute_theta(
-    terms: Sequence[ExponentForm], rho_min: RationalLike = Fraction(1, 2)
+    terms: Sequence[ExponentForm], rho_min: RationalLike = RHO_MIN
 ) -> ThetaResult:
     """sup of the rho for which every term stays at or below EQUIDISTRIBUTION_TARGET.
 
@@ -284,11 +288,9 @@ def compute_theta(
         elif slope < 0:
             lower = max(lower, room / slope)
         elif room < 0:
-            return ThetaResult(
-                theta=None, binding_constraint=term.label, slack_at_theta={}, feasible=False
-            )
+            return ThetaResult(theta=None, binding_constraint=term.label, slack_at_theta={})
     if lower > upper or lower >= 1:
-        return ThetaResult(theta=None, binding_constraint=binding, slack_at_theta={}, feasible=False)
+        return ThetaResult(theta=None, binding_constraint=binding, slack_at_theta={})
     slack = {
         term.label: target.value_at(upper) - term.value_at(upper) for term in terms
     }
@@ -296,7 +298,6 @@ def compute_theta(
         theta=upper,
         binding_constraint=binding if binding is not None else "rho-domain-cap",
         slack_at_theta=slack,
-        feasible=True,
     )
 
 
@@ -368,8 +369,8 @@ def verify_choices(rho: RationalLike) -> ChoiceReport:
     the threshold inequalities; at exponent level they appear as >=.
     """
     rho = _frac(rho)
-    if not Fraction(1, 2) <= rho < 1:
-        raise ValueError(f"rho must lie in [1/2, 1), got {rho}")
+    if not RHO_MIN <= rho < 1:
+        raise ValueError(f"rho must lie in [{RHO_MIN}, 1), got {rho}")
     m0, n0, floored = anchor_exponents(rho)
     amp = AMPLIFICATION_RANGE * rho
     amp_label = f"{AMPLIFICATION_RANGE.numerator}*rho/{AMPLIFICATION_RANGE.denominator}"
@@ -427,7 +428,7 @@ COROLLARY = corollary_exponent(THETA)
 # available, so the box supremum is its maximum over m >= 0, n >= N_ANCHOR,
 # m + 2n <= 1 and m <= AMPLIFICATION_RANGE * rho.  The maximum sits where
 # the last three facets meet, (3*rho/4, 1/2-3*rho/8) at every rho, so the
-# form found at rho = 1/2 holds on the whole domain.  The cross term
+# form found at rho = RHO_MIN holds on the whole domain.  The cross term
 # x/(n0*q) over the n-anchor is kept.  This is an exploratory reproduction
 # attempt; it tops out at 28/45, short of the 9/13 known from a different
 # argument.
@@ -439,7 +440,7 @@ _ONE_SIDED_BOX = sup_box_exponent(
         LinearConstraint(1, 2, ExponentForm(1, 0), "volume-cap"),
         LinearConstraint(1, 0, ExponentForm(0, AMPLIFICATION_RANGE), "amplification-range"),
     ],
-    Fraction(1, 2),
+    RHO_MIN,
 )
 ONE_SIDED_MENU: tuple[ExponentForm, ...] = (
     ExponentForm(_ONE_SIDED_BOX.coeff_x, _ONE_SIDED_BOX.coeff_rho, "box-supremum-one-sided"),

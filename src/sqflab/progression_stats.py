@@ -204,25 +204,16 @@ def _coprime_count(limit: int, modulus: Modulus) -> int:
     return count(limit)
 
 
-def _squarefree_counts(limit: int, modulus: Modulus, a: int) -> tuple[int, int]:
-    """(class count, coprime count) of squarefree n <= limit, a a unit.
-
-    Neither count uses Mobius values or decomposition code, which keeps
-    this route independent of the one it is checked against.  For q = 1
-    the one class holds every n, so the class count is the coprime count.
-    """
-    if limit < 1:
-        return 0, 0
-    coprime = _coprime_count(limit, modulus)
-    if modulus.q == 1:
-        return coprime, coprime
-    return _class_count(limit, modulus.q, a), coprime
-
-
 def squarefree_count_ap(x: Real, modulus: Modulus, a: int) -> int:
-    """Exact count of squarefree n <= x in the class a mod q (a must be a unit)."""
+    """Exact count of squarefree n <= x in the class a mod q (a must be a unit).
+
+    For q = 1 the one class holds every n, so it is the coprime count.
+    """
     a = _unit_residue(modulus, a)
-    return _squarefree_counts(math.floor(x), modulus, a)[0]
+    limit = math.floor(x)
+    if limit < 1:
+        return 0
+    return _coprime_count(limit, modulus) if modulus.q == 1 else _class_count(limit, modulus.q, a)
 
 
 def squarefree_count_coprime(x: Real, modulus: Modulus) -> int:
@@ -269,7 +260,11 @@ def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     a = _unit_residue(modulus, a)
-    prog, cop = _squarefree_counts(math.floor(x), modulus, a)
+    limit = math.floor(x)
+    # Neither count uses Mobius values or decomposition code, which keeps
+    # this route independent of the one it is checked against.
+    cop = _coprime_count(limit, modulus)
+    prog = cop if modulus.q == 1 else _class_count(limit, modulus.q, a)
     err = Fraction(prog) - Fraction(cop, modulus.phi)
     return ErrorTermResult(
         x=x,

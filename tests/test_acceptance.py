@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sqflab.arith_core import factor_modulus, mobius_segment, mobius_sieve, mod_pow
+from sqflab.arith_core import factor_modulus, mobius_segment, mobius_sieve
 from sqflab.congruence_count import BoxQuery, count_box, geometric_grid, scan_boxes
 from sqflab.decomposition_pipeline import decompose_error, pipeline_report
 from sqflab.exponent_calculus import (
@@ -86,7 +86,7 @@ def _oracle(u, v, m_hi, n_hi, q, a):
     for n in range(1, math.floor(n_hi) + 1):
         if v < 0 and gcd(n, q) != 1:
             continue
-        rhs.append(a * mod_pow(n, v, q) % q)
+        rhs.append(a * pow(n, v, q) % q)
     total = 0
     for t in rhs:
         for s in lhs:

@@ -1,4 +1,4 @@
-"""Sieve and modular-arithmetic correctness against independent oracles."""
+"""Sieve and modulus correctness against independent oracles."""
 
 import random
 from math import gcd, isqrt, prod
@@ -11,15 +11,12 @@ from sqflab import arith_core
 from sqflab.arith_core import (
     InvariantError,
     Modulus,
-    NotCoprimeError,
     NotSquarefreeError,
     SieveWindow,
     factor_modulus,
     is_squarefree,
     mobius_segment,
     mobius_sieve,
-    mod_inverse,
-    mod_pow,
     primes_up_to,
     squarefree_flags,
     squarefree_progression,
@@ -132,10 +129,7 @@ def test_window_bounds_checks():
     with pytest.raises(IndexError):
         w.mu_at(11)
     with pytest.raises(ValueError):
-        SieveWindow(start=0, length=1, mu=[1])
-    # mobius_segment is the only builder in the package: a wrong length is a bug.
-    with pytest.raises(InvariantError):
-        SieveWindow(start=1, length=2, mu=[1])
+        SieveWindow(start=0, mu=[1])
 
 
 def test_squarefree_flags_agree_with_mu():
@@ -218,9 +212,11 @@ def test_factor_modulus_examples():
         factor_modulus(12)
     with pytest.raises(ValueError):
         factor_modulus(0)
-    # factor_modulus is the only builder in the package: a wrong product is a bug.
-    with pytest.raises(InvariantError, match="do not multiply to q"):
-        Modulus(q=30, prime_factors=(2, 3), phi=2, omega=2)
+    # factor_modulus is the only builder in the package: factors that are not
+    # strictly ascending, or do not multiply to q, are a bug.
+    for q, factors in ((30, (2, 3)), (30, (3, 2, 5)), (30, (2, 3, 5, 1)), (4, (2, 2))):
+        with pytest.raises(InvariantError, match="ascend strictly and multiply to q"):
+            Modulus(q=q, prime_factors=factors)
 
 
 def test_factor_modulus_stops_trial_division_at_the_sieve_bound(monkeypatch):
@@ -260,38 +256,3 @@ def test_factor_modulus_phi_against_unit_count():
 def test_is_squarefree_against_oracle():
     for n in range(1, 4000):
         assert is_squarefree(n) == (mobius_oracle(n) != 0), n
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 97) == 1
-    assert mod_inverse(2, 7) == 4
-    assert mod_inverse(5, 1) == 0
-    with pytest.raises(NotCoprimeError):
-        mod_inverse(6, 9)
-
-
-def test_mod_pow_examples():
-    assert mod_pow(3, -2, 7) == 4  # inv(3)=5, 25 mod 7
-    assert mod_pow(12345, 0, 97) == 1
-    assert mod_pow(10, 2, 7) == 2
-    with pytest.raises(NotCoprimeError):
-        mod_pow(6, -1, 9)
-
-
-@given(
-    n=st.integers(min_value=-50, max_value=50),
-    e=st.integers(min_value=-6, max_value=6),
-    q=st.integers(min_value=1, max_value=60),
-)
-@settings(max_examples=200, deadline=None)
-def test_mod_pow_matches_inverse_convention(n, e, q):
-    if e < 0 and gcd(n, q) != 1:
-        with pytest.raises(NotCoprimeError):
-            mod_pow(n, e, q)
-        return
-    got = mod_pow(n, e, q)
-    if e >= 0:
-        assert got == pow(n, e, q)
-    else:
-        assert got * pow(n, -e, q) % q == 1 % q

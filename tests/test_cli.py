@@ -79,7 +79,7 @@ def test_identity_violation_is_exit_3(capsys, monkeypatch):
 
 def test_symmetry_violation_is_exit_3(tmp_path, capsys, monkeypatch):
     def off_by_one(query, count):
-        return congruence_count.SymmetryCheck(query, query.mirror, count, count + 1)
+        return congruence_count.SymmetryCheck(query, count, count + 1)
 
     monkeypatch.setattr(cli_runner, "check_symmetry", off_by_one)
     target = tmp_path / "box.json"
@@ -101,7 +101,8 @@ def test_symmetry_violation_is_exit_3(tmp_path, capsys, monkeypatch):
 def test_count_over_its_cap_is_exit_3(capsys, monkeypatch, counts, message):
     from sqflab import progression_stats
 
-    monkeypatch.setattr(progression_stats, "_squarefree_counts", lambda *a: counts)
+    monkeypatch.setattr(progression_stats, "_class_count", lambda *a: counts[0])
+    monkeypatch.setattr(progression_stats, "_coprime_count", lambda *a: counts[1])
     code, out, err = run_cli(capsys, "error-term", "--x", "30", "--q", "5", "--a", "1")
     assert (code, out) == (3, "")
     assert f"internal error: {message}" in err
@@ -580,6 +581,18 @@ def test_optimize_menu_file(tmp_path, capsys):
     assert err.startswith("error: line 2: ")
 
 
+def test_optimize_theta_below_the_anchor_domain(tmp_path, capsys):
+    # The anchor choices are defined on [1/2, 1) only; a theta below it is
+    # reported with no anchor checks, as one at 1 or above is.
+    menu = tmp_path / "menu.txt"
+    menu.write_text("t 3/5 0\n")
+    code, out, err = run_cli(capsys, "optimize", "--menu-file", str(menu), "--rho-min", "1/4")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["theta"], payload["anchor_checks"]) == ("2/5", None)
+    assert payload["corollary_exponent"] == "5/2"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(
@@ -654,7 +667,7 @@ def test_main_writes_each_result_once_and_nothing_on_failure(capsys, monkeypatch
     monkeypatch.setattr(cli_runner, "decompose_error", lambda *a, **k: Fraction(1, 7))
     monkeypatch.setattr(
         cli_runner, "check_symmetry",
-        lambda query, count: congruence_count.SymmetryCheck(query, query.mirror, count, 0),
+        lambda query, count: congruence_count.SymmetryCheck(query, count, 0),
     )
 
     def violated(*args, **kwargs):

@@ -16,7 +16,6 @@ from sqflab.arith_core import (
     Modulus,
     NotCoprimeError,
     factor_modulus,
-    mod_pow,
 )
 from sqflab.congruence_count import (
     BoxQuery,
@@ -43,7 +42,7 @@ def double_loop_oracle(u, v, m_hi, n_hi, q, a, m_lo=0, n_lo=0):
     for n in range(math.floor(n_lo) + 1, math.floor(n_hi) + 1):
         if v < 0 and gcd(n, q) != 1:
             continue
-        rhs = a * mod_pow(n, v, q) % q
+        rhs = a * pow(n, v, q) % q
         for m in range(math.floor(m_lo) + 1, math.floor(m_hi) + 1):
             if pow(m, u, q) == rhs:
                 total += 1
@@ -75,14 +74,15 @@ def test_sqrt_mod_prime_exhaustive():
 def test_power_roots_against_brute_force():
     for m in squarefree_moduli(100):
         for c in range(min(m.q, 25)):
-            assert power_roots(c, m, 1) == [c]
             expected = sorted(x for x in range(m.q) if x * x % m.q == c % m.q)
-            assert sorted(power_roots(c, m, 2)) == expected, (c, m.q)
+            assert sorted(power_roots(c, m)) == expected, (c, m.q)
 
 
-def test_power_roots_rejects_higher_exponents():
-    with pytest.raises(ValueError):
-        power_roots(1, factor_modulus(7), 3)
+def test_class_count_rejects_higher_exponents():
+    # Refused on every n-range, the empty one included, before any root is solved.
+    for n_hi in (0, 1, 10):
+        with pytest.raises(ValueError, match="unsupported exponent u=3"):
+            class_count(3, -2, 0, 10, 0, n_hi, factor_modulus(7), 1)
 
 
 def _primes_below(n):
@@ -108,8 +108,8 @@ def test_prime_roots_match_sqrt_mod_prime_on_every_residue_below_3000(monkeypatc
             squares[x * x % p].append(x)
         assert list(swept) == [roots[0] if roots else -1 for roots in squares]
         for c, expected in enumerate(squares):
-            solved = sorted(power_roots(c, modulus, 2, tables["solve"]))
-            assert sorted(power_roots(c, modulus, 2, tables["sweep"])) == solved == expected, (c, p)
+            solved = sorted(power_roots(c, modulus, tables["solve"]))
+            assert sorted(power_roots(c, modulus, tables["sweep"])) == solved == expected, (c, p)
 
 
 def test_prime_roots_sweep_a_prime_up_to_16_times_the_c():
@@ -454,7 +454,7 @@ def test_u2_multisets_hold_each_root_once(monkeypatch, u, v, n_lo, n_hi, q, a):
     assert len(roots) == len(set(roots)) <= q
     if n_hi - n_lo <= 6000:
         hits = sum(
-            len(power_roots(a * mod_pow(n, v, q), modulus, u))
+            len(power_roots(a * pow(n, v, q), modulus))
             for n in range(n_lo + 1, n_hi + 1)
             if v > 0 or gcd(n, q) == 1
         )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab import congruence_count, decomposition_pipeline
-from sqflab.arith_core import InvariantError, factor_modulus, mod_pow
+from sqflab.arith_core import InvariantError, factor_modulus
 from sqflab.congruence_count import BoxQuery, count_dyadic, evaluate_bounds, residue_table
 from sqflab.decomposition_pipeline import (
     TailSplit,
@@ -102,7 +102,7 @@ def decomposition_oracle(x, m, a, n0):
         mu = mobius_oracle(n)
         if mu == 0 or gcd(n, m.q) != 1:
             continue
-        term = mu * discrepancy(Fraction(x) / (n * n), m, a * mod_pow(n, -2, m.q))
+        term = mu * discrepancy(Fraction(x) / (n * n), m, a * pow(n, -2, m.q))
         if n <= n0:
             tail += term
         else:

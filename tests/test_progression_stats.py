@@ -207,9 +207,9 @@ def test_sublinear_route_against_trial_division(x, q, a, pick, shift):
         mp.setattr(arith_core, "_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", 0)
         progression_stats._coprime_count.cache_clear()
-        assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
+        assert (squarefree_count_ap(x, m, a), squarefree_count_coprime(x, m)) == (want_ap, want_cop)
         # Cached coprime count: the class alone is counted, or nothing.
-        assert progression_stats._squarefree_counts(x, m, a) == (want_ap, want_cop)
+        assert (squarefree_count_ap(x, m, a), squarefree_count_coprime(x, m)) == (want_ap, want_cop)
         assert squarefree_count_coprime(x, m) == want_cop
 
 
@@ -319,7 +319,7 @@ def test_long_segments_against_a_plain_sieve(q, monkeypatch, fresh_coprime_cache
     want_cop = sum(1 for n in range(1, x + 1) if squarefree[n] and gcd(n, q) == 1)
     for a in (1, q - 1):
         want_ap = sum(1 for n in range(a % q or q, x + 1, q) if squarefree[n])
-        assert progression_stats._squarefree_counts(x, m, a % q) == (want_ap, want_cop)
+        assert (squarefree_count_ap(x, m, a % q), squarefree_count_coprime(x, m)) == (want_ap, want_cop)
 
 
 def test_flag_windows_above_the_cache_stay_within_t(monkeypatch, fresh_coprime_cache):
