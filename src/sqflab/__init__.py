@@ -25,6 +25,7 @@ from sqflab.progression_stats import (
     count_coprime,
     discrepancy,
     error_term,
+    error_terms,
     least_squarefree,
     reference_ratio,
     squarefree_count_ap,

@@ -57,6 +57,36 @@ def primes_up_to(n: int) -> list[int]:
     return list(_primes(n)) if n >= 2 else []
 
 
+# Bases of a Miller-Rabin test that is exact below 3.1 * 10^23.
+_WITNESSES = tuple(primes_up_to(37))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the 12 primes up to 37: deterministic below 3.1 * 10^23.
+
+    The least composite that passes is 318665857834031151167461, above
+    every factor factor_modulus can return (a trial divisor, or a cofactor
+    below MOBIUS_SIEVE_MAX^2); above it a pass means a strong probable prime.
+    """
+    if n < 2:
+        return False
+    if n % 2 == 0 or n in _WITNESSES:
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _WITNESSES:
+        y = pow(b, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 _prime_cache: dict[int, array] = {}
 
 
@@ -133,8 +163,8 @@ class SieveWindow:
 class Modulus:
     """A squarefree modulus with its certificate of squarefreeness.
 
-    The prime factors ascend strictly from above 1 and multiply to q, so no
-    prime divides q twice: q is squarefree.  phi and omega, the Euler
+    The factors ascend strictly, multiply to q and each pass _is_prime, so
+    no prime divides q twice: q is squarefree.  phi and omega, the Euler
     totient and the number of prime factors, are read from them.
     """
 
@@ -145,6 +175,9 @@ class Modulus:
         factors = self.prime_factors
         if any(p >= r for p, r in zip((1,) + factors, factors)) or prod(factors) != self.q:
             raise InvariantError("prime_factors must ascend strictly and multiply to q")
+        for p in factors:
+            if not _is_prime(p):
+                raise InvariantError(f"prime factor {p} of {self.q} is not prime")
 
     @cached_property
     def phi(self) -> int:

@@ -43,7 +43,7 @@ from sqflab.exponent_calculus import (
     parse_term_menu,
     verify_choices,
 )
-from sqflab.progression_stats import _unit_residue, error_term, least_squarefree
+from sqflab.progression_stats import _unit_residue, error_term, error_terms, least_squarefree
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -196,15 +196,27 @@ def _scan_classes(
 def _scan_rows(
     task: tuple[int, Modulus, list[tuple[int, int, float]]],
 ) -> list[tuple]:
-    """The rows of one (x, q), ascending in a."""
+    """The rows of one (x, q), ascending in a.
+
+    When the classes are every unit of q > 1, their counts, read from the
+    flags at stride q, must sum to the coprime count from the Legendre
+    recursion.
+    """
     x, modulus, classes = task
+    results = error_terms(x, modulus, [a for a, _, _ in classes])
+    if modulus.q > 1 and len(results) == modulus.phi:
+        total = sum(res.progression_count for res in results)
+        coprime = results[0].coprime_count
+        if total != coprime:
+            raise InvariantError(
+                f"class counts of q = {modulus.q} at x = {x} sum to {total}, "
+                f"not to the coprime count {coprime}"
+            )
     rows = []
-    for a, n_qa, corollary in classes:
-        res = error_term(x, modulus, a)
-        ratio = res.reference_ratio
+    for res, (a, n_qa, corollary) in zip(results, classes):
         counts = (res.progression_count, res.coprime_count)
         error = (res.error.numerator, res.error.denominator)
-        rows.append((x, modulus.q, a, *counts, *error, ratio, n_qa, corollary))
+        rows.append((x, modulus.q, a, *counts, *error, res.reference_ratio, n_qa, corollary))
     return rows
 
 

@@ -5,10 +5,11 @@ downstream identity checks require exact equality.  The only floating-point
 output here is the monitoring ratio against the classical square-root
 error envelope.
 
-`error_term` counts the class a mod q and the squarefree n <= x coprime to
-q.  The class count has two routes.  For x <= 2^22 it reads one cached
-flag prefix of [1, x] at stride q.  Above 2^22 it counts the flags of
-only the progression n = a + q*k, about x / q bytes, which arith_core's
+`error_terms` counts the classes a mod q of a list of residues and the
+squarefree n <= x coprime to q.  The class counts have two routes.  For
+x <= 2^22 they read one cached flag prefix of [1, x] at stride q, block by
+block for every class at once.  Above 2^22 they count the flags of only
+each progression n = a + q*k, about x / q bytes, which arith_core's
 squarefree_progression sieves segment by segment.  The coprime count S has
 one route at every x (`_coprime_count`): every n coprime to q is d^2
 times a squarefree number in exactly one way, so S(y) is the count of
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Iterable, Sequence
 from zlib import adler32
 
 from sqflab.arith_core import (
@@ -47,6 +48,8 @@ from sqflab.exponent_calculus import COROLLARY
 Real = int | float | Fraction
 
 _FLAG_CACHE_MAX = 1 << 22
+# Flags of one block of the class count: half of a 2 MiB L2 cache.
+_BLOCK = 1 << 20
 
 
 class SearchCeilingError(RuntimeError):
@@ -110,6 +113,8 @@ _ADLER_RUN = 1 << 15
 
 def _ones(flags: bytes | bytearray) -> int:
     """Set flags in flags, counted in place by adler32 over short runs."""
+    if len(flags) <= _ADLER_RUN:
+        return (adler32(flags) & 0xFFFF) - 1
     view = memoryview(flags)
     return sum(
         (adler32(view[i : i + _ADLER_RUN]) & 0xFFFF) - 1
@@ -125,17 +130,31 @@ def _unit_residue(modulus: Modulus, a: int) -> int:
     return a
 
 
-def _class_count(limit: int, q: int, a: int) -> int:
-    """Squarefree n <= limit with n = a (mod q), a a unit, q > 1.
+def _class_counts(limit: int, q: int, residues: Sequence[int]) -> list[int]:
+    """Squarefree n <= limit with n = a (mod q), for each unit a of residues; q > 1.
 
-    Up to _FLAG_CACHE_MAX the class is read off the cached flags at stride
-    q.  Above it only the progression n = a + q*k is sieved (a >= 1 and
-    gcd(a, q) = 1, as q > 1 and a is a unit), segment by segment through
-    squarefree_progression.
+    Up to _FLAG_CACHE_MAX every class is read off the one cached flag prefix
+    at stride q.  A class of at most _BLOCK // 64 members lies on at most
+    _BLOCK bytes of 64-byte cache lines, which stay in cache from one
+    residue to the next, so it is read in one slice.  A longer class is read
+    block by block: the prefix is cut into blocks of _BLOCK // q whole rows
+    of q flags, and every class takes its slice of a block while the block
+    is in cache.  Above the cache only each progression n = a + q*k is
+    sieved (a >= 1 and gcd(a, q) = 1, as q > 1 and a is a unit), segment by
+    segment through squarefree_progression.
     """
-    if limit <= _FLAG_CACHE_MAX:
-        return _ones(_flag_prefix(limit)[(a - 1) % q :: q])
-    return sum(map(_ones, squarefree_progression(a, q, (limit - a) // q + 1)))
+    if limit > _FLAG_CACHE_MAX:
+        return [
+            sum(map(_ones, squarefree_progression(a, q, (limit - a) // q + 1)))
+            for a in residues
+        ]
+    flags = _flag_prefix(limit)
+    offsets = [(a - 1) % q for a in residues]
+    step = _BLOCK // q * q if limit // q > _BLOCK // 64 else limit
+    counts = [0] * len(offsets)
+    for start in range(0, limit, step):
+        counts = [c + _ones(flags[start + i : start + step : q]) for c, i in zip(counts, offsets)]
+    return counts
 
 
 @lru_cache(maxsize=64)
@@ -213,7 +232,9 @@ def squarefree_count_ap(x: Real, modulus: Modulus, a: int) -> int:
     limit = math.floor(x)
     if limit < 1:
         return 0
-    return _coprime_count(limit, modulus) if modulus.q == 1 else _class_count(limit, modulus.q, a)
+    if modulus.q == 1:
+        return _coprime_count(limit, modulus)
+    return _class_counts(limit, modulus.q, (a,))[0]
 
 
 def squarefree_count_coprime(x: Real, modulus: Modulus) -> int:
@@ -255,25 +276,37 @@ class ErrorTermResult:
         return abs(float(self.error)) / (math.sqrt(float(self.x) / q) + math.sqrt(q))
 
 
-def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
-    """Exact error of the squarefree count in a progression against the coprime average."""
+def error_terms(x: Real, modulus: Modulus, residues: Iterable[int]) -> list[ErrorTermResult]:
+    """Exact errors of the squarefree counts in the classes a mod q of residues.
+
+    Every residue must be a unit; a non-unit is refused before any count.
+    The coprime count is computed once and the classes are counted together.
+    """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    a = _unit_residue(modulus, a)
+    units = [_unit_residue(modulus, a) for a in residues]
     limit = math.floor(x)
     # Neither count uses Mobius values or decomposition code, which keeps
     # this route independent of the one it is checked against.
     cop = _coprime_count(limit, modulus)
-    prog = cop if modulus.q == 1 else _class_count(limit, modulus.q, a)
-    err = Fraction(prog) - Fraction(cop, modulus.phi)
-    return ErrorTermResult(
-        x=x,
-        modulus=modulus,
-        residue=a,
-        progression_count=prog,
-        coprime_count=cop,
-        error=err,
-    )
+    progs = [cop] * len(units) if modulus.q == 1 else _class_counts(limit, modulus.q, units)
+    average = Fraction(cop, modulus.phi)
+    return [
+        ErrorTermResult(
+            x=x,
+            modulus=modulus,
+            residue=a,
+            progression_count=prog,
+            coprime_count=cop,
+            error=prog - average,
+        )
+        for a, prog in zip(units, progs)
+    ]
+
+
+def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
+    """Exact error of the squarefree count in a progression against the coprime average."""
+    return error_terms(x, modulus, (a,))[0]
 
 
 def reference_ratio(x: Real, modulus: Modulus, a: int) -> float:
@@ -342,11 +375,11 @@ def reference_ratio_grid_max(
         for modulus, residues in samples:
             if modulus.q > x:
                 continue
-            for a in residues:
-                r = reference_ratio(x, modulus, a)
+            for res in error_terms(x, modulus, residues):
+                r = res.reference_ratio
                 if r > best:
                     best = r
-                    argmax = (x, modulus.q, a)
+                    argmax = (x, modulus.q, res.residue)
     return best, argmax
 
 

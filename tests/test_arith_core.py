@@ -217,6 +217,26 @@ def test_factor_modulus_examples():
     for q, factors in ((30, (2, 3)), (30, (3, 2, 5)), (30, (2, 3, 5, 1)), (4, (2, 2))):
         with pytest.raises(InvariantError, match="ascend strictly and multiply to q"):
             Modulus(q=q, prime_factors=factors)
+    # A composite factor: even, odd, a Fermat pseudoprime to base 2, and a
+    # strong pseudoprime to the bases 2, 3, 5 and 7.
+    for composite in (4, 6, 341, 3215031751):
+        with pytest.raises(InvariantError, match=f"prime factor {composite} of"):
+            Modulus(q=composite, prime_factors=(composite,))
+
+
+def test_factor_modulus_results_pass_the_primality_check():
+    # Modulus refuses a composite factor, so each of these would raise if a
+    # prime factor failed the check.
+    primes = set(primes_up_to(3000))
+    for q in range(1, 3000):
+        if is_squarefree(q):
+            assert set(factor_modulus(q).prime_factors) <= primes
+    for q, factors in (
+        (1000000007, (1000000007,)),
+        (9999973 * 9999991, (9999973, 9999991)),
+        (32589158477190044730, tuple(primes_up_to(53))),
+    ):
+        assert factor_modulus(q).prime_factors == factors
 
 
 def test_factor_modulus_stops_trial_division_at_the_sieve_bound(monkeypatch):

@@ -101,11 +101,30 @@ def test_symmetry_violation_is_exit_3(tmp_path, capsys, monkeypatch):
 def test_count_over_its_cap_is_exit_3(capsys, monkeypatch, counts, message):
     from sqflab import progression_stats
 
-    monkeypatch.setattr(progression_stats, "_class_count", lambda *a: counts[0])
+    monkeypatch.setattr(progression_stats, "_class_counts", lambda *a: [counts[0]])
     monkeypatch.setattr(progression_stats, "_coprime_count", lambda *a: counts[1])
     code, out, err = run_cli(capsys, "error-term", "--x", "30", "--q", "5", "--a", "1")
     assert (code, out) == (3, "")
     assert f"internal error: {message}" in err
+
+
+def test_scan_class_counts_off_the_coprime_count_is_exit_3(capsys, monkeypatch):
+    counts_of = progression_stats._class_counts
+
+    def one_too_many(limit, q, residues):
+        counts = counts_of(limit, q, residues)
+        return [counts[0] + (q == 7)] + counts[1:]
+
+    monkeypatch.setattr(progression_stats, "_class_counts", one_too_many)
+    code, out, err = run_cli(capsys, "scan", "--x", "1000", "--q-max", "10", "--a", "all")
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal error: class counts of q = 7 at x = 1000 sum to 532, "
+        "not to the coprime count 531\n"
+    )
+    # A sample of the units has no sum to check.
+    code, _, _ = run_cli(capsys, "scan", "--x", "1000", "--q-max", "10", "--a", "sample:2")
+    assert code == 0
 
 
 def test_box_count_over_its_cap_is_exit_3(capsys, monkeypatch):
@@ -515,8 +534,35 @@ ABOVE_THE_CACHE = [
 ]
 
 
+# Scans inside the flag cache whose prefix spans several blocks of the
+# class count, recorded before the classes of one (x, q) were read block by
+# block: x at 2^22, just above 2^21 and in between; q below 16, where a
+# block holds the most rows; a sample; two workers; and a q near 2^20, whose
+# classes of four flags are each read in one slice.
+ACROSS_FLAG_BLOCKS = [
+    ("scan --x 2097153 3000017 4194304 --q-max 81 --a all", 286119,
+     "718ad77a35678e6472f039260a2ffb28099a3562a7bf2995e8c885cbbaa4238a"),
+    ("scan --x 4194304 --q-max 15 --a all", 3785,
+     "688b6c0db66c123f4094965064cb8cb3eb542b214d4445c72ce720fa5e549233"),
+    ("scan --x 3000017 4194304 --q-min 100 --q-max 400 --a sample:5", 130851,
+     "12e7485af071486ef20b0b1513519857ea43d278ce8c13aba7d56ae57cbf1f15"),
+    ("scan --x 2097153 4194304 --q-max 40 --a all --workers 2", 47425,
+     "54a097bce36dc65ce11498dae960524fa984e94f7477abd1f9e5ff1bf07d1ac1"),
+    ("scan --x 4194304 --q-min 1048573 --q-max 1048573 --a 5", 158,
+     "eb9be4c8d8c33bf3c6665baca73088925e4a216dd2a75be41dc8344c9f2ce713"),
+]
+
+
 @pytest.mark.parametrize("command, size, digest", ABOVE_THE_CACHE)
 def test_outputs_above_the_flag_cache_match_pinned_digests(capsys, command, size, digest):
+    code, out, _ = run_cli(capsys, *command.split())
+    data = out.encode("utf-8")
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("command, size, digest", ACROSS_FLAG_BLOCKS)
+def test_scans_across_flag_blocks_match_pinned_digests(capsys, command, size, digest):
     code, out, _ = run_cli(capsys, *command.split())
     data = out.encode("utf-8")
     assert code == 0

@@ -17,6 +17,7 @@ from sqflab.progression_stats import (
     count_coprime,
     discrepancy,
     error_term,
+    error_terms,
     least_squarefree,
     least_squarefree_ratio_max,
     reference_ratio,
@@ -304,6 +305,77 @@ def test_ones_counts_long_runs_exactly():
         for buf in (b"\x01" * n, bytearray(rng.getrandbits(1) for _ in range(n))):
             for lo, hi in ((0, n), (n // 3, n - n // 5)):
                 assert progression_stats._ones(buf[lo:hi]) == buf[lo:hi].count(1)
+
+
+@given(
+    limit=st.integers(min_value=1, max_value=20000),
+    q=st.sampled_from([2, 3, 6, 15, 16, 17, 30, 64, 210, 2310]),
+    picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12),
+    block=st.sampled_from([1 << 12, 1 << 14, 1 << 20]),
+    adler_run=st.sampled_from([7, 100, 1 << 15]),
+)
+@settings(max_examples=200, deadline=None)
+def test_class_counts_against_stride_slices_and_trial_division(limit, q, picks, block, adler_run):
+    # Small blocks cut [1, limit] into many blocks, and short adler32 runs
+    # count each slice in several runs; the picks give unordered, repeated units.
+    units = [a for a in range(1, q) if gcd(a, q) == 1]
+    residues = [units[i % len(units)] for i in picks]
+    flags = _SQUAREFREE_UP_TO_20000
+    plain = bytes(flags[1 : limit + 1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(progression_stats, "_BLOCK", block)
+        mp.setattr(progression_stats, "_ADLER_RUN", adler_run)
+        counts = progression_stats._class_counts(limit, q, residues)
+    assert counts == [plain[(a - 1) % q :: q].count(1) for a in residues]
+    assert counts == [
+        sum(1 for n in range(a, limit + 1, q) if squarefree_oracle(n)) for a in residues
+    ]
+
+
+_BLOCK = progression_stats._BLOCK
+
+
+@pytest.mark.parametrize("q", [2, 15, 16, 33, 255, 256, 1048573, 1048583])
+@pytest.mark.parametrize("limit", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2**22])
+def test_class_counts_at_the_block_edges(limit, q, flags_past_the_cache):
+    # Up to q = 255 a limit of 2^22 is read in blocks, and from 1048573 on q
+    # is read in one slice per class at every limit.
+    flags = flags_past_the_cache[:limit]
+    units = [a for a in range(1, min(q, 40)) if gcd(a, q) == 1]
+    for residues in (units, units[::-1] + units[:3], [q - 1]):
+        want = [flags[(a - 1) % q :: q].count(1) for a in residues]
+        assert progression_stats._class_counts(limit, q, residues) == want
+
+
+@pytest.mark.parametrize("q", [2, 30, 2310, 1000003])
+def test_class_counts_above_the_cache(q, monkeypatch):
+    # With the cache at 1000, every limit here sieves each progression alone.
+    monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 1000)
+    monkeypatch.setattr(arith_core, "_SEGMENT", 997)
+    limit = 20000
+    plain = bytes(_SQUAREFREE_UP_TO_20000[1:])
+    residues = [q - 1, 1, 1] + ([17, 23, 13] if q > 2 else [])
+    want = [plain[(a - 1) % q :: q].count(1) for a in residues]
+    assert progression_stats._class_counts(limit, q, residues) == want
+
+
+@pytest.mark.parametrize(
+    "q, residues", [(1, [0, 0]), (7, [3]), (30, [29, 1, 7, 1]), (2310, [1, 2309, 13])]
+)
+@pytest.mark.parametrize("x", [1, 1000.5, 2**20 + 3, 2**22 + 1])
+def test_error_terms_equal_one_error_term_per_residue(x, q, residues):
+    m = factor_modulus(q)
+    assert error_terms(x, m, residues) == [error_term(x, m, a) for a in residues]
+
+
+def test_error_terms_refuse_a_non_unit_before_counting(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("counted before the residues were checked")
+
+    monkeypatch.setattr(progression_stats, "_coprime_count", unreachable)
+    monkeypatch.setattr(progression_stats, "_class_counts", unreachable)
+    with pytest.raises(NotCoprimeError, match="residue 5 is not coprime to 30"):
+        error_terms(1000, factor_modulus(30), [1, 7, 5, 11])
 
 
 @pytest.mark.parametrize("q", [1, 2, 30030, 1000003])
