@@ -17,11 +17,10 @@ import math
 import os
 import random
 import sys
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
-from multiprocessing import Pool
 from typing import Sequence
 
 from sqflab.arith_core import (
@@ -236,16 +235,22 @@ def _cmd_scan(args: argparse.Namespace) -> str | list[dict]:
     q_tasks = [(q, policy, args.seed) for q in range(args.q_min, q_top + 1) if flags[q - 1]]
     # More processes than q tasks or cores would only wait.
     workers = min(args.workers, len(q_tasks), os.cpu_count() or 1)
-    pool = Pool(processes=workers) if workers > 1 else None
-    with pool or nullcontext():
-        # imap, unlike map, raises the error of the first failing task in
-        # order, as the serial loop does, not of the first chunk to finish.
-        run = partial(pool.imap, chunksize=len(q_tasks) // (4 * workers) + 1) if pool else map
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        # map yields in task order and raises the error of the first failing
+        # task in order, as the serial loop does, not of the first chunk to
+        # finish.  A worker that dies raises BrokenProcessPool (exit 3)
+        # rather than leaving scan waiting for its results.
+        run = partial(pool.map, chunksize=len(q_tasks) // (4 * workers) + 1) if pool else map
         per_q = list(run(_scan_classes, q_tasks))
         # x in the outer loop: every q of one x reads the same squarefree
         # table, and the rows come out in (X, q, a) order.
         row_tasks = [(x, m, classes) for x in x_values for m, classes in per_q if m.q <= x]
         rows = [row for chunk in run(_scan_rows, row_tasks) for row in chunk]
+    finally:
+        if pool:
+            # After an error the tasks not yet started are dropped.
+            pool.shutdown(cancel_futures=True)
 
     lines = [CSV_HEADER]
     for row in rows[args.start_row :]:

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after seconds, so a scan that waits on
+    its worker processes fails its test instead of stalling the whole run."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_error_term_json(capsys):
@@ -248,8 +268,25 @@ def test_scan_workers_do_not_change_output(capsys):
         ["scan", "--x", "100", "1000", "--q-max", "30", "--a", "2"],
     ):
         serial = run_cli(capsys, *args, "--workers", "1")
-        parallel = run_cli(capsys, *args, "--workers", "2")
+        with time_limit(60):
+            parallel = run_cli(capsys, *args, "--workers", "2")
         assert serial == parallel
+
+
+def test_scan_worker_that_dies_is_exit_3(capsys, monkeypatch):
+    test_process = os.getpid()
+
+    def exit_in_a_worker(*args):
+        if os.getpid() == test_process:
+            raise AssertionError("scan counted in the test process, not in a worker")
+        os._exit(1)
+
+    monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli_runner, "error_terms", exit_in_a_worker)
+    with time_limit(60):
+        code, out, err = run_cli(capsys, "scan", "--x", "300", "--q-max", "40", "--workers", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: A process in the process pool was terminated")
 
 
 @pytest.mark.parametrize("workers", ["0", "-1", "abc", "1.5"])
@@ -269,21 +306,18 @@ def test_scan_workers_must_be_a_positive_integer(capsys, monkeypatch, workers):
 
 
 class _SerialPool:
-    """A stand-in for multiprocessing.Pool that records its size and starts no process."""
+    """A stand-in for ProcessPoolExecutor that records its size and starts no process."""
 
     sizes: list[int] = []
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, func, iterable, chunksize=1):
+    def map(self, func, iterable, chunksize=1):
         return map(func, iterable)
+
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 @pytest.mark.parametrize(
@@ -298,7 +332,7 @@ class _SerialPool:
 )
 def test_scan_pool_is_capped_by_tasks_and_cores(capsys, monkeypatch, workers, q_max, cores, size):
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr(cli_runner, "Pool", _SerialPool)
+    monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: cores)
     args = ["scan", "--x", "300", "--q-max", q_max, "--a", "all"]
     pooled = run_cli(capsys, *args, "--workers", workers)
@@ -563,7 +597,8 @@ def test_outputs_above_the_flag_cache_match_pinned_digests(capsys, command, size
 
 @pytest.mark.parametrize("command, size, digest", ACROSS_FLAG_BLOCKS)
 def test_scans_across_flag_blocks_match_pinned_digests(capsys, command, size, digest):
-    code, out, _ = run_cli(capsys, *command.split())
+    with time_limit(120):
+        code, out, _ = run_cli(capsys, *command.split())
     data = out.encode("utf-8")
     assert code == 0
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
