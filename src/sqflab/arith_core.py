@@ -13,10 +13,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, prod
 from typing import Iterator, Sequence
+
+# A real bound of a count: a cutoff x or a box side.
+Real = int | float | Fraction
 
 # A Mobius window flips its signs once per prime below its end, so its end
 # is capped; squarefree flags only need primes up to the square root.

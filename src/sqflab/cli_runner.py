@@ -17,9 +17,11 @@ import math
 import os
 import random
 import sys
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from math import gcd, isqrt
 from typing import Sequence
 
@@ -42,7 +44,13 @@ from sqflab.exponent_calculus import (
     parse_term_menu,
     verify_choices,
 )
-from sqflab.progression_stats import _unit_residue, error_term, error_terms, least_squarefree
+from sqflab.progression_stats import (
+    _unit_residue,
+    count_coprime,
+    error_term,
+    error_terms,
+    least_squarefree,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -167,12 +175,27 @@ def _scan_policy(text: str) -> tuple[str, int]:
 
 
 def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[int]:
+    """The classes scan evaluates for q, ascending: one unit, every unit or a sample.
+
+    A sample of k units draws k ranks among the phi(q) units with
+    random.sample(range(phi(q)), k), and finds the unit of rank j, the
+    least a with count_coprime(a) = j + 1, by bisection.  random.sample
+    reads only its population's length and then indexes it, so these are
+    the units that the same draw from the list of every unit gives.  A
+    bisection counts about log2(q) times over the 2^omega divisors of q;
+    where k of them would cost more than the q gcds of that list, the list
+    is drawn from instead (always for k >= phi(q), as phi(q) * 2^omega >= q).
+    """
     q = modulus.q
     if q == 1:
         return [0]
     kind, value = policy
     if kind == "unit":
         return [_unit_residue(modulus, value)]
+    if kind == "sample" and value * q.bit_length() * len(modulus.squarefree_divisors) < q:
+        ranks = sorted(random.Random(f"{seed}:{q}").sample(range(modulus.phi), value))
+        count = partial(count_coprime, modulus=modulus)
+        return [bisect_left(range(q), j + 1, key=count) for j in ranks]
     units = [a for a in range(1, q) if gcd(a, q) == 1]
     if kind == "all" or len(units) <= value:
         return units
@@ -185,10 +208,11 @@ def _scan_classes(
     """The modulus q and its x-free columns: (a, least squarefree member, ratio) per a."""
     q, policy, seed = task
     modulus = factor_modulus(q)
+    scale = float(q) ** float(COROLLARY)
     classes = []
     for a in _residues_for(modulus, policy, seed):
         n_qa = least_squarefree(modulus, a)
-        classes.append((a, n_qa, n_qa / float(q) ** float(COROLLARY)))
+        classes.append((a, n_qa, n_qa / scale))
     return modulus, classes
 
 
@@ -230,9 +254,9 @@ def _cmd_scan(args: argparse.Namespace) -> str | list[dict]:
     x_values = tuple(sorted(set(args.x)))
     _check_error_term_budget(x_values[-1], args.q_min)
     # A q above every x has no row, so the list stops at the largest x.
-    q_top = min(args.q_max, x_values[-1])
-    flags = squarefree_flags(1, q_top)
-    q_tasks = [(q, policy, args.seed) for q in range(args.q_min, q_top + 1) if flags[q - 1]]
+    q_window = range(args.q_min, min(args.q_max, x_values[-1]) + 1)
+    flags = squarefree_flags(args.q_min, len(q_window))
+    q_tasks = [(q, policy, args.seed) for q in compress(q_window, flags)]
     # More processes than q tasks or cores would only wait.
     workers = min(args.workers, len(q_tasks), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None

@@ -30,9 +30,8 @@ from itertools import compress, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
-from sqflab.arith_core import InvariantError, Modulus, NotCoprimeError
+from sqflab.arith_core import InvariantError, Modulus, NotCoprimeError, Real
 from sqflab.exponent_calculus import AMPLIFICATION_MN, AMPLIFICATION_RANGE, BLEND
-from sqflab.progression_stats import Real
 
 # The analysis exponents as the floats the bound envelopes use.
 _AMP_M, _AMP_N = map(float, AMPLIFICATION_MN)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
-from sqflab.arith_core import InvariantError, Modulus, mobius_sieve
+from sqflab.arith_core import InvariantError, Modulus, Real, mobius_sieve
 from sqflab.congruence_count import (
     BoxQuery,
     ResidueColumn,
@@ -43,7 +43,6 @@ from sqflab.congruence_count import (
 )
 from sqflab.exponent_calculus import BLEND, M_ANCHOR, N_ANCHOR
 from sqflab.progression_stats import (
-    Real,
     _unit_residue,
     count_coprime,
     discrepancy,  # noqa: F401  the per-term quantity; perfbench's tracer counts it here

@@ -24,7 +24,6 @@ be checked against them.
 from __future__ import annotations
 
 import math
-import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,14 +37,12 @@ from sqflab.arith_core import (
     InvariantError,
     Modulus,
     NotCoprimeError,
+    Real,
     factor_modulus,
     is_squarefree,
     squarefree_flags,
     squarefree_progression,
 )
-from sqflab.exponent_calculus import COROLLARY
-
-Real = int | float | Fraction
 
 _FLAG_CACHE_MAX = 1 << 22
 # Flags of one block of the class count: half of a 2 MiB L2 cache.
@@ -290,7 +287,7 @@ def error_terms(x: Real, modulus: Modulus, residues: Iterable[int]) -> list[Erro
     # this route independent of the one it is checked against.
     cop = _coprime_count(limit, modulus)
     progs = [cop] * len(units) if modulus.q == 1 else _class_counts(limit, modulus.q, units)
-    average = Fraction(cop, modulus.phi)
+    phi = modulus.phi
     return [
         ErrorTermResult(
             x=x,
@@ -298,7 +295,7 @@ def error_terms(x: Real, modulus: Modulus, residues: Iterable[int]) -> list[Erro
             residue=a,
             progression_count=prog,
             coprime_count=cop,
-            error=prog - average,
+            error=Fraction(prog * phi - cop, phi),
         )
         for a, prog in zip(units, progs)
     ]
@@ -314,16 +311,15 @@ def reference_ratio(x: Real, modulus: Modulus, a: int) -> float:
     return error_term(x, modulus, a).reference_ratio
 
 
-def least_squarefree(modulus: Modulus, a: int, ceiling: int | None = None) -> int:
+def least_squarefree(modulus: Modulus, a: int) -> int:
     """Smallest positive squarefree integer congruent to a mod q.
 
-    The scan is bounded by `ceiling` (default q*q); running past it raises,
-    which at desk scale would indicate a bug rather than a genuine miss.
+    The scan stops at max(q*q, 16); running past it raises, which at desk
+    scale would indicate a bug rather than a genuine miss.
     """
     q = modulus.q
     a = _unit_residue(modulus, a)
-    if ceiling is None:
-        ceiling = max(q * q, 16)
+    ceiling = max(q * q, 16)
     n = a if a >= 1 else q
     while n <= ceiling:
         if is_squarefree(n):
@@ -339,68 +335,3 @@ def squarefree_moduli(q_max: int) -> list[Modulus]:
     flags = squarefree_flags(1, q_max)
     return [factor_modulus(q) for q in range(1, q_max + 1) if flags[q - 1]]
 
-
-def _sample_units(modulus: Modulus, per_q: int, rng: random.Random) -> list[int]:
-    """Deterministic sample of unit residues: q-1 plus seeded draws."""
-    q = modulus.q
-    if q == 1:
-        return [0]
-    units = {q - 1 if gcd(q - 1, q) == 1 else 1}
-    attempts = 0
-    while len(units) < min(per_q, modulus.phi) and attempts < 40 * per_q:
-        c = rng.randrange(1, q)
-        attempts += 1
-        if gcd(c, q) == 1:
-            units.add(c)
-    return sorted(units)
-
-
-def reference_ratio_grid_max(
-    x_values: Iterable[int],
-    q_max: int,
-    residues_per_q: int = 4,
-    seed: int = 0,
-) -> tuple[float, tuple[int, int, int]]:
-    """Max reference_ratio over a seeded grid; returns (value, (x, q, a)).
-
-    The grid is deterministic for a fixed seed, so the recorded maximum can
-    be compared between runs as a regression monitor.
-    """
-    rng = random.Random(seed)
-    best = 0.0
-    argmax = (0, 0, 0)
-    moduli = squarefree_moduli(q_max)
-    samples = [(m, _sample_units(m, residues_per_q, rng)) for m in moduli]
-    for x in x_values:
-        for modulus, residues in samples:
-            if modulus.q > x:
-                continue
-            for res in error_terms(x, modulus, residues):
-                r = res.reference_ratio
-                if r > best:
-                    best = r
-                    argmax = (x, modulus.q, res.residue)
-    return best, argmax
-
-
-def least_squarefree_ratio_max(
-    q_max: int,
-    residues_per_q: int = 8,
-    seed: int = 0,
-) -> tuple[float, tuple[int, int, int]]:
-    """Max of n(q, a) / q**COROLLARY over a seeded residue sample, q squarefree.
-
-    Returns (value, (q, a, n)).  Monitored regression quantity for the
-    least-squarefree growth exponent.
-    """
-    rng = random.Random(seed)
-    best = 0.0
-    argmax = (0, 0, 0)
-    for modulus in squarefree_moduli(q_max):
-        for a in _sample_units(modulus, residues_per_q, rng):
-            n = least_squarefree(modulus, a)
-            ratio = n / float(modulus.q) ** float(COROLLARY)
-            if ratio > best:
-                best = ratio
-                argmax = (modulus.q, a, n)
-    return best, argmax

@@ -4,12 +4,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and the recorded monitoring values.
 """
 
+import contextlib
+import csv
+import io
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+from sqflab import cli_runner
 from sqflab.arith_core import factor_modulus, mobius_segment, mobius_sieve
 from sqflab.congruence_count import BoxQuery, count_box, geometric_grid, scan_boxes
 from sqflab.decomposition_pipeline import decompose_error, pipeline_report
@@ -20,12 +24,7 @@ from sqflab.exponent_calculus import (
     corollary_exponent,
     verify_choices,
 )
-from sqflab.progression_stats import (
-    error_term,
-    least_squarefree_ratio_max,
-    reference_ratio_grid_max,
-    squarefree_moduli,
-)
+from sqflab.progression_stats import error_term, squarefree_moduli
 
 SEED = 20260810
 
@@ -189,10 +188,20 @@ def test_criterion_5_finite_x_majorization():
 # -- criterion 6 -------------------------------------------------------------
 
 
+def scan_column_max(argv: str, column: str, keys: tuple[str, ...]):
+    """Max of one column of a seeded scan's CSV, with the columns that locate it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_runner.main(["scan", *argv.split(), "--seed", str(SEED)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    best = max(rows, key=lambda row: float(row[column]))
+    return float(best[column]), tuple(int(best[k]) for k in keys)
+
+
 def test_criterion_6_monitored_regressions():
-    grid_x = (10**3, 10**4, 10**5)
-    ref_a = reference_ratio_grid_max(grid_x, 300, residues_per_q=4, seed=SEED)
-    ref_b = reference_ratio_grid_max(grid_x, 300, residues_per_q=4, seed=SEED)
+    hooley = ("--x 1000 10000 100000 --q-max 300 --a sample:4", "ratio_hooley", ("X", "q", "a"))
+    ref_a = scan_column_max(*hooley)
+    ref_b = scan_column_max(*hooley)
 
     def pierce_scan():
         m = factor_modulus(10001)  # 73 * 137
@@ -208,8 +217,9 @@ def test_criterion_6_monitored_regressions():
     pierce_a = pierce_scan()
     pierce_b = pierce_scan()
 
-    least_a = least_squarefree_ratio_max(10**4, residues_per_q=8, seed=SEED)
-    least_b = least_squarefree_ratio_max(10**4, residues_per_q=8, seed=SEED)
+    least = ("--x 10000 --q-max 10000 --a sample:8", "ratio_corollary", ("q", "a", "n_q_a"))
+    least_a = scan_column_max(*least)
+    least_b = scan_column_max(*least)
 
     stable = ref_a == ref_b and pierce_a == pierce_b and least_a == least_b
     report(

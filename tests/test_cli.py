@@ -3,16 +3,22 @@
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqflab import arith_core, cli_runner, congruence_count, progression_stats
+from sqflab.arith_core import factor_modulus, is_squarefree
 from sqflab.cli_runner import CSV_HEADER, main
+from sqflab.progression_stats import count_coprime
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 BOX = ["count-box", "--u", "1", "--v", "-2", "--q", "7", "--a", "1"]
@@ -258,6 +264,75 @@ def test_scan_deterministic_and_resumable(capsys):
     body = out1.strip().split("\n")[1:]
     resumed = out3.strip().split("\n")[1:]
     assert resumed == body[5:]
+
+
+def test_scan_sieves_only_its_q_window(capsys, monkeypatch):
+    calls = []
+    flags_fn = cli_runner.squarefree_flags
+    monkeypatch.setattr(
+        cli_runner, "squarefree_flags",
+        lambda start, length: calls.append((start, length)) or flags_fn(start, length),
+    )
+    code, out, _ = run_cli(
+        capsys, "scan", "--x", "100000", "--q-min", "99990", "--q-max", "200000"
+    )
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
+        str(q) for q in range(99990, 100001) if is_squarefree(q)
+    ]
+    # Every x below q_min: an empty window.
+    assert run_cli(capsys, "scan", "--x", "50", "--q-min", "60", "--q-max", "70")[0] == 0
+    assert calls == [(99990, 11), (60, 0)]
+
+
+def _listed_sample(modulus, k, seed):
+    """scan's sample drawn from a list of every unit of q: the oracle of the draw by rank."""
+    q = modulus.q
+    units = [a for a in range(1, q) if gcd(a, q) == 1]
+    if len(units) <= k:
+        return units
+    return sorted(random.Random(f"{seed}:{q}").sample(units, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.integers(2, 10**5).filter(is_squarefree),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_sampled_residues_match_a_listing_of_every_unit(q, seed, data):
+    modulus = factor_modulus(q)
+    k = data.draw(st.one_of(st.integers(1, 64), st.integers(1, modulus.phi + 1)))
+    assert cli_runner._residues_for(modulus, ("sample", k), seed) == _listed_sample(
+        modulus, k, seed
+    )
+
+
+@pytest.mark.parametrize("q", [2, 30030, 510510])
+def test_sampled_residues_of_edge_moduli_match_a_listing(q):
+    modulus = factor_modulus(q)
+    phi = modulus.phi
+    for k in sorted({1, 2, 20, 200, phi // 2, phi - 1, phi, phi + 1} - {0}):
+        for seed in (0, 7, 2026):
+            assert cli_runner._residues_for(modulus, ("sample", k), seed) == _listed_sample(
+                modulus, k, seed
+            ), (k, seed)
+
+
+def test_a_small_sample_of_a_paper_scale_modulus_lists_no_unit(monkeypatch):
+    """sample:20 at q = 223092870, with phi(q) = 36495360, finds its classes by rank."""
+
+    def unreachable(*args):
+        raise AssertionError("listed the units of q")
+
+    modulus = factor_modulus(223092870)
+    monkeypatch.setattr(cli_runner, "gcd", unreachable)
+    with time_limit(30):
+        residues = cli_runner._residues_for(modulus, ("sample", 20), 5)
+    assert all(gcd(a, modulus.q) == 1 for a in residues)
+    # Each a is the unit whose rank among the units of q is the drawn index.
+    ranks = [count_coprime(a, modulus) - 1 for a in residues]
+    assert ranks == sorted(random.Random(f"5:{modulus.q}").sample(range(modulus.phi), 20))
 
 
 def test_scan_workers_do_not_change_output(capsys):
@@ -587,6 +662,18 @@ ACROSS_FLAG_BLOCKS = [
 ]
 
 
+# Sampled scans of large q, recorded while each sample was drawn from a list
+# of every unit of q: one q, a window of q, and JSON output.
+SAMPLED_BY_RANK = [
+    ("scan --x 10000000 --q-min 9699690 --q-max 9699690 --a sample:20", 1926,
+     "d8e8d802b994f88b8ba71c924dab3ba310ed440f5d3722dbe19ab77e2bebfc3a"),
+    ("scan --x 10000000 --q-min 9699600 --q-max 9699700 --a sample:20", 116110,
+     "a9844860d71d624d6b996e61e84409fca4ca1f0db9d95841cf9b976c7d479976"),
+    ("scan --x 2000000 --q-min 510510 --q-max 510530 --a sample:12 --seed 3 --format json",
+     48616, "19978b5c98d2f1a98cfda2552af5612158f129c8ef2eed4b1846af81700bb0d3"),
+]
+
+
 @pytest.mark.parametrize("command, size, digest", ABOVE_THE_CACHE)
 def test_outputs_above_the_flag_cache_match_pinned_digests(capsys, command, size, digest):
     code, out, _ = run_cli(capsys, *command.split())
@@ -597,6 +684,15 @@ def test_outputs_above_the_flag_cache_match_pinned_digests(capsys, command, size
 
 @pytest.mark.parametrize("command, size, digest", ACROSS_FLAG_BLOCKS)
 def test_scans_across_flag_blocks_match_pinned_digests(capsys, command, size, digest):
+    with time_limit(120):
+        code, out, _ = run_cli(capsys, *command.split())
+    data = out.encode("utf-8")
+    assert code == 0
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("command, size, digest", SAMPLED_BY_RANK)
+def test_sampled_scans_of_large_moduli_match_pinned_digests(capsys, command, size, digest):
     with time_limit(120):
         code, out, _ = run_cli(capsys, *command.split())
     data = out.encode("utf-8")

@@ -19,9 +19,7 @@ from sqflab.progression_stats import (
     error_term,
     error_terms,
     least_squarefree,
-    least_squarefree_ratio_max,
     reference_ratio,
-    reference_ratio_grid_max,
     squarefree_count_ap,
     squarefree_count_coprime,
     squarefree_moduli,
@@ -503,19 +501,10 @@ def test_least_squarefree_is_minimal():
         assert all(not squarefree_oracle(k) for k in range(a if a else m.q, n, m.q))
 
 
-def test_least_squarefree_validation():
+def test_least_squarefree_validation(monkeypatch):
     with pytest.raises(NotCoprimeError):
         least_squarefree(factor_modulus(10), 5)
+    # A class with no squarefree member up to q^2 is a bug signal.
+    monkeypatch.setattr(progression_stats, "is_squarefree", lambda n: False)
     with pytest.raises(SearchCeilingError):
-        least_squarefree(factor_modulus(7), 4, ceiling=5)
-
-
-def test_monitored_scans_are_deterministic():
-    first = reference_ratio_grid_max([100, 1000], 30, residues_per_q=3, seed=11)
-    second = reference_ratio_grid_max([100, 1000], 30, residues_per_q=3, seed=11)
-    assert first == second
-    assert first[0] > 0
-    r1 = least_squarefree_ratio_max(200, residues_per_q=4, seed=11)
-    r2 = least_squarefree_ratio_max(200, residues_per_q=4, seed=11)
-    assert r1 == r2
-    assert r1[0] > 0
+        least_squarefree(factor_modulus(7), 4)
