@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from sqflab.arith_core import (
     MOBIUS_SIEVE_MAX,
@@ -406,26 +406,14 @@ def _cmd_optimize(args: argparse.Namespace) -> dict:
 # parser
 
 
-def _add_common_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default=None, help="write to file instead of stdout")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sqflab",
-        description="Exact experiments on squarefree numbers in arithmetic progressions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("error-term", help="exact progression error term at one (x, q, a)")
+def _error_term_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--decompose", action="store_true", help="also run the identity check")
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_error_term)
 
-    p = sub.add_parser("scan", help="CSV table of error terms over a modulus range")
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=int, nargs="+", required=True, help="one or more cutoffs")
     p.add_argument("--q-min", type=int, default=1)
     p.add_argument("--q-max", type=int, required=True)
@@ -442,10 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_worker_count, default=os.environ.get("SQFLAB_WORKERS", "1")
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("count-box", help="exact congruence-box count with bound envelopes")
+
+def _count_box_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--m", type=_positive_finite, required=True)
@@ -454,32 +441,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--dyadic", action="store_true")
     p.add_argument("--alpha", type=_parse_fraction, default=BLEND.alpha)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_count_box)
 
-    p = sub.add_parser("pipeline", help="full decomposition report at one (x, q, a)")
+
+def _pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--m0", type=_positive_finite, default=None)
     p.add_argument("--n0", type=_positive_finite, default=None)
     p.add_argument("--alpha", type=_parse_fraction, default=BLEND.alpha)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("optimize", help="distribution exponent from a term menu")
+
+def _optimize_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--menu", choices=sorted(MENUS), default="default")
     p.add_argument("--menu-file", default=None, help="custom menu file (label cx crho)")
     p.add_argument("--rho-min", type=_parse_fraction, default=RHO_MIN)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_optimize)
 
+
+# The subcommands, in the order of the help text: name -> (help, the function
+# that adds its arguments, its handler).  Every one also takes --output.
+COMMANDS: dict[str, tuple[str, Callable, Callable]] = {
+    "error-term": (
+        "exact progression error term at one (x, q, a)", _error_term_args, _cmd_error_term
+    ),
+    "scan": ("CSV table of error terms over a modulus range", _scan_args, _cmd_scan),
+    "count-box": (
+        "exact congruence-box count with bound envelopes", _count_box_args, _cmd_count_box
+    ),
+    "pipeline": ("full decomposition report at one (x, q, a)", _pipeline_args, _cmd_pipeline),
+    "optimize": ("distribution exponent from a term menu", _optimize_args, _cmd_optimize),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    A parser of one subcommand reads that subcommand's arguments as the full
+    one does.  Its metavar spells out the full choice list, so the top-level
+    usage line that argparse prints on an unrecognized argument is the full
+    parser's.  The full parser sets none, so its `invalid choice` and
+    `required: command` errors name the argument `command`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sqflab",
+        description="Exact experiments on squarefree numbers in arithmetic progressions.",
+    )
+    names = list(COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.add_argument("--output", default=None, help="write to file instead of stdout")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only a first token that names a subcommand gets a parser of its own;
+    # --help, an empty argv and anything else get the full one.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _emit(args.func(args), args.output)
     except (ValueError, OSError) as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from sqflab.arith_core import InvariantError
@@ -157,11 +158,9 @@ def lower_bound_n(form: ExponentForm) -> LinearConstraint:
 
 def _vertex_forms(
     ci: LinearConstraint, cj: LinearConstraint
-) -> tuple[ExponentForm, ExponentForm] | None:
-    """Intersection of two facet lines as forms in (x, rho); None if parallel."""
+) -> tuple[ExponentForm, ExponentForm]:
+    """Intersection of two facet lines that are not parallel, as forms in (x, rho)."""
     det = ci.coeff_m * cj.coeff_n - ci.coeff_n * cj.coeff_m
-    if det == 0:
-        return None
     m_form = ci.bound.scaled(cj.coeff_n / det).plus(
         cj.bound.scaled(-ci.coeff_n / det), label="m*"
     )
@@ -171,16 +170,15 @@ def _vertex_forms(
     return m_form, n_form
 
 
-def _recession_directions(
-    constraints: Sequence[LinearConstraint],
-) -> list[tuple[Fraction, Fraction]]:
-    """Candidate extreme rays of {d : A d <= 0}; covers pointed cones and half-planes."""
-    dirs = []
-    for c in constraints:
-        dirs.append((-c.coeff_n, c.coeff_m))
-        dirs.append((c.coeff_n, -c.coeff_m))
-        dirs.append((-c.coeff_m, -c.coeff_n))
-    return dirs
+def _integer_row(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+    """(a*L, b*L, c*L, L) for L the least common multiple of the denominators."""
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    return (
+        a.numerator * (scale // a.denominator),
+        b.numerator * (scale // b.denominator),
+        c.numerator * (scale // c.denominator),
+        scale,
+    )
 
 
 def sup_box_exponent(
@@ -196,6 +194,11 @@ def sup_box_exponent(
     pairs, so the returned maximum is itself a form in (x, rho) rather than
     a bare number.  Raises on empty regions and on objectives that escape
     along a recession direction.
+
+    Each row a*m + b*n <= c, and the objective, is multiplied by the least
+    common multiple of its denominators.  The factor is positive, so every
+    comparison below is the rational one, made on integers; only the
+    winning vertex is solved as forms.
     """
     coeff_m = _frac(coeff_m)
     coeff_n = _frac(coeff_n)
@@ -203,45 +206,50 @@ def sup_box_exponent(
     if not constraints:
         raise UnboundedError("no constraints given")
 
-    bound_values = [c.bound.value_at(rho) for c in constraints]
+    rows = [_integer_row(c.coeff_m, c.coeff_n, c.bound.value_at(rho)) for c in constraints]
+    obj_m, obj_n, _, _ = _integer_row(coeff_m, coeff_n, Fraction(0))
 
-    def feasible(m_val: Fraction, n_val: Fraction) -> bool:
-        return all(
-            c.coeff_m * m_val + c.coeff_n * n_val <= bv
-            for c, bv in zip(constraints, bound_values)
-        )
-
-    best_value: Fraction | None = None
-    best_form: ExponentForm | None = None
-    for i in range(len(constraints)):
-        for j in range(i + 1, len(constraints)):
-            forms = _vertex_forms(constraints[i], constraints[j])
-            if forms is None:
+    # The first vertex of greatest objective: (objective * det, det, i, j),
+    # with det > 0; the objective's own scale is common to every vertex.
+    best: tuple[int, int, int, int] | None = None
+    for i, (a_i, b_i, c_i, _) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            a_j, b_j, c_j, _ = rows[j]
+            det = a_i * b_j - b_i * a_j
+            if det == 0:
                 continue
-            m_form, n_form = forms
-            m_val = m_form.value_at(rho)
-            n_val = n_form.value_at(rho)
-            if not feasible(m_val, n_val):
+            # The vertex is (m_num / det, n_num / det).
+            m_num = c_i * b_j - c_j * b_i
+            n_num = a_i * c_j - a_j * c_i
+            if det < 0:
+                det, m_num, n_num = -det, -m_num, -n_num
+            if any(a * m_num + b * n_num > c * det for a, b, c, _ in rows):
                 continue
-            value = coeff_m * m_val + coeff_n * n_val
-            if best_value is None or value > best_value:
-                best_value = value
-                best_form = m_form.scaled(coeff_m).plus(
-                    n_form.scaled(coeff_n),
-                    label=f"box-supremum[{constraints[i].label or i}&{constraints[j].label or j}]",
-                )
-    if best_form is None:
+            value = obj_m * m_num + obj_n * n_num
+            if best is None or value * best[1] > best[0] * det:
+                best = (value, det, i, j)
+    if best is None:
         raise InfeasibleError("constraint region is empty or has no vertex")
 
-    for d_m, d_n in _recession_directions(constraints):
-        if (d_m, d_n) == (0, 0):
-            continue
-        if all(c.coeff_m * d_m + c.coeff_n * d_n <= 0 for c in constraints):
-            if coeff_m * d_m + coeff_n * d_n > 0:
-                raise UnboundedError(
-                    f"objective unbounded along direction ({d_m}, {d_n})"
-                )
-    return best_form
+    # Candidate extreme rays of {d : A d <= 0}; covers pointed cones and
+    # half-planes.  A ray of a row scaled by L is that row's ray times L.
+    for a_k, b_k, _, scale in rows:
+        for d_m, d_n in ((-b_k, a_k), (b_k, -a_k), (-a_k, -b_k)):
+            if (d_m, d_n) == (0, 0):
+                continue
+            if all(a * d_m + b * d_n <= 0 for a, b, _, _ in rows):
+                if obj_m * d_m + obj_n * d_n > 0:
+                    raise UnboundedError(
+                        "objective unbounded along direction "
+                        f"({Fraction(d_m, scale)}, {Fraction(d_n, scale)})"
+                    )
+
+    _, _, i, j = best
+    m_form, n_form = _vertex_forms(constraints[i], constraints[j])
+    return m_form.scaled(coeff_m).plus(
+        n_form.scaled(coeff_n),
+        label=f"box-supremum[{constraints[i].label or i}&{constraints[j].label or j}]",
+    )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output schemas, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,8 @@ import random
 import signal
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from io import StringIO
 from math import gcd
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from sqflab.cli_runner import CSV_HEADER, main
 from sqflab.progression_stats import count_coprime
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+GRID = Path(__file__).with_name("cli_grid.json")
 BOX = ["count-box", "--u", "1", "--v", "-2", "--q", "7", "--a", "1"]
 
 
@@ -579,6 +582,58 @@ def test_readme_commands_match_golden_digests(capsys):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
             case["bytes"], case["sha256"]
         ), case["command"]
+
+
+def _parsed(parser, argv):
+    """(Namespace or None, exit code, stdout, stderr) of one parse."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parser.parse_args(argv), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+def test_a_parser_of_one_subcommand_parses_as_the_full_parser(tmp_path):
+    commands = [
+        case["command"]
+        for path in (GRID, GOLDEN)
+        for case in json.loads(path.read_text(encoding="utf-8"))
+    ]
+    # Usage errors and help texts of each subcommand's own parser.
+    commands += [
+        "pipeline", "pipeline --help", "scan --x", "scan -h extra", "count-box --u 1",
+        "error-term --x abc --q 1 --a 1", "optimize --menu nope", "optimize optimize",
+    ]
+    usage_errors = 0
+    for command in commands:
+        argv = command.replace("{tmp}", str(tmp_path)).split()
+        if argv[0] not in cli_runner.COMMANDS:
+            continue
+        one = _parsed(cli_runner.build_parser(argv[0]), argv)
+        assert one == _parsed(cli_runner.build_parser(), argv), command
+        usage_errors += one[1] is not None
+    assert usage_errors >= 15
+
+
+def test_a_parser_of_one_subcommand_registers_it_alone():
+    def choices(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert choices(cli_runner.build_parser("optimize")) == ["optimize"]
+    assert choices(cli_runner.build_parser()) == list(cli_runner.COMMANDS)
+
+
+def test_an_empty_argv_prints_the_full_usage_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "",
+        "usage: sqflab [-h] {error-term,scan,count-box,pipeline,optimize} ...\n"
+        "sqflab: error: the following arguments are required: command\n",
+    )
 
 
 # Digests of outputs above the 2^22 flag cache, recorded before the

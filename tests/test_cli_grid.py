@@ -92,7 +92,8 @@ def _optimize(rng: random.Random) -> str:
     return f"optimize{menu}{rho}"
 
 
-# Commands the random draws miss: refusals, --output and the menu files.
+# Commands the random draws miss: refusals, --output, the menu files and
+# usage errors.
 FIXED = [
     "count-box --u 1 --v -3 --m 100 --n 100 --q 1009 --a 5",
     "count-box --u 3 --v 1 --m 100 --n 100 --q 1009 --a 5",
@@ -119,6 +120,10 @@ FIXED = [
     "optimize --menu-file {tmp}/bad.txt",
     "optimize --menu-file {tmp}/zero.txt",
     "optimize --menu-file {tmp}/empty.txt",
+    # Usage errors that argparse reports with the top-level usage line.
+    "bogus",
+    "optimize --bogus",
+    "pipeline --x 10000 --q 101 --a 3 extra",
 ]
 
 FILES = {

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqflab.exponent_calculus import (
     BLEND,
@@ -170,6 +172,110 @@ def test_sup_box_exponent_empty_and_unbounded():
         sup_box_exponent(1, 1, unbounded, rho)
     with pytest.raises(UnboundedError):
         sup_box_exponent(1, 0, [], rho)
+
+
+def _reference_vertex_forms(ci, cj):
+    """The Fraction vertex solve that sup_box_exponent used before its integer search."""
+    det = ci.coeff_m * cj.coeff_n - ci.coeff_n * cj.coeff_m
+    if det == 0:
+        return None
+    m_form = ci.bound.scaled(cj.coeff_n / det).plus(
+        cj.bound.scaled(-ci.coeff_n / det), label="m*"
+    )
+    n_form = cj.bound.scaled(ci.coeff_m / det).plus(
+        ci.bound.scaled(-cj.coeff_m / det), label="n*"
+    )
+    return m_form, n_form
+
+
+def _reference_sup_box_exponent(coeff_m, coeff_n, constraints, rho):
+    """sup_box_exponent in Fraction arithmetic, every vertex solved as forms."""
+    coeff_m = F(coeff_m)
+    coeff_n = F(coeff_n)
+    rho = F(rho)
+    if not constraints:
+        raise UnboundedError("no constraints given")
+
+    bound_values = [c.bound.value_at(rho) for c in constraints]
+
+    def feasible(m_val, n_val):
+        return all(
+            c.coeff_m * m_val + c.coeff_n * n_val <= bv
+            for c, bv in zip(constraints, bound_values)
+        )
+
+    best_value = None
+    best_form = None
+    for i in range(len(constraints)):
+        for j in range(i + 1, len(constraints)):
+            forms = _reference_vertex_forms(constraints[i], constraints[j])
+            if forms is None:
+                continue
+            m_form, n_form = forms
+            m_val = m_form.value_at(rho)
+            n_val = n_form.value_at(rho)
+            if not feasible(m_val, n_val):
+                continue
+            value = coeff_m * m_val + coeff_n * n_val
+            if best_value is None or value > best_value:
+                best_value = value
+                best_form = m_form.scaled(coeff_m).plus(
+                    n_form.scaled(coeff_n),
+                    label=f"box-supremum[{constraints[i].label or i}&{constraints[j].label or j}]",
+                )
+    if best_form is None:
+        raise InfeasibleError("constraint region is empty or has no vertex")
+
+    dirs = []
+    for c in constraints:
+        dirs.append((-c.coeff_n, c.coeff_m))
+        dirs.append((c.coeff_n, -c.coeff_m))
+        dirs.append((-c.coeff_m, -c.coeff_n))
+    for d_m, d_n in dirs:
+        if (d_m, d_n) == (0, 0):
+            continue
+        if all(c.coeff_m * d_m + c.coeff_n * d_n <= 0 for c in constraints):
+            if coeff_m * d_m + coeff_n * d_n > 0:
+                raise UnboundedError(
+                    f"objective unbounded along direction ({d_m}, {d_n})"
+                )
+    return best_form
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc), str(exc)
+
+
+# Small numerators over a few denominators: parallel and repeated facets,
+# empty regions and unbounded objectives all come up often.  The facets of
+# the box region are drawn too, so that bounded regions do.
+_rationals = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7, 12]))
+_forms = st.builds(ExponentForm, _rationals, _rationals)
+_constraints = st.lists(
+    st.one_of(
+        st.builds(LinearConstraint, _rationals, _rationals, _forms, st.sampled_from(["", "a"])),
+        st.builds(lower_bound_m, _forms),
+        st.builds(lower_bound_n, _forms),
+        st.builds(LinearConstraint, st.just(1), st.just(2), _forms, st.just("volume-cap")),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rationals, _rationals, _constraints, _rationals)
+@example(1, 1, [lower_bound_m(form(0)), lower_bound_n(form(0))], F(1, 2))  # unbounded
+@example(1, 0, box_constraints(F(3, 4), F(1, 2)), F(3, 4))  # empty
+@example(  # parallel facets, one of them redundant
+    0, 1, box_constraints(0, 0, [LinearConstraint(2, 4, form(3), "wide")]), F(2, 3)
+)
+@example(1, 2, box_constraints(0, 0), F(1, 2))  # a tie along the volume facet
+def test_sup_box_exponent_matches_the_fraction_search(coeff_m, coeff_n, constraints, rho):
+    expected = _outcome(_reference_sup_box_exponent, coeff_m, coeff_n, constraints, rho)
+    assert _outcome(sup_box_exponent, coeff_m, coeff_n, constraints, rho) == expected
 
 
 def test_compute_theta_reproduces_target_menu():
