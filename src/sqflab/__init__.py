@@ -34,7 +34,6 @@ from sqflab.progression_stats import (
 from sqflab.congruence_count import (
     BoundReport,
     BoxQuery,
-    SymmetryCheck,
     check_symmetry,
     count_box,
     count_dyadic,

@@ -26,7 +26,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -94,9 +94,7 @@ def check_root_exponent(u: int) -> None:
 
 
 def power_roots(
-    c: int,
-    modulus: Modulus,
-    prime_roots: Sequence[Sequence[int] | None] | None = None,
+    c: int, modulus: Modulus, prime_roots: Sequence[Sequence[int] | None]
 ) -> list[int]:
     """All residues x mod q with x*x = c (mod q), in no particular order.
 
@@ -106,14 +104,14 @@ def power_roots(
     primes are tried smallest first, so a non-residue mod any of them
     returns early.  The roots mod p come from the table for p in
     `prime_roots` (built by _prime_roots) where it has one, and from
-    sqrt_mod_prime otherwise.
+    sqrt_mod_prime where it holds None.
     """
     q = modulus.q
     c %= q
     if q == 1:
         return [0]
     per_prime = []
-    for p, swept in zip(modulus.prime_factors, prime_roots or repeat(None)):
+    for p, swept in zip(modulus.prime_factors, prime_roots):
         if swept is None:
             roots = sqrt_mod_prime(c, p)
         else:  # x <= p - x, and x is the one root of 0 (and of 1 mod 2)
@@ -439,35 +437,16 @@ def count_dyadic(m_anchor: Real, n_anchor: Real, modulus: Modulus, a: int) -> in
     return count_box(BoxQuery(1, -2, m_anchor, n_anchor, modulus, a, dyadic=True))
 
 
-@dataclass(frozen=True)
-class SymmetryCheck:
-    """Pair of counts related by swapping box orientation and exponents."""
+def check_symmetry(query: BoxQuery, count: int) -> int:
+    """The count of query.mirror (which needs v < 0), checked against `count`.
 
-    query: BoxQuery
-    count: int
-    mirrored_count: int
-
-    @property
-    def mirrored(self) -> BoxQuery:
-        return self.query.mirror
-
-    @property
-    def equal(self) -> bool:
-        return self.count == self.mirrored_count
-
-
-def check_symmetry(query: BoxQuery, count: int | None = None) -> SymmetryCheck:
-    """Compare a count against that of query.mirror (which needs v < 0).
-
-    The two exact counts must always agree; the pair is returned for
-    reporting.  A caller already holding count_box(query) passes it as
-    `count`, so only the mirror is counted.
+    `count` is count_box(query), which the caller already holds.  The two
+    exact counts must always agree; a mismatch raises InvariantError.
     """
-    return SymmetryCheck(
-        query=query,
-        count=count_box(query) if count is None else count,
-        mirrored_count=count_box(query.mirror),
-    )
+    mirrored = count_box(query.mirror)
+    if count != mirrored:
+        raise InvariantError(f"symmetry relation violated: {count} != {mirrored}")
+    return mirrored
 
 
 @dataclass(frozen=True)
@@ -549,23 +528,6 @@ def evaluate_bounds(
         interpolated=interpolated,
         alpha=alpha,
     )
-
-
-def geometric_grid(q: int, ratio: float = 2.0) -> list[tuple[float, float]]:
-    """(M, N) lattice with both sides running geometrically by `ratio`.
-
-    The sides run up to the amplification range q^AMPLIFICATION_RANGE and
-    down as far below sqrt(q) as that is above it.
-    """
-    if ratio <= 1:
-        raise ValueError("ratio must exceed 1")
-    sides = []
-    side = q ** (1 - _AMP_RANGE)
-    top = q**_AMP_RANGE
-    while side <= top * (1 + 1e-12):
-        sides.append(side)
-        side *= ratio
-    return [(m, n) for m in sides for n in sides]
 
 
 def scan_boxes(

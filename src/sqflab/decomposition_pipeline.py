@@ -147,33 +147,19 @@ def small_m_estimate(m_bound: Real, n_bound: Real, modulus: Modulus) -> float:
     return float(m_bound) * (float(n_bound) / modulus.q + 1.0)
 
 
-def enumerate_boxes(
-    x: Real,
-    n0: Real,
-    m0: Real = 1,
-    condition: str = "with-m-floor",
-) -> list[tuple[float, float]]:
-    """Dyadic (M, N) anchors meeting the selected region conditions.
+def enumerate_boxes(x: Real, n0: Real, m0: Real = 1) -> list[tuple[float, float]]:
+    """Dyadic anchors (M, N) = (m0 * 2^i, n0 * 2^j) with M*N^2 <= 8x, ordered by (M, N).
 
-    Anchors are m0 * 2^i and n0 * 2^j.  condition="pre-cut" keeps the
-    N-range cap N <= 2*sqrt(x); condition="with-m-floor" is the region used
-    after small-M columns are split off (M >= m0, N >= n0, M*N^2 <= 8x).
-    Deterministic ordering by (M, N).
+    This is the region left after the small-M columns are split off.
     """
-    if condition not in ("pre-cut", "with-m-floor"):
-        raise ValueError(f"unknown condition set {condition!r}")
     if n0 < 1 or m0 < 1:
         raise ValueError("anchors must be >= 1")
-    xf = float(x)
+    cap = 8 * float(x)
     boxes: list[tuple[float, float]] = []
-    cap = 8 * xf
-    n_cap = 2 * math.sqrt(xf)
     m_anchor = float(m0)
     while m_anchor * float(n0) ** 2 <= cap:
         n_anchor = float(n0)
         while m_anchor * n_anchor**2 <= cap:
-            if condition == "pre-cut" and n_anchor > n_cap:
-                break
             boxes.append((m_anchor, n_anchor))
             n_anchor *= 2
         m_anchor *= 2

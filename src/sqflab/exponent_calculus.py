@@ -157,17 +157,24 @@ def lower_bound_n(form: ExponentForm) -> LinearConstraint:
 
 
 def _vertex_forms(
-    ci: LinearConstraint, cj: LinearConstraint
-) -> tuple[ExponentForm, ExponentForm]:
-    """Intersection of two facet lines that are not parallel, as forms in (x, rho)."""
+    ci: LinearConstraint,
+    cj: LinearConstraint,
+    coeff_m: Fraction,
+    coeff_n: Fraction,
+    label: str,
+) -> ExponentForm:
+    """coeff_m * m + coeff_n * n at the meeting point of two facet lines that are not parallel.
+
+    By Cramer's rule the point's m and n are each a weighted sum of the two
+    bound forms, so the objective there is one weighted sum of them too.
+    """
     det = ci.coeff_m * cj.coeff_n - ci.coeff_n * cj.coeff_m
-    m_form = ci.bound.scaled(cj.coeff_n / det).plus(
-        cj.bound.scaled(-ci.coeff_n / det), label="m*"
+    w_i = (coeff_m * cj.coeff_n - coeff_n * cj.coeff_m) / det
+    w_j = (coeff_n * ci.coeff_m - coeff_m * ci.coeff_n) / det
+    bi, bj = ci.bound, cj.bound
+    return ExponentForm(
+        w_i * bi.coeff_x + w_j * bj.coeff_x, w_i * bi.coeff_rho + w_j * bj.coeff_rho, label
     )
-    n_form = cj.bound.scaled(ci.coeff_m / det).plus(
-        ci.bound.scaled(-cj.coeff_m / det), label="n*"
-    )
-    return m_form, n_form
 
 
 def _integer_row(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
@@ -198,7 +205,7 @@ def sup_box_exponent(
     Each row a*m + b*n <= c, and the objective, is multiplied by the least
     common multiple of its denominators.  The factor is positive, so every
     comparison below is the rational one, made on integers; only the
-    winning vertex is solved as forms.
+    objective at the winning vertex is solved as a form.
     """
     coeff_m = _frac(coeff_m)
     coeff_n = _frac(coeff_n)
@@ -245,10 +252,9 @@ def sup_box_exponent(
                     )
 
     _, _, i, j = best
-    m_form, n_form = _vertex_forms(constraints[i], constraints[j])
-    return m_form.scaled(coeff_m).plus(
-        n_form.scaled(coeff_n),
-        label=f"box-supremum[{constraints[i].label or i}&{constraints[j].label or j}]",
+    ci, cj = constraints[i], constraints[j]
+    return _vertex_forms(
+        ci, cj, coeff_m, coeff_n, f"box-supremum[{ci.label or i}&{cj.label or j}]"
     )
 
 

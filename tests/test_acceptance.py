@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from sqflab import cli_runner
 from sqflab.arith_core import factor_modulus, mobius_segment, mobius_sieve
-from sqflab.congruence_count import BoxQuery, count_box, geometric_grid, scan_boxes
+from sqflab.congruence_count import BoxQuery, count_box, scan_boxes
 from sqflab.decomposition_pipeline import decompose_error, pipeline_report
 from sqflab.exponent_calculus import (
     DEFAULT_MENU,
@@ -196,6 +196,15 @@ def scan_column_max(argv: str, column: str, keys: tuple[str, ...]):
     rows = list(csv.DictReader(io.StringIO(out.getvalue())))
     best = max(rows, key=lambda row: float(row[column]))
     return float(best[column]), tuple(int(best[k]) for k in keys)
+
+
+def geometric_grid(q, ratio):
+    """(M, N) with both sides running by `ratio` from q^(1/4) up to q^(3/4)."""
+    sides, side = [], q**0.25
+    while side <= q**0.75 * (1 + 1e-12):
+        sides.append(side)
+        side *= ratio
+    return [(m, n) for m in sides for n in sides]
 
 
 def test_criterion_6_monitored_regressions():

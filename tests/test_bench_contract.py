@@ -80,3 +80,18 @@ def test_traced_u2_box_counts_one_root_solve_per_distinct_c(tracer, q):
     assert code == 0
     distinct = {a * pow(n, -1, q) % q for n in range(1, n_top + 1) if gcd(n, q) == 1}
     assert 0 < t.counters["congruence_count.root_solves"] == len(distinct) <= n_top
+
+
+def test_traced_optimize_solves_one_vertex_per_box_supremum(tracer):
+    # verify_choices takes two box suprema, and each solves its winning
+    # vertex once: exponent_calculus.vertex_solves counts those solves.
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_runner.main(["optimize", "--menu", "default"])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.counters["exponent_calculus.vertex_solves"] == 2
+    assert [s[1] for s in t.spans].count("sup_box_exponent") == 2

@@ -107,10 +107,12 @@ def test_identity_violation_is_exit_3(capsys, monkeypatch):
 
 
 def test_symmetry_violation_is_exit_3(tmp_path, capsys, monkeypatch):
-    def off_by_one(query, count):
-        return congruence_count.SymmetryCheck(query, count, count + 1)
+    count_box = congruence_count.count_box
 
-    monkeypatch.setattr(cli_runner, "check_symmetry", off_by_one)
+    def mirror_off_by_one(query, column=None):  # the mirror of u = 1, v = -2 has u = 2
+        return count_box(query, column) + (query.u == 2)
+
+    monkeypatch.setattr(congruence_count, "count_box", mirror_off_by_one)
     target = tmp_path / "box.json"
     for output in ([], ["--output", str(target)]):
         code, out, err = run_cli(capsys, *BOX, "--m", "10", "--n", "10", *output)
@@ -416,6 +418,32 @@ def test_scan_pool_is_capped_by_tasks_and_cores(capsys, monkeypatch, workers, q_
     pooled = run_cli(capsys, *args, "--workers", workers)
     assert _SerialPool.sizes == ([size] if size else [])
     assert pooled == run_cli(capsys, *args, "--workers", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ("optimize --menu default", 0, ""),
+        ("error-term --x 0 --q 1 --a 0", 2, "error: x must be >= 1, got 0\n"),
+        ("bogus", 2, "sqflab: error: argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_console_entry_point_exits_with_mains_code(capsys, argv, code, err):
+    # run() is what the installed `sqflab` script calls: it reads sys.argv
+    # and exits with main's code, or with argparse's on a usage error.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        f"import sys\nsys.path.insert(0, {str(src)!r})\n"
+        "from sqflab.cli_runner import run\nrun()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv.split()], capture_output=True, timeout=60
+    )
+    assert done.returncode == code
+    assert err in done.stderr.decode()
+    if code == 0:
+        assert (main(argv.split()), done.stderr) == (0, b"")
+        assert done.stdout == capsys.readouterr().out.encode()
 
 
 def test_runs_on_the_standard_library_alone():
@@ -897,9 +925,10 @@ def test_main_writes_each_result_once_and_nothing_on_failure(capsys, monkeypatch
         assert (code, out, emitted) == (2, "", []), command
         assert err.startswith("error: ")
     monkeypatch.setattr(cli_runner, "decompose_error", lambda *a, **k: Fraction(1, 7))
-    monkeypatch.setattr(
-        cli_runner, "check_symmetry",
-        lambda query, count: congruence_count.SymmetryCheck(query, count, 0),
+    count_box = congruence_count.count_box
+    monkeypatch.setattr(  # the mirror of u = 1, v = -2 has u = 2
+        congruence_count, "count_box",
+        lambda query, column=None: 0 if query.u == 2 else count_box(query, column),
     )
 
     def violated(*args, **kwargs):

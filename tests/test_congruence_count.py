@@ -25,7 +25,6 @@ from sqflab.congruence_count import (
     count_box,
     count_dyadic,
     evaluate_bounds,
-    geometric_grid,
     pierce_applicable,
     power_roots,
     residue_table,
@@ -75,7 +74,7 @@ def test_power_roots_against_brute_force():
     for m in squarefree_moduli(100):
         for c in range(min(m.q, 25)):
             expected = sorted(x for x in range(m.q) if x * x % m.q == c % m.q)
-            assert sorted(power_roots(c, m)) == expected, (c, m.q)
+            assert sorted(power_roots(c, m, [None] * len(m.prime_factors))) == expected, (c, m.q)
 
 
 def test_class_count_rejects_higher_exponents():
@@ -454,7 +453,7 @@ def test_u2_multisets_hold_each_root_once(monkeypatch, u, v, n_lo, n_hi, q, a):
     assert len(roots) == len(set(roots)) <= q
     if n_hi - n_lo <= 6000:
         hits = sum(
-            len(power_roots(a * pow(n, v, q), modulus))
+            len(power_roots(a * pow(n, v, q), modulus, [None] * len(modulus.prime_factors)))
             for n in range(n_lo + 1, n_hi + 1)
             if v > 0 or gcd(n, q) == 1
         )
@@ -518,19 +517,20 @@ def test_residue_sum_rule():
 
 
 def test_symmetry_examples_and_sweep():
-    m7 = factor_modulus(7)
-    sym = check_symmetry(BoxQuery(1, -2, 10, 10, m7, 1))
-    assert sym.equal and sym.count == 15
-    # A count the caller holds is reused; only the mirror is counted.
-    held = check_symmetry(BoxQuery(1, -2, 10, 10, m7, 1), count=14)
-    assert (held.count, held.mirrored_count, held.equal) == (14, 15, False)
+    query = BoxQuery(1, -2, 10, 10, factor_modulus(7), 1)
+    assert count_box(query) == check_symmetry(query, 15) == 15
+    # The count the caller holds is checked against the mirror's, which is counted.
+    with pytest.raises(InvariantError, match=r"^symmetry relation violated: 14 != 15$"):
+        check_symmetry(query, 14)
     for (u, v), mb, nb, m, a in random_instances(60, seed=9, q_max=150, side_max=80):
-        assert check_symmetry(BoxQuery(u, v, mb, nb, m, a)).equal
+        query = BoxQuery(u, v, mb, nb, m, a)
+        count = count_box(query)
+        assert check_symmetry(query, count) == count
 
 
 def test_symmetry_requires_negative_v():
     with pytest.raises(ValueError):
-        check_symmetry(BoxQuery(1, 1, 10, 10, factor_modulus(7), 1))
+        check_symmetry(BoxQuery(1, 1, 10, 10, factor_modulus(7), 1), 0)
 
 
 def test_count_dyadic_oracle_and_identity():
@@ -598,6 +598,15 @@ def test_evaluate_bounds_applicability_flags():
     rep2 = evaluate_bounds(BoxQuery(1, -2, 101, 10, m, 1))
     assert rep2.pierce_mn is None and rep2.pierce_nm is None
     assert not pierce_applicable(101, 10, 101)
+
+
+def geometric_grid(q, ratio):
+    """(M, N) with both sides running by `ratio` from q^(1/4) up to q^(3/4)."""
+    sides, side = [], q**0.25
+    while side <= q**0.75 * (1 + 1e-12):
+        sides.append(side)
+        side *= ratio
+    return [(m, n) for m in sides for n in sides]
 
 
 def test_scan_boxes_consistency():

@@ -164,7 +164,7 @@ def test_error_term_decompose_and_tail_split_build_one_table_each(monkeypatch):
 
 def test_enumerate_boxes_exhaustive_small():
     x = 2**20
-    boxes = enumerate_boxes(x, 1, 1, condition="with-m-floor")
+    boxes = enumerate_boxes(x, 1, 1)
     expected = sorted(
         (float(2**i), float(2**j))
         for i in range(30)
@@ -175,32 +175,10 @@ def test_enumerate_boxes_exhaustive_small():
     assert boxes == sorted(boxes)  # deterministic (M, N) order
 
 
-def test_enumerate_boxes_pre_cut_n_cap():
-    x = 10**6
-    boxes = enumerate_boxes(x, 100, 100, condition="pre-cut")
-    assert boxes  # nonempty
-    for m_anchor, n_anchor in boxes:
-        assert m_anchor >= 100 and n_anchor >= 100
-        assert m_anchor * n_anchor**2 <= 8 * x
-        assert n_anchor <= 2 * math.sqrt(x)
-    # no qualifying anchor pair is missing
-    candidates = [
-        (100 * 2.0**i, 100 * 2.0**j) for i in range(30) for j in range(30)
-    ]
-    expected = [
-        (m, n)
-        for m, n in candidates
-        if m * n * n <= 8 * x and n <= 2 * math.sqrt(x)
-    ]
-    assert sorted(boxes) == sorted(expected)
-
-
 def test_enumerate_boxes_empty_and_validation():
-    assert enumerate_boxes(10, 1, 1000, condition="with-m-floor") == []
+    assert enumerate_boxes(10, 1, 1000) == []
     with pytest.raises(ValueError):
         enumerate_boxes(100, 0.5, 1)
-    with pytest.raises(ValueError):
-        enumerate_boxes(100, 1, 1, condition="cond17")
 
 
 def test_covering_boxes_partition_every_head_pair():
