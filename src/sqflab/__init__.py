@@ -11,7 +11,6 @@ from sqflab.arith_core import (
     Modulus,
     NotCoprimeError,
     NotSquarefreeError,
-    SieveWindow,
     factor_modulus,
     is_squarefree,
     mobius_segment,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import Iterator, Sequence
+from typing import Iterator
 
 # A real bound of a count: a cutoff x or a box side.
 Real = int | float | Fraction
@@ -131,36 +131,6 @@ def is_squarefree(n: int) -> bool:
         if r * r == n:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class SieveWindow:
-    """Mobius values over the integer interval [start, start+length), length = len(mu).
-
-    mu[i] belongs to {-1, 0, +1} and is the Mobius value of start+i; the
-    squarefree indicator of start+i is mu[i]**2.
-    """
-
-    start: int
-    mu: Sequence[int]
-
-    def __post_init__(self) -> None:
-        if self.start < 1:
-            raise ValueError("window start must be >= 1")
-
-    @property
-    def length(self) -> int:
-        return len(self.mu)
-
-    @property
-    def end(self) -> int:
-        """One past the last covered integer."""
-        return self.start + self.length
-
-    def mu_at(self, n: int) -> int:
-        if not self.start <= n < self.end:
-            raise IndexError(f"{n} outside window [{self.start}, {self.end})")
-        return self.mu[n - self.start]
 
 
 @dataclass(frozen=True)
@@ -295,9 +265,10 @@ def squarefree_flags(start: int, length: int) -> bytearray:
     return next(squarefree_progression(start, 1, length, segment=length), bytearray())
 
 
-def mobius_segment(start: int, length: int) -> SieveWindow:
+def mobius_segment(start: int, length: int) -> array:
     """Mobius values over [start, start+length), ending at most at MOBIUS_SIEVE_MAX.
 
+    A signed-byte array: byte i is mu(start + i), and start must be >= 1.
     Starts from the squarefree flags and flips the sign byte at the
     multiples of every prime below the window's end.  Every prime factor of
     every n in the window is such a prime, so a squarefree n ends up with
@@ -315,11 +286,11 @@ def mobius_segment(start: int, length: int) -> SieveWindow:
         i0 = -start % p
         if i0 < length:
             signs[i0::p] = signs[i0::p].translate(_FLIP)
-    return SieveWindow(start=start, mu=array("b", signs))
+    return array("b", signs)
 
 
-def mobius_sieve(limit: int) -> SieveWindow:
-    """Mobius values over [1, limit]."""
+def mobius_sieve(limit: int) -> array:
+    """Mobius values over [1, limit]: byte i is mu(i + 1)."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     return mobius_segment(1, limit)

@@ -61,6 +61,10 @@ EXIT_INVARIANT = 3
 # A side longer than q is folded modulo q, so the work is at most q per side.
 COUNT_BOX_WALK_MAX = 10**7
 
+# Integers in scan's modulus window [q_min, min(q_max, largest x)], whose flags
+# and q task list take about 60 bytes per integer before any row is built.
+SCAN_WINDOW_MAX = 10**6
+
 # Flags one error term may sieve: its progression n = a + q*k holds about
 # x // q of them.  Its primes, its table of squarefree prefix counts and the
 # decomposition's Mobius prefix all grow with isqrt(x), which
@@ -202,31 +206,27 @@ def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[
     return sorted(random.Random(f"{seed}:{q}").sample(units, value))
 
 
-def _scan_classes(
-    task: tuple[int, tuple[str, int], int],
-) -> tuple[Modulus, list[tuple[int, int, float]]]:
-    """The modulus q and its x-free columns: (a, least squarefree member, ratio) per a."""
+def _scan_classes(task: tuple[int, tuple[str, int], int]) -> tuple[Modulus, list[tuple[int, str]]]:
+    """The modulus q and its classes: each a with its x-free CSV columns, n_q_a and ratio."""
     q, policy, seed = task
     modulus = factor_modulus(q)
     scale = float(q) ** float(COROLLARY)
     classes = []
     for a in _residues_for(modulus, policy, seed):
         n_qa = least_squarefree(modulus, a)
-        classes.append((a, n_qa, n_qa / scale))
+        classes.append((a, f"{n_qa},{_fmt_float(n_qa / scale)}"))
     return modulus, classes
 
 
-def _scan_rows(
-    task: tuple[int, Modulus, list[tuple[int, int, float]]],
-) -> list[tuple]:
-    """The rows of one (x, q), ascending in a.
+def _scan_rows(task: tuple[int, Modulus, list[tuple[int, str]]]) -> list[str]:
+    """The CSV lines of one (x, q), ascending in a.
 
     When the classes are every unit of q > 1, their counts, read from the
     flags at stride q, must sum to the coprime count from the Legendre
     recursion.
     """
     x, modulus, classes = task
-    results = error_terms(x, modulus, [a for a, _, _ in classes])
+    results = error_terms(x, modulus, [a for a, _ in classes])
     if modulus.q > 1 and len(results) == modulus.phi:
         total = sum(res.progression_count for res in results)
         coprime = results[0].coprime_count
@@ -235,12 +235,11 @@ def _scan_rows(
                 f"class counts of q = {modulus.q} at x = {x} sum to {total}, "
                 f"not to the coprime count {coprime}"
             )
-    rows = []
-    for res, (a, n_qa, corollary) in zip(results, classes):
-        counts = (res.progression_count, res.coprime_count)
-        error = (res.error.numerator, res.error.denominator)
-        rows.append((x, modulus.q, a, *counts, *error, res.reference_ratio, n_qa, corollary))
-    return rows
+    return [
+        f"{x},{modulus.q},{a},{res.progression_count},{res.coprime_count},"
+        f"{res.error.numerator},{res.error.denominator},{_fmt_float(res.reference_ratio)},{tail}"
+        for res, (a, tail) in zip(results, classes)
+    ]
 
 
 def _cmd_scan(args: argparse.Namespace) -> str | list[dict]:
@@ -255,6 +254,11 @@ def _cmd_scan(args: argparse.Namespace) -> str | list[dict]:
     _check_error_term_budget(x_values[-1], args.q_min)
     # A q above every x has no row, so the list stops at the largest x.
     q_window = range(args.q_min, min(args.q_max, x_values[-1]) + 1)
+    if len(q_window) > SCAN_WINDOW_MAX:
+        raise ValueError(
+            f"the modulus window [{args.q_min}, {q_window.stop - 1}] holds "
+            f"{len(q_window)} integers, above the budget of {SCAN_WINDOW_MAX}"
+        )
     flags = squarefree_flags(args.q_min, len(q_window))
     q_tasks = [(q, policy, args.seed) for q in compress(q_window, flags)]
     # More processes than q tasks or cores would only wait.
@@ -270,23 +274,17 @@ def _cmd_scan(args: argparse.Namespace) -> str | list[dict]:
         # x in the outer loop: every q of one x reads the same squarefree
         # table, and the rows come out in (X, q, a) order.
         row_tasks = [(x, m, classes) for x in x_values for m, classes in per_q if m.q <= x]
-        rows = [row for chunk in run(_scan_rows, row_tasks) for row in chunk]
+        lines = [line for chunk in run(_scan_rows, row_tasks) for line in chunk]
     finally:
         if pool:
             # After an error the tasks not yet started are dropped.
             pool.shutdown(cancel_futures=True)
 
-    lines = [CSV_HEADER]
-    for row in rows[args.start_row :]:
-        x, q, a, cap, ccop, enum, eden, ratio, n_qa, cor = row
-        lines.append(
-            f"{x},{q},{a},{cap},{ccop},{enum},{eden},"
-            f"{_fmt_float(ratio)},{n_qa},{_fmt_float(cor)}"
-        )
+    lines = lines[args.start_row :]
     if args.format == "json":
         keys = CSV_HEADER.split(",")
-        return [dict(zip(keys, line.split(","))) for line in lines[1:]]
-    return "\n".join(lines) + "\n"
+        return [dict(zip(keys, line.split(","))) for line in lines]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +363,14 @@ def _cmd_optimize(args: argparse.Namespace) -> dict:
             for t in terms
         ],
         "feasible": result.feasible,
+        "theta": str(result.theta) if result.feasible else None,
+        "binding_constraint": result.binding_constraint,
     }
     if result.feasible:
         # The anchor choices are defined for RHO_MIN <= rho < 1 only.
         choice = verify_choices(result.theta) if RHO_MIN <= result.theta < 1 else None
         payload.update(
             {
-                "theta": str(result.theta),
-                "binding_constraint": result.binding_constraint,
                 "slack_at_theta": {k: str(v) for k, v in result.slack_at_theta.items()},
                 "corollary_exponent": str(corollary_exponent(result.theta))
                 if 0 < result.theta < 1
@@ -392,9 +390,6 @@ def _cmd_optimize(args: argparse.Namespace) -> dict:
                 else None,
             }
         )
-    else:
-        payload["theta"] = None
-        payload["binding_constraint"] = result.binding_constraint
     return payload
 
 

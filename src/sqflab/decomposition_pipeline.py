@@ -91,7 +91,7 @@ def _decompose(
     fx = math.floor(x)
     n_max = isqrt(fx)
     n_split = min(math.floor(n0), n_max)
-    mu = mobius_sieve(n_max).mu  # index i holds mu(i + 1)
+    mu = mobius_sieve(n_max)  # index i holds mu(i + 1)
     table = residue_table(-2, modulus, a, n_max)
     residues = table.values
     q = modulus.q

@@ -147,6 +147,10 @@ class LinearConstraint:
         object.__setattr__(self, "coeff_n", _frac(self.coeff_n))
 
 
+# Every box has M*N^2 <= X: m + 2n <= 1 at exponent level.
+VOLUME_CAP = LinearConstraint(1, 2, ExponentForm(1, 0, "volume"), "volume-cap")
+
+
 def lower_bound_m(form: ExponentForm) -> LinearConstraint:
     """m >= form, written as -m <= -form."""
     return LinearConstraint(Fraction(-1), Fraction(0), form.scaled(-1), "m-floor")
@@ -341,13 +345,11 @@ def anchor_exponents(rho: RationalLike) -> tuple[Fraction, Fraction, bool]:
 
 
 def region_constraints(m0: Fraction, n0: Fraction) -> list[LinearConstraint]:
-    """The exponent-level box region: m >= m0, n >= n0, m + 2n <= 1."""
+    """The exponent-level box region: m >= m0, n >= n0 and VOLUME_CAP."""
     return [
         lower_bound_m(ExponentForm(m0, Fraction(0), "m-anchor")),
         lower_bound_n(ExponentForm(n0, Fraction(0), "n-anchor")),
-        LinearConstraint(
-            Fraction(1), Fraction(2), ExponentForm(Fraction(1), Fraction(0), "volume"), "volume-cap"
-        ),
+        VOLUME_CAP,
     ]
 
 
@@ -396,14 +398,13 @@ def verify_choices(rho: RationalLike) -> ChoiceReport:
         threshold = form.value_at(rho)
         detail = f"{name}0={value} vs {size} exponent {threshold} (factor 2 gives strictness)"
         checks.append(ChoiceCheck(f"{name}-anchor-exceeds-threshold", value >= threshold, detail))
-    checks.append(
-        ChoiceCheck("m-anchor-range", 0 <= m0 <= 1, f"need 0 <= {m0} <= 1")
-    )
-    checks.append(
-        ChoiceCheck(
-            "n-anchor-range", 0 <= n0 <= Fraction(1, 2), f"need 0 <= {n0} <= 1/2"
+    # Each anchor's range ends where VOLUME_CAP meets its axis.
+    cap = VOLUME_CAP.bound.value_at(rho)
+    for name, value, coeff in (("m", m0, VOLUME_CAP.coeff_m), ("n", n0, VOLUME_CAP.coeff_n)):
+        top = cap / coeff
+        checks.append(
+            ChoiceCheck(f"{name}-anchor-range", 0 <= value <= top, f"need 0 <= {value} <= {top}")
         )
-    )
     constraints = region_constraints(m0, n0)
     for coeffs, name in (((1, 0), "box-m-within-amplification"),
                          ((0, 1), "box-n-within-amplification")):
@@ -451,7 +452,7 @@ _ONE_SIDED_BOX = sup_box_exponent(
     [
         lower_bound_m(ZERO_FORM),
         lower_bound_n(N_ANCHOR),
-        LinearConstraint(1, 2, ExponentForm(1, 0), "volume-cap"),
+        VOLUME_CAP,
         LinearConstraint(1, 0, ExponentForm(0, AMPLIFICATION_RANGE), "amplification-range"),
     ],
     RHO_MIN,

@@ -154,7 +154,6 @@ def _class_counts(limit: int, q: int, residues: Sequence[int]) -> list[int]:
     return counts
 
 
-@lru_cache(maxsize=64)
 def _coprime_count(limit: int, modulus: Modulus) -> int:
     """S(limit), the squarefree n <= limit coprime to q, by one recursion.
 
@@ -167,8 +166,7 @@ def _coprime_count(limit: int, modulus: Modulus) -> int:
     within the call.  The d with y // d^2 <= v, v about the cube root of y,
     are counted per coprime squarefree s <= v: from a prefix count of a
     coprime mask up to r, and from phi's Legendre recursion above r.  No
-    Mobius value or divisor of q enters.  Cached per (limit, q), so the
-    classes of one modulus at one limit share it.
+    Mobius value or divisor of q enters.
     """
     t = min(2 * isqrt(limit), _FLAG_CACHE_MAX)
     # r bounds every d taken one by one: d_max is at most isqrt(y // (t + 1))

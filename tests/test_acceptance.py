@@ -266,7 +266,7 @@ def test_criterion_7_sieve_correctness():
     sieved_sum = 0
     for start in range(1, limit + 1, chunk):
         seg = mobius_segment(start, min(chunk, limit + 1 - start))
-        sieved_sum += sum(1 for v in seg.mu if v != 0)
+        sieved_sum += sum(1 for v in seg if v != 0)
     oracle_sum = sum(1 for n in range(1, limit + 1) if _squarefree_by_trial_division(n))
 
     full = mobius_sieve(limit)
@@ -276,7 +276,7 @@ def test_criterion_7_sieve_correctness():
         start = rng.randrange(1, limit - 1000)
         length = rng.randrange(0, 1000)
         seg = mobius_segment(start, length)
-        if list(seg.mu) != list(full.mu[start - 1 : start - 1 + length]):
+        if list(seg) != list(full[start - 1 : start - 1 + length]):
             window_mismatches += 1
 
     ok = sieved_sum == oracle_sum and window_mismatches == 0

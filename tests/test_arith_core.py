@@ -12,7 +12,6 @@ from sqflab.arith_core import (
     InvariantError,
     Modulus,
     NotSquarefreeError,
-    SieveWindow,
     factor_modulus,
     is_squarefree,
     mobius_segment,
@@ -57,25 +56,24 @@ def test_prime_table_keeps_only_the_largest(monkeypatch):
 
 
 def test_mobius_sieve_examples():
-    w = mobius_sieve(30)
-    assert w.mu_at(1) == 1  # empty product
-    assert w.mu_at(12) == 0
-    assert w.mu_at(6) == 1
-    assert w.mu_at(7) == -1
-    assert w.mu_at(30) == -1  # three prime factors
-    assert mobius_sieve(1).mu_at(1) == 1
+    mu = mobius_sieve(30)  # mu[i] is mu(i + 1)
+    assert mu[0] == 1  # empty product
+    assert mu[11] == 0
+    assert mu[5] == 1
+    assert mu[6] == -1
+    assert mu[29] == -1  # three prime factors
+    assert mobius_sieve(1)[0] == 1
 
 
 def test_mobius_sieve_against_oracle():
-    w = mobius_sieve(3000)
+    mu = mobius_sieve(3000)
     for n in range(1, 3001):
-        assert w.mu_at(n) == mobius_oracle(n), n
+        assert mu[n - 1] == mobius_oracle(n), n
 
 
 def test_mu_squared_sum_matches_trial_division():
     limit = 10**4
-    w = mobius_sieve(limit)
-    sieved = sum(v * v for v in w.mu)
+    sieved = sum(v * v for v in mobius_sieve(limit))
     oracle = sum(1 for n in range(1, limit + 1) if mobius_oracle(n) != 0)
     assert sieved == oracle
 
@@ -90,13 +88,12 @@ def test_mobius_sieve_rejects_bad_limits():
 def test_segment_matches_full_sieve_prefix():
     full = mobius_sieve(30)
     seg = mobius_segment(1, 30)
-    assert list(seg.mu) == list(full.mu)
+    assert list(seg) == list(full)
 
 
 def test_segment_empty():
     seg = mobius_segment(17, 0)
-    assert seg.length == 0
-    assert len(seg.mu) == 0
+    assert len(seg) == 0
 
 
 def test_segment_deep_window_matches_full_restriction():
@@ -104,14 +101,14 @@ def test_segment_deep_window_matches_full_restriction():
     full = mobius_sieve(10**6 + 10**3)
     seg = mobius_segment(start, length)
     for n in range(start, start + length):
-        assert seg.mu_at(n) == full.mu_at(n)
+        assert seg[n - start] == full[n - 1]
 
 
 def test_segment_near_1e7_against_oracle():
     for start in (9_999_000, 5_000_000, 123_456):
         seg = mobius_segment(start, 800)
         for n in range(start, start + 800, 7):
-            assert seg.mu_at(n) == mobius_oracle(n), n
+            assert seg[n - start] == mobius_oracle(n), n
 
 
 def test_segment_random_windows_match_full():
@@ -121,22 +118,19 @@ def test_segment_random_windows_match_full():
         start = rng.randrange(1, 199_000)
         length = rng.randrange(0, 900)
         seg = mobius_segment(start, length)
-        assert list(seg.mu) == list(full.mu[start - 1 : start - 1 + length])
+        assert list(seg) == list(full[start - 1 : start - 1 + length])
 
 
 def test_window_bounds_checks():
-    w = mobius_sieve(10)
-    with pytest.raises(IndexError):
-        w.mu_at(11)
     with pytest.raises(ValueError):
-        SieveWindow(start=0, mu=[1])
+        mobius_segment(0, 5)
 
 
 def test_squarefree_flags_agree_with_mu():
-    w = mobius_sieve(5000)
+    mu = mobius_sieve(5000)
     flags = squarefree_flags(1, 5000)
     for i in range(5000):
-        assert flags[i] == (w.mu[i] != 0)
+        assert flags[i] == (mu[i] != 0)
 
 
 def test_squarefree_flags_deep_segment():

@@ -212,18 +212,22 @@ def flag_tables(monkeypatch):
         progression_stats, "squarefree_flags",
         lambda start, length: built.append(length) or flags_fn(start, length),
     )
-    progression_stats._coprime_count.cache_clear()
     progression_stats._flag_prefix.cache_clear()
-    yield built
-    progression_stats._coprime_count.cache_clear()
+    return built
 
 
-def test_scan_at_one_x_builds_one_squarefree_table_for_every_q(capsys, flag_tables):
+def test_scan_at_one_x_builds_one_squarefree_table_for_every_q(capsys, monkeypatch, flag_tables):
+    coprime_counts = []
+    count = progression_stats._coprime_count
+    monkeypatch.setattr(
+        progression_stats, "_coprime_count",
+        lambda limit, modulus: coprime_counts.append(modulus.q) or count(limit, modulus),
+    )
     code, out, _ = run_cli(
         capsys, "scan", "--x", "1048576", "--q-max", "40", "--a", "all", "--workers", "1"
     )
     assert code == 0 and len(out.splitlines()) > 200
-    assert progression_stats._coprime_count.cache_info().misses == 26  # one per q
+    assert len(coprime_counts) == len(set(coprime_counts)) == 26  # one per q
     # The classes read [1, x]; every coprime count reads t = 2 * isqrt(x) flags.
     assert sorted(flag_tables) == [2048, 1048576]
 
@@ -519,6 +523,10 @@ SCAN = ["scan", "--x", "1000", "--q-max", "5"]
 WALK = f"above the budget of {cli_runner.COUNT_BOX_WALK_MAX}"
 WORK = f"x // q = 5000000000000 is above the budget of {cli_runner.ERROR_TERM_WORK_MAX}"
 ROOT = "isqrt(x) = 31622776 is above the sieve bound 10000000"
+WINDOW = (
+    f"error: the modulus window [100000, {10**14}] holds {10**14 - 99999} integers, "
+    f"above the budget of {cli_runner.SCAN_WINDOW_MAX}\n"
+)
 BUDGET = [
     (["error-term", "--x", str(10**13), "--q", "2", "--a", "1"], WORK),
     (["pipeline", "--x", str(10**13), "--q", "2", "--a", "1"], WORK),
@@ -526,6 +534,8 @@ BUDGET = [
     # x // q is within the budget here; isqrt(x) is not.
     (["pipeline", "--x", str(10**15), "--q", "1000003", "--a", "1"], ROOT),
     (["error-term", "--x", str(10**15), "--q", "1000003", "--a", "1"], ROOT),
+    # Both error-term budgets hold here; the modulus window does not.
+    (["scan", "--x", str(10**14), "--q-min", "100000", "--q-max", str(10**14)], WINDOW),
 ]
 
 
@@ -561,6 +571,14 @@ def test_error_term_budget_refuses_before_any_sieving(capsys, monkeypatch, argv,
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_scan_window_budget_counts_only_the_integers_below_the_largest_x(capsys, monkeypatch):
+    monkeypatch.setattr(cli_runner, "SCAN_WINDOW_MAX", 10)
+    assert run_cli(capsys, "scan", "--x", "10", "--q-max", "1000")[0] == 0
+    code, out, err = run_cli(capsys, "scan", "--x", "11", "--q-max", "1000")
+    assert (code, out) == (2, "")
+    assert err == "error: the modulus window [1, 11] holds 11 integers, above the budget of 10\n"
 
 
 def test_count_box_budget_spares_the_unwalked_side(capsys):

@@ -120,6 +120,11 @@ FIXED = [
     "optimize --menu-file {tmp}/bad.txt",
     "optimize --menu-file {tmp}/zero.txt",
     "optimize --menu-file {tmp}/empty.txt",
+    # Infeasible: the box supremum, then a flat term, bind; feasible with a
+    # term whose negative slope raises the lower end of rho.
+    "optimize --rho-min 1",
+    "optimize --menu-file {tmp}/flat.txt",
+    "optimize --menu-file {tmp}/low.txt",
     # Usage errors that argparse reports with the top-level usage line.
     "bogus",
     "optimize --bogus",
@@ -131,6 +136,8 @@ FILES = {
     "bad.txt": "broken-line 1/2\n",
     "zero.txt": "ok 1 0\nt0 1/0 1\n",
     "empty.txt": "# nothing\n",
+    "flat.txt": "flat 2 -1\nsolo 1/2 -3/8\n",
+    "low.txt": "box 1/10 0\nlow 9/5 -2\n",
 }
 
 

@@ -138,14 +138,6 @@ def test_squarefree_counts_against_oracle():
         assert squarefree_count_coprime(x, m) == expected_cop
 
 
-@pytest.fixture
-def fresh_coprime_cache():
-    """Empty the coprime-count cache around a test, so each count is computed."""
-    progression_stats._coprime_count.cache_clear()
-    yield
-    progression_stats._coprime_count.cache_clear()
-
-
 _SQUAREFREE_UP_TO_3000 = [False] + [squarefree_oracle(n) for n in range(1, 3001)]
 
 
@@ -167,12 +159,8 @@ def test_stride_counts_against_trial_division(x, q, a, segment, cache_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith_core, "_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", cache_max)
-        progression_stats._coprime_count.cache_clear()
-        try:
-            assert squarefree_count_ap(x, m, a) == want_ap
-            assert squarefree_count_coprime(x, m) == want_cop
-        finally:
-            progression_stats._coprime_count.cache_clear()
+        assert squarefree_count_ap(x, m, a) == want_ap
+        assert squarefree_count_coprime(x, m) == want_cop
 
 
 _SQUAREFREE_UP_TO_20000 = [False] + [squarefree_oracle(n) for n in range(1, 20001)]
@@ -205,11 +193,7 @@ def test_sublinear_route_against_trial_division(x, q, a, pick, shift):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith_core, "_SEGMENT", segment)
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", 0)
-        progression_stats._coprime_count.cache_clear()
         assert (squarefree_count_ap(x, m, a), squarefree_count_coprime(x, m)) == (want_ap, want_cop)
-        # Cached coprime count: the class alone is counted, or nothing.
-        assert (squarefree_count_ap(x, m, a), squarefree_count_coprime(x, m)) == (want_ap, want_cop)
-        assert squarefree_count_coprime(x, m) == want_cop
 
 
 def _cut_points_by_listing(limit, modulus):
@@ -251,13 +235,9 @@ def test_coprime_count_against_trial_division(x, q, cache_max):
         want.append(want[-1] + (flags[n] and gcd(n, q) == 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(progression_stats, "_FLAG_CACHE_MAX", cache_max)
-        progression_stats._coprime_count.cache_clear()
-        try:
-            assert squarefree_count_coprime(x, m) == want[x]
-            if x <= 300:
-                assert [squarefree_count_coprime(y, m) for y in range(x + 1)] == want
-        finally:
-            progression_stats._coprime_count.cache_clear()
+        assert squarefree_count_coprime(x, m) == want[x]
+        if x <= 300:
+            assert [squarefree_count_coprime(y, m) for y in range(x + 1)] == want
 
 
 @pytest.fixture(scope="module")
@@ -267,9 +247,7 @@ def flags_past_the_cache():
 
 @pytest.mark.parametrize("q", [1, 30030])
 @pytest.mark.parametrize("x", [2**22 - 1, 2**22, 2**22 + 1])
-def test_coprime_count_matches_a_running_flag_count(
-    x, q, flags_past_the_cache, fresh_coprime_cache
-):
+def test_coprime_count_matches_a_running_flag_count(x, q, flags_past_the_cache):
     # Reference: the Liouville sum of Q over the cut points x // m, with Q
     # a running count of the flags of [1, x].
     flags = flags_past_the_cache[:x]
@@ -283,7 +261,7 @@ def test_coprime_count_matches_a_running_flag_count(
 
 
 @pytest.mark.parametrize("q", [1, 2, 30, 2310])
-def test_class_counts_sum_to_coprime_count(q, monkeypatch, fresh_coprime_cache):
+def test_class_counts_sum_to_coprime_count(q, monkeypatch):
     # Above the flag cache: every count below takes the sublinear route.
     monkeypatch.setattr(arith_core, "_SEGMENT", 97)
     monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 100)
@@ -377,7 +355,7 @@ def test_error_terms_refuse_a_non_unit_before_counting(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [1, 2, 30030, 1000003])
-def test_long_segments_against_a_plain_sieve(q, monkeypatch, fresh_coprime_cache):
+def test_long_segments_against_a_plain_sieve(q, monkeypatch):
     x = 200_003
     monkeypatch.setattr(arith_core, "_SEGMENT", 70_001)
     monkeypatch.setattr(progression_stats, "_FLAG_CACHE_MAX", 1000)
@@ -392,7 +370,7 @@ def test_long_segments_against_a_plain_sieve(q, monkeypatch, fresh_coprime_cache
         assert (squarefree_count_ap(x, m, a % q), squarefree_count_coprime(x, m)) == (want_ap, want_cop)
 
 
-def test_flag_windows_above_the_cache_stay_within_t(monkeypatch, fresh_coprime_cache):
+def test_flag_windows_above_the_cache_stay_within_t(monkeypatch):
     # Above the flag cache no flag window covers [1, x]: the only one is the
     # coprime count's table of t = 2 * isqrt(x) flags, and the class sieves
     # its progression alone, about x // q flags in segments.
@@ -416,14 +394,15 @@ def test_flag_windows_above_the_cache_stay_within_t(monkeypatch, fresh_coprime_c
     first = error_term(x, m, 1)
     t = 2 * math.isqrt(x)
     assert calls == {"flags": [t], "progressions": [(1, 30030, x // 30030 + 1)]}
-    # Another class at the same (x, q) reuses the coprime count: no table is read.
+    # Another class at the same (x, q) builds no table: its coprime count
+    # reads the kept prefix of t flags again.
     second = error_term(x, m, 17)
     assert calls == {
         "flags": [t],
         "progressions": [(1, 30030, x // 30030 + 1), (17, 30030, (x - 17) // 30030 + 1)],
     }
     info = progression_stats._flag_prefix.cache_info()
-    assert (info.hits, info.misses) == (0, 1)
+    assert (info.hits, info.misses) == (1, 1)
     assert second.coprime_count == first.coprime_count
     plain = squarefree_flags(1, x)
     assert first.progression_count == plain[0::30030].count(1)
@@ -432,9 +411,7 @@ def test_flag_windows_above_the_cache_stay_within_t(monkeypatch, fresh_coprime_c
 
 @pytest.mark.parametrize("q", [3, 3981, 6469693230])
 @pytest.mark.parametrize("x", [2**22 - 1, 2**22 + 1])
-def test_error_term_reads_no_divisor_or_mobius_value(
-    x, q, flags_past_the_cache, monkeypatch, fresh_coprime_cache
-):
+def test_error_term_reads_no_divisor_or_mobius_value(x, q, flags_past_the_cache, monkeypatch):
     # identity_ok compares the decomposition with error_term, so error_term
     # must not read what the decomposition reads.
     def refuse(*args):
