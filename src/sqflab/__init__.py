@@ -40,7 +40,6 @@ from sqflab.congruence_count import (
     scan_boxes,
 )
 from sqflab.decomposition_pipeline import (
-    PipelineReport,
     covering_boxes,
     decompose_error,
     default_anchor_choices,

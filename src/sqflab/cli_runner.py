@@ -340,7 +340,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> dict:
     report = pipeline_report(
         args.x, modulus, args.a, m0=args.m0, n0=args.n0, alpha=args.alpha
     )
-    return report.as_dict()
+    return {k: str(v) if isinstance(v, Fraction) else v for k, v in report.items()}
 
 
 # ---------------------------------------------------------------------------

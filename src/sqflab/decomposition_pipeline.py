@@ -166,24 +166,6 @@ def enumerate_boxes(x: Real, n0: Real, m0: Real = 1) -> list[tuple[float, float]
     return boxes
 
 
-@dataclass(frozen=True)
-class BoxRow:
-    """One dyadic box inside a pipeline report."""
-
-    m_anchor: float
-    n_anchor: float
-    count: int
-    regime: str
-    bound: float
-    ratio: float
-    amplification_applicable: bool
-
-    def as_dict(self) -> dict:
-        # The fields are scalars, so a copy of the instance dict (in field
-        # order) is what dataclasses.asdict returns, without its deep copy.
-        return dict(vars(self))
-
-
 def covering_boxes(x: Real, n0: Real) -> list[tuple[float, float]]:
     """Dyadic anchors whose boxes cover every (m, n) pair of the head sum.
 
@@ -222,67 +204,6 @@ def default_anchor_choices(x: Real, q: int) -> tuple[float, float]:
     return m0, n0
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    """Per-stage record of one full decomposition run.
-
-    The two assertions baked in at construction time are the exact identity
-    (e_direct == e_decomposed) and the exact majorization
-    |E| <= sum of box counts + |tail| + main_term_removed.
-    `esup_reference` is the analysis-shaped right side
-    (log x)^2 * sup + m0 + n0 + x/(n0*q) with constant 1, kept as a float
-    for ratio monitoring only.
-    """
-
-    x: Real
-    modulus: Modulus
-    residue: int
-    m0: float
-    n0: float
-    alpha: Fraction
-    e_direct: Fraction
-    e_decomposed: Fraction
-    head: Fraction
-    tail_small_n: Fraction
-    main_term_removed: Fraction
-    boxes: tuple[BoxRow, ...]
-    sum_box_counts: int
-    sup_box_count: int
-    majorization_rhs: Fraction
-    esup_reference: float
-
-    @property
-    def identity_ok(self) -> bool:
-        return self.e_direct == self.e_decomposed
-
-    @property
-    def majorization_ok(self) -> bool:
-        return abs(self.e_direct) <= self.majorization_rhs
-
-    def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "q": self.modulus.q,
-            "a": self.residue,
-            "m0": self.m0,
-            "n0": self.n0,
-            "alpha": str(self.alpha),
-            "e_direct": str(self.e_direct),
-            "e_decomposed": str(self.e_decomposed),
-            "identity_ok": self.identity_ok,
-            "head": str(self.head),
-            "tail_small_n": str(self.tail_small_n),
-            "main_term_removed": str(self.main_term_removed),
-            "sum_box_counts": self.sum_box_counts,
-            "sup_box_count": self.sup_box_count,
-            "majorization_lhs": str(abs(self.e_direct)),
-            "majorization_rhs": str(self.majorization_rhs),
-            "majorization_ok": self.majorization_ok,
-            "esup_reference": self.esup_reference,
-            "boxes": [row.as_dict() for row in self.boxes],
-        }
-
-
 def _box_row(
     m_anchor: float,
     n_anchor: float,
@@ -291,7 +212,7 @@ def _box_row(
     m0: float,
     alpha: Fraction,
     column: ResidueColumn,
-) -> BoxRow:
+) -> dict:
     """One covering box: its exact count and the bound that governs it.
 
     The count, the amplification applicability and the amplified and
@@ -308,15 +229,15 @@ def _box_row(
         regime, bound = "amplified", report.interpolated
     else:
         regime, bound = "trivial", report.trivial
-    return BoxRow(
-        m_anchor=m_anchor,
-        n_anchor=n_anchor,
-        count=report.count,
-        regime=regime,
-        bound=bound,
-        ratio=report.count / bound if bound > 0 else float("inf"),
-        amplification_applicable=report.pierce_mn is not None,
-    )
+    return {
+        "m_anchor": m_anchor,
+        "n_anchor": n_anchor,
+        "count": report.count,
+        "regime": regime,
+        "bound": bound,
+        "ratio": report.count / bound if bound > 0 else float("inf"),
+        "amplification_applicable": report.pierce_mn is not None,
+    }
 
 
 def _coverage_gap(x: Real, n0: Real, boxes: list[tuple[float, float]]) -> str | None:
@@ -357,13 +278,17 @@ def pipeline_report(
     m0: float | None = None,
     n0: float | None = None,
     alpha: Fraction = BLEND.alpha,
-) -> PipelineReport:
-    """Run the full decomposition once and assemble the per-stage report.
+) -> dict:
+    """Run the full decomposition once and return the per-stage report.
 
+    The report is the `pipeline` command's JSON payload, with its keys in
+    the same order, holding every rational as an exact Fraction.
     e_direct comes from the sieve route (error_term); e_decomposed, the
     head/tail split at n0 and the removed main term come from one integer
     pass over the decomposition terms, so the identity check compares two
-    independent computations.
+    independent computations.  `esup_reference` is the analysis-shaped
+    right side (log x)^2 * sup + m0 + n0 + x/(n0*q) with constant 1, kept
+    as a float for ratio monitoring only.
 
     Raises InvariantError if the exact identity or the exact majorization
     fails, or if the covering boxes miss a head pair (the majorization
@@ -389,44 +314,44 @@ def pipeline_report(
     columns = {
         n_anchor: ResidueColumn(1, n_anchor, 2 * n_anchor, table) for _, n_anchor in boxes
     }
-    rows = tuple(
+    rows = [
         _box_row(m_anchor, n_anchor, modulus, a, m0, alpha, columns[n_anchor])
         for m_anchor, n_anchor in boxes
-    )
-    sum_counts = sum(row.count for row in rows)
-    sup_count = max((row.count for row in rows), default=0)
+    ]
+    sum_counts = sum(row["count"] for row in rows)
+    sup_count = max((row["count"] for row in rows), default=0)
     rhs = Fraction(sum_counts) + abs(split.tail) + cross
 
     xf = float(x)
     esup = (
         math.log(xf) ** 2 * sup_count + m0 + n0 + xf / (n0 * modulus.q)
     )
-    report = PipelineReport(
-        x=x,
-        modulus=modulus,
-        residue=a,
-        m0=m0,
-        n0=n0,
-        alpha=alpha,
-        e_direct=direct.error,
-        e_decomposed=split.total,
-        head=split.head,
-        tail_small_n=split.tail,
-        main_term_removed=cross,
-        boxes=rows,
-        sum_box_counts=sum_counts,
-        sup_box_count=sup_count,
-        majorization_rhs=rhs,
-        esup_reference=esup,
-    )
-    if not report.identity_ok:
-        raise InvariantError(
-            f"decomposition identity violated: {report.e_direct} != {report.e_decomposed}"
-        )
-    if not report.majorization_ok:
-        raise InvariantError(
-            f"majorization violated: |{report.e_direct}| > {report.majorization_rhs}"
-        )
+    e_direct, e_decomposed = direct.error, split.total
+    report = {
+        "x": x,
+        "q": modulus.q,
+        "a": a,
+        "m0": m0,
+        "n0": n0,
+        "alpha": alpha,
+        "e_direct": e_direct,
+        "e_decomposed": e_decomposed,
+        "identity_ok": e_direct == e_decomposed,
+        "head": split.head,
+        "tail_small_n": split.tail,
+        "main_term_removed": cross,
+        "sum_box_counts": sum_counts,
+        "sup_box_count": sup_count,
+        "majorization_lhs": abs(e_direct),
+        "majorization_rhs": rhs,
+        "majorization_ok": abs(e_direct) <= rhs,
+        "esup_reference": esup,
+        "boxes": rows,
+    }
+    if not report["identity_ok"]:
+        raise InvariantError(f"decomposition identity violated: {e_direct} != {e_decomposed}")
+    if not report["majorization_ok"]:
+        raise InvariantError(f"majorization violated: |{e_direct}| > {rhs}")
     gap = _coverage_gap(x, n0, boxes)
     if gap is not None:
         raise InvariantError(f"covering boxes leave a gap: {gap}")

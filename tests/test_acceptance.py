@@ -172,9 +172,9 @@ def test_criterion_5_finite_x_majorization():
     worst_slack = None
     for x, m, a in runs:
         rep = pipeline_report(x, m, a)
-        if not (rep.identity_ok and rep.majorization_ok):
+        if not (rep["identity_ok"] and rep["majorization_ok"]):
             failures.append((x, m.q, a))
-        slack = rep.majorization_rhs - abs(rep.e_direct)
+        slack = rep["majorization_rhs"] - abs(rep["e_direct"])
         if worst_slack is None or slack < worst_slack:
             worst_slack = slack
     report(
@@ -198,16 +198,7 @@ def scan_column_max(argv: str, column: str, keys: tuple[str, ...]):
     return float(best[column]), tuple(int(best[k]) for k in keys)
 
 
-def geometric_grid(q, ratio):
-    """(M, N) with both sides running by `ratio` from q^(1/4) up to q^(3/4)."""
-    sides, side = [], q**0.25
-    while side <= q**0.75 * (1 + 1e-12):
-        sides.append(side)
-        side *= ratio
-    return [(m, n) for m in sides for n in sides]
-
-
-def test_criterion_6_monitored_regressions():
+def test_criterion_6_monitored_regressions(geometric_grid):
     hooley = ("--x 1000 10000 100000 --q-max 300 --a sample:4", "ratio_hooley", ("X", "q", "a"))
     ref_a = scan_column_max(*hooley)
     ref_b = scan_column_max(*hooley)

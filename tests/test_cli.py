@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from math import gcd
 from pathlib import Path
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from sqflab import arith_core, cli_runner, congruence_count, progression_stats
 from sqflab.arith_core import factor_modulus, is_squarefree
 from sqflab.cli_runner import CSV_HEADER, main
+from sqflab.decomposition_pipeline import pipeline_report
 from sqflab.progression_stats import count_coprime
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -96,8 +98,6 @@ def test_error_term_rejects_noncoprime(capsys):
 
 
 def test_identity_violation_is_exit_3(capsys, monkeypatch):
-    from fractions import Fraction
-
     monkeypatch.setattr(cli_runner, "decompose_error", lambda *a, **k: Fraction(1, 7))
     code, out, err = run_cli(
         capsys, "error-term", "--x", "30", "--q", "5", "--a", "1", "--decompose"
@@ -775,30 +775,28 @@ SAMPLED_BY_RANK = [
 ]
 
 
-@pytest.mark.parametrize("command, size, digest", ABOVE_THE_CACHE)
-def test_outputs_above_the_flag_cache_match_pinned_digests(capsys, command, size, digest):
-    code, out, _ = run_cli(capsys, *command.split())
+def check_pinned_digest(capsys, command, size, digest):
+    with time_limit(120):
+        code, out, _ = run_cli(capsys, *command.split())
     data = out.encode("utf-8")
     assert code == 0
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# One check under three names, so that each table keeps its test ids.
+@pytest.mark.parametrize("command, size, digest", ABOVE_THE_CACHE)
+def test_outputs_above_the_flag_cache_match_pinned_digests(capsys, command, size, digest):
+    check_pinned_digest(capsys, command, size, digest)
 
 
 @pytest.mark.parametrize("command, size, digest", ACROSS_FLAG_BLOCKS)
 def test_scans_across_flag_blocks_match_pinned_digests(capsys, command, size, digest):
-    with time_limit(120):
-        code, out, _ = run_cli(capsys, *command.split())
-    data = out.encode("utf-8")
-    assert code == 0
-    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    check_pinned_digest(capsys, command, size, digest)
 
 
 @pytest.mark.parametrize("command, size, digest", SAMPLED_BY_RANK)
 def test_sampled_scans_of_large_moduli_match_pinned_digests(capsys, command, size, digest):
-    with time_limit(120):
-        code, out, _ = run_cli(capsys, *command.split())
-    data = out.encode("utf-8")
-    assert code == 0
-    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    check_pinned_digest(capsys, command, size, digest)
 
 
 def test_pipeline_report_json(capsys):
@@ -815,6 +813,23 @@ def test_pipeline_report_json(capsys):
         "m_anchor", "n_anchor", "count", "regime", "bound", "ratio",
         "amplification_applicable",
     }
+
+
+# q = 1; q <= isqrt(x); q > isqrt(x) + 1, where the top column counts from its m side.
+@pytest.mark.parametrize("x, q, a", [(10**4, 1, 0), (10**6, 101, 3), (10**6, 1009, 5)])
+def test_pipeline_report_returns_the_payload_with_exact_fractions(capsys, x, q, a):
+    rationals = {
+        "alpha", "e_direct", "e_decomposed", "head", "tail_small_n", "main_term_removed",
+        "majorization_lhs", "majorization_rhs",
+    }
+    report = pipeline_report(x, factor_modulus(q), a)
+    assert {key for key, v in report.items() if type(v) is Fraction} == rationals
+    code, out, _ = run_cli(capsys, "pipeline", "--x", str(x), "--q", str(q), "--a", str(a))
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == list(report)
+    assert [list(row) for row in payload["boxes"]] == [list(row) for row in report["boxes"]]
+    assert payload == {key: str(v) if key in rationals else v for key, v in report.items()}
 
 
 def test_optimize_default_menu(capsys):
@@ -929,8 +944,6 @@ REFUSED = [
 
 
 def test_main_writes_each_result_once_and_nothing_on_failure(capsys, monkeypatch):
-    from fractions import Fraction
-
     emitted = []
     monkeypatch.setattr(cli_runner, "_emit", lambda result, output: emitted.append(result))
     for command in SUCCESS:

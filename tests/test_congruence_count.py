@@ -361,14 +361,14 @@ def test_pipeline_counts_each_box_like_the_oracle_from_either_side(
             congruence_count, "class_count", lambda *args: calls.append(args) or count(*args)
         )
         rep = pipeline_report(x, factor_modulus(q), a, n0=n0)
-    for row in rep.boxes:
-        m, n = row.m_anchor, row.n_anchor
-        assert row.count == double_loop_oracle(1, -2, 2 * m, 2 * n, q, a, m_lo=m, n_lo=n)
-    top = [row for row in rep.boxes if row.n_anchor == max(r.n_anchor for r in rep.boxes)]
-    if q > root + 1 and top and math.floor(2 * top[0].n_anchor) > root:
-        assert [args[:4] for args in calls] == [
-            (2, -1, row.n_anchor, 2 * row.n_anchor) for row in top
-        ]
+    rows = rep["boxes"]
+    for row in rows:
+        m, n = row["m_anchor"], row["n_anchor"]
+        assert row["count"] == double_loop_oracle(1, -2, 2 * m, 2 * n, q, a, m_lo=m, n_lo=n)
+    n_anchors = [row["n_anchor"] for row in rows]
+    top = [n for n in n_anchors if n == max(n_anchors)]
+    if q > root + 1 and top and math.floor(2 * top[0]) > root:
+        assert [args[:4] for args in calls] == [(2, -1, n, 2 * n) for n in top]
     else:
         assert calls == []
 
@@ -600,16 +600,7 @@ def test_evaluate_bounds_applicability_flags():
     assert not pierce_applicable(101, 10, 101)
 
 
-def geometric_grid(q, ratio):
-    """(M, N) with both sides running by `ratio` from q^(1/4) up to q^(3/4)."""
-    sides, side = [], q**0.25
-    while side <= q**0.75 * (1 + 1e-12):
-        sides.append(side)
-        side *= ratio
-    return [(m, n) for m in sides for n in sides]
-
-
-def test_scan_boxes_consistency():
+def test_scan_boxes_consistency(geometric_grid):
     m = factor_modulus(10001)  # 73 * 137
     assert scan_boxes(m, 3, []) == []
     single = scan_boxes(m, 3, [(50, 50)])

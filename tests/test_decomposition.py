@@ -264,8 +264,8 @@ def test_pipeline_builds_one_column_per_n_anchor(monkeypatch):
     for q, n0 in ((30, 100.0), (3981, None), (1000003, None)):
         built.clear()
         rep = pipeline_report(x, factor_modulus(q), 7, n0=n0)
-        n_anchors = {row.n_anchor for row in rep.boxes}
-        assert len(rep.boxes) > len(n_anchors) > 1
+        n_anchors = {row["n_anchor"] for row in rep["boxes"]}
+        assert len(rep["boxes"]) > len(n_anchors) > 1
         from_table = [args for args in built if len(args) > 6]
         held = [n for n in n_anchors if q <= isqrt(x) or math.floor(2 * n) <= isqrt(x)]
         assert sorted(args[2:4] for args in from_table) == sorted((n, 2 * n) for n in held)
@@ -293,7 +293,7 @@ def test_pipeline_builds_one_table_for_the_pass_and_every_column(monkeypatch, x,
     m = factor_modulus(q)
     a = q - 1 if q > 1 else 0
     rep = pipeline_report(x, m, a)
-    assert rep.identity_ok
+    assert rep["identity_ok"]
     assert len(tables) == 1
     (table,) = tables
     assert (table.v, table.modulus, table.a) == (-2, m, a)
@@ -305,8 +305,8 @@ def test_pipeline_builds_one_table_for_the_pass_and_every_column(monkeypatch, x,
 def test_pipeline_with_a_modulus_above_2_to_the_63():
     m = factor_modulus(math.prod(p for p in range(2, 54) if all(p % d for d in range(2, p))))
     rep = pipeline_report(10**4, m, 1)
-    assert rep.identity_ok and rep.majorization_ok
-    assert rep.e_direct == error_term(10**4, m, 1).error
+    assert rep["identity_ok"] and rep["majorization_ok"]
+    assert rep["e_direct"] == error_term(10**4, m, 1).error
 
 
 def test_small_m_estimate_examples():
@@ -318,34 +318,35 @@ def test_small_m_estimate_examples():
 def test_pipeline_report_asserts_and_reports():
     m101 = factor_modulus(101)
     rep = pipeline_report(10**4, m101, 3)
-    assert rep.identity_ok and rep.majorization_ok
-    assert rep.e_direct == error_term(10**4, m101, 3).error
-    assert rep.head + rep.tail_small_n == rep.e_decomposed
+    assert rep["identity_ok"] and rep["majorization_ok"]
+    assert rep["e_direct"] == error_term(10**4, m101, 3).error
+    assert rep["head"] + rep["tail_small_n"] == rep["e_decomposed"]
     # majorization right side recomputes from parts
-    assert rep.majorization_rhs == (
-        Fraction(rep.sum_box_counts) + abs(rep.tail_small_n) + rep.main_term_removed
+    assert rep["majorization_rhs"] == (
+        Fraction(rep["sum_box_counts"]) + abs(rep["tail_small_n"]) + rep["main_term_removed"]
     )
     # box counts match independent dyadic recounts
-    for row in rep.boxes[:10]:
-        assert row.count == count_dyadic(row.m_anchor, row.n_anchor, m101, 3)
-    assert rep.sup_box_count == max(r.count for r in rep.boxes)
-    regimes = {row.regime for row in rep.boxes}
+    for row in rep["boxes"][:10]:
+        assert row["count"] == count_dyadic(row["m_anchor"], row["n_anchor"], m101, 3)
+    assert rep["sup_box_count"] == max(r["count"] for r in rep["boxes"])
+    regimes = {row["regime"] for row in rep["boxes"]}
     assert regimes <= {"crude", "amplified", "trivial"}
     # Every non-crude row's bound is evaluate_bounds' on the same dyadic box.
-    wide = pipeline_report(10**6, factor_modulus(3981), 7)
-    assert any(row.regime == "amplified" for row in wide.boxes)
-    for report in (rep, wide):
-        for row in report.boxes:
+    m3981 = factor_modulus(3981)
+    wide = pipeline_report(10**6, m3981, 7)
+    assert any(row["regime"] == "amplified" for row in wide["boxes"])
+    for report, modulus in ((rep, m101), (wide, m3981)):
+        for row in report["boxes"]:
             query = BoxQuery(
-                1, -2, row.m_anchor, row.n_anchor, report.modulus, report.residue, dyadic=True
+                1, -2, row["m_anchor"], row["n_anchor"], modulus, report["a"], dyadic=True
             )
             bounds = evaluate_bounds(query)
-            assert row.count == bounds.count
-            assert row.amplification_applicable == (bounds.pierce_mn is not None)
-            if row.regime != "crude":
+            assert row["count"] == bounds.count
+            assert row["amplification_applicable"] == (bounds.pierce_mn is not None)
+            if row["regime"] != "crude":
                 amplified = bounds.interpolated is not None
-                assert row.regime == ("amplified" if amplified else "trivial")
-                assert row.bound == (bounds.interpolated if amplified else bounds.trivial)
+                assert row["regime"] == ("amplified" if amplified else "trivial")
+                assert row["bound"] == (bounds.interpolated if amplified else bounds.trivial)
 
 
 @pytest.mark.parametrize(
@@ -375,8 +376,8 @@ def test_pipeline_invariant_failures_raise_invariant_error(monkeypatch, shift, b
 
 def test_pipeline_report_degenerate_modulus():
     rep = pipeline_report(1000, factor_modulus(1), 0)
-    assert rep.e_direct == 0
-    assert rep.identity_ok and rep.majorization_ok
+    assert rep["e_direct"] == 0
+    assert rep["identity_ok"] and rep["majorization_ok"]
 
 
 def test_pipeline_report_default_anchor_choices():
@@ -387,11 +388,11 @@ def test_pipeline_report_default_anchor_choices():
     assert m0 == 2.0 * max(x * q**-1.5, 1.0)
     assert n0 == pytest.approx(2.0 * math.sqrt(x) * q**-0.375)
     rep = pipeline_report(x, m, 7)
-    assert (rep.m0, rep.n0) == (m0, n0)
-    assert rep.identity_ok and rep.majorization_ok
+    assert (rep["m0"], rep["n0"]) == (m0, n0)
+    assert rep["identity_ok"] and rep["majorization_ok"]
     # every reported box really intersects the covered region
-    for row in rep.boxes:
-        assert row.m_anchor * row.n_anchor**2 <= 8 * x
+    for row in rep["boxes"]:
+        assert row["m_anchor"] * row["n_anchor"] ** 2 <= 8 * x
     # small-q clamp: formula value would exceed sqrt(x)
     _, n0_small = default_anchor_choices(100, 2)
     assert n0_small == 10.0
@@ -433,7 +434,7 @@ def test_pipeline_refuses_a_deep_mobius_prefix_before_the_direct_count(monkeypat
     # same x: no cache holds a Mobius prefix between calls.
     sieved.clear()
     for _ in range(2):
-        assert pipeline_report(10**6, m, 1).identity_ok
+        assert pipeline_report(10**6, m, 1)["identity_ok"]
     assert sieved == [1000, 1000]
 
 

@@ -1,5 +1,5 @@
-"""The counting layers import one another in one direction only, and a command
-reaches every top-level definition."""
+"""The counting layers import one another in one direction only, a command
+reaches every top-level definition, and every imported name is used."""
 
 import ast
 import sys
@@ -109,3 +109,25 @@ def test_every_top_level_definition_is_reached(monkeypatch):
                 todo.append((found[0], modules[found[0]][0][found[1]]))
     defined = {(m, name) for m, (defs, _, _) in modules.items() for name in defs}
     assert sorted(defined - reached) == []
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export; a name imported only for another
+    # module's sake is marked on its line with `# noqa: F401`.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []
