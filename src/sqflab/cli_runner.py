@@ -65,6 +65,11 @@ COUNT_BOX_WALK_MAX = 10**7
 # and q task list take about 60 bytes per integer before any row is built.
 SCAN_WINDOW_MAX = 10**6
 
+# Units of one q that `scan --a all` may list.  Every class is held, with its
+# columns and rows, until the scan ends: phi(q) = 1048572 (q = 1048573, one x)
+# peaks at about 666 MB max RSS.
+SCAN_CLASSES_MAX = 2**20
+
 # Flags one error term may sieve: its progression n = a + q*k holds about
 # x // q of them.  Its primes, its table of squarefree prefix counts and the
 # decomposition's Mobius prefix all grow with isqrt(x), which
@@ -196,6 +201,11 @@ def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[
     kind, value = policy
     if kind == "unit":
         return [_unit_residue(modulus, value)]
+    if kind == "all" and modulus.phi > SCAN_CLASSES_MAX:
+        raise ValueError(
+            f"--a all at q = {q} lists phi(q) = {modulus.phi} units, "
+            f"above the budget of {SCAN_CLASSES_MAX}"
+        )
     if kind == "sample" and value * q.bit_length() * len(modulus.squarefree_divisors) < q:
         ranks = sorted(random.Random(f"{seed}:{q}").sample(range(modulus.phi), value))
         count = partial(count_coprime, modulus=modulus)
@@ -367,29 +377,15 @@ def _cmd_optimize(args: argparse.Namespace) -> dict:
         "binding_constraint": result.binding_constraint,
     }
     if result.feasible:
+        payload["slack_at_theta"] = {k: str(v) for k, v in result.slack_at_theta.items()}
+        payload["corollary_exponent"] = (
+            str(corollary_exponent(result.theta)) if 0 < result.theta < 1 else None
+        )
         # The anchor choices are defined for RHO_MIN <= rho < 1 only.
         choice = verify_choices(result.theta) if RHO_MIN <= result.theta < 1 else None
-        payload.update(
-            {
-                "slack_at_theta": {k: str(v) for k, v in result.slack_at_theta.items()},
-                "corollary_exponent": str(corollary_exponent(result.theta))
-                if 0 < result.theta < 1
-                else None,
-                "anchor_checks": {
-                    "rho": str(choice.rho),
-                    "m0_exponent": str(choice.m0_exponent),
-                    "n0_exponent": str(choice.n0_exponent),
-                    "m0_floored": choice.m0_floored,
-                    "all_passed": choice.all_passed,
-                    "checks": [
-                        {"label": c.label, "passed": c.passed, "detail": c.detail}
-                        for c in choice.checks
-                    ],
-                }
-                if choice is not None
-                else None,
-            }
-        )
+        payload["anchor_checks"] = None if choice is None else {
+            k: str(v) if isinstance(v, Fraction) else v for k, v in choice.items()
+        }
     return payload
 
 

@@ -12,7 +12,7 @@ live in the strict-inequality slack that the optimizer reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -353,30 +353,12 @@ def region_constraints(m0: Fraction, n0: Fraction) -> list[LinearConstraint]:
     ]
 
 
-@dataclass(frozen=True)
-class ChoiceCheck:
-    label: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ChoiceReport:
-    """Exponent-level feasibility of the anchor choices at one rho."""
-
-    rho: Fraction
-    m0_exponent: Fraction
-    n0_exponent: Fraction
-    m0_floored: bool
-    checks: tuple[ChoiceCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def verify_choices(rho: RationalLike) -> ChoiceReport:
+def verify_choices(rho: RationalLike) -> dict:
     """Check the anchor choices against every side condition they must meet.
+
+    Returns optimize's `anchor_checks` payload: rho, the two anchor
+    exponents (exact Fractions), the m0 floor flag, all_passed and the
+    checks, each a {label, passed, detail} dict, in the command's order.
 
     Everything is exact: threshold comparisons, range inclusion, and the
     two box-supremum comparisons against the amplification range
@@ -397,32 +379,32 @@ def verify_choices(rho: RationalLike) -> ChoiceReport:
     ):
         threshold = form.value_at(rho)
         detail = f"{name}0={value} vs {size} exponent {threshold} (factor 2 gives strictness)"
-        checks.append(ChoiceCheck(f"{name}-anchor-exceeds-threshold", value >= threshold, detail))
+        checks.append((f"{name}-anchor-exceeds-threshold", value >= threshold, detail))
     # Each anchor's range ends where VOLUME_CAP meets its axis.
     cap = VOLUME_CAP.bound.value_at(rho)
     for name, value, coeff in (("m", m0, VOLUME_CAP.coeff_m), ("n", n0, VOLUME_CAP.coeff_n)):
         top = cap / coeff
-        checks.append(
-            ChoiceCheck(f"{name}-anchor-range", 0 <= value <= top, f"need 0 <= {value} <= {top}")
-        )
+        checks.append((f"{name}-anchor-range", 0 <= value <= top, f"need 0 <= {value} <= {top}"))
     constraints = region_constraints(m0, n0)
     for coeffs, name in (((1, 0), "box-m-within-amplification"),
                          ((0, 1), "box-n-within-amplification")):
         try:
             sup_form = sup_box_exponent(coeffs[0], coeffs[1], constraints, rho)
             sup_val = sup_form.value_at(rho)
-            checks.append(
-                ChoiceCheck(name, sup_val <= amp, f"sup={sup_val} vs {amp_label}={amp}")
-            )
+            checks.append((name, sup_val <= amp, f"sup={sup_val} vs {amp_label}={amp}"))
         except InfeasibleError:
-            checks.append(ChoiceCheck(name, False, "region empty"))
-    return ChoiceReport(
-        rho=rho,
-        m0_exponent=m0,
-        n0_exponent=n0,
-        m0_floored=floored,
-        checks=tuple(checks),
-    )
+            checks.append((name, False, "region empty"))
+    return {
+        "rho": rho,
+        "m0_exponent": m0,
+        "n0_exponent": n0,
+        "m0_floored": floored,
+        "all_passed": all(passed for _, passed, _ in checks),
+        "checks": [
+            {"label": label, "passed": passed, "detail": detail}
+            for label, passed, detail in checks
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

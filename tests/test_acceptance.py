@@ -135,13 +135,13 @@ def test_criterion_4_exponent_calculus_exact():
         and theta.feasible
         and theta.theta == Fraction(25, 36)
         and corollary_exponent(theta.theta) == Fraction(36, 25)
-        and choices.all_passed
+        and choices["all_passed"]
     )
     report(
         "criterion 4 (exponent calculus, exact rationals)",
         ok,
         f"alpha={alpha.alpha}, exponent={alpha.exponent}, theta={theta.theta}, "
-        f"reciprocal={corollary_exponent(theta.theta)}, anchors_pass={choices.all_passed}",
+        f"reciprocal={corollary_exponent(theta.theta)}, anchors_pass={choices['all_passed']}",
     )
 
 

@@ -22,10 +22,12 @@ from sqflab import arith_core, cli_runner, congruence_count, progression_stats
 from sqflab.arith_core import factor_modulus, is_squarefree
 from sqflab.cli_runner import CSV_HEADER, main
 from sqflab.decomposition_pipeline import pipeline_report
+from sqflab.exponent_calculus import RHO_MIN, verify_choices
 from sqflab.progression_stats import count_coprime
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 GRID = Path(__file__).with_name("cli_grid.json")
+README = Path(__file__).resolve().parents[1] / "README.md"
 BOX = ["count-box", "--u", "1", "--v", "-2", "--q", "7", "--a", "1"]
 
 
@@ -581,6 +583,33 @@ def test_scan_window_budget_counts_only_the_integers_below_the_largest_x(capsys,
     assert err == "error: the modulus window [1, 11] holds 11 integers, above the budget of 10\n"
 
 
+def test_scan_all_classes_budget_refuses_before_listing(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("listed the units of q")
+
+    monkeypatch.setattr(cli_runner, "SCAN_CLASSES_MAX", 10)
+    # phi(11) = 10 is at the budget; phi(13) = 12 is above it.
+    scan = ["scan", "--x", "100", "--a", "all", "--workers", "1"]
+    assert run_cli(capsys, *scan, "--q-min", "11", "--q-max", "11")[0] == 0
+    monkeypatch.setattr(cli_runner, "gcd", unreachable)
+    code, out, err = run_cli(capsys, *scan, "--q-min", "13", "--q-max", "13")
+    assert (code, out) == (2, "")
+    assert err == "error: --a all at q = 13 lists phi(q) = 12 units, above the budget of 10\n"
+
+
+def test_scan_all_classes_of_a_paper_scale_modulus_exit_2(capsys):
+    with time_limit(5):
+        code, out, err = run_cli(
+            capsys, "scan", "--x", str(10**12), "--q-min", "223092870", "--q-max", "223092870",
+            "--a", "all", "--workers", "1",
+        )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --a all at q = 223092870 lists phi(q) = 36495360 units, "
+        f"above the budget of {cli_runner.SCAN_CLASSES_MAX}\n"
+    )
+
+
 def test_count_box_budget_spares_the_unwalked_side(capsys):
     # For v > 0 there is no mirror, so only the n side counts.
     code, out, _ = run_cli(
@@ -628,6 +657,12 @@ def test_readme_commands_match_golden_digests(capsys):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
             case["bytes"], case["sha256"]
         ), case["command"]
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def _parsed(parser, argv):
@@ -884,6 +919,29 @@ def test_optimize_theta_below_the_anchor_domain(tmp_path, capsys):
     payload = json.loads(out)
     assert (payload["theta"], payload["anchor_checks"]) == ("2/5", None)
     assert payload["corollary_exponent"] == "5/2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--menu", "default"], ["--menu", "one-sided"], ["--menu-file", "{menu}", "--rho-min", "0"]],
+)
+def test_optimize_prints_the_anchor_checks_that_verify_choices_returns(tmp_path, capsys, argv):
+    # The menu file's theta, 2/5, lies below the anchor domain [1/2, 1).
+    menu = tmp_path / "menu.txt"
+    menu.write_text("t 3/5 0\n")
+    code, out, err = run_cli(capsys, "optimize", *[a.replace("{menu}", str(menu)) for a in argv])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    printed, theta = payload["anchor_checks"], Fraction(payload["theta"])
+    expected = None
+    if RHO_MIN <= theta < 1:
+        choice = verify_choices(theta)
+        exact = {k for k, v in choice.items() if type(v) is Fraction}
+        assert exact == {"rho", "m0_exponent", "n0_exponent"}
+        expected = {k: str(v) if k in exact else v for k, v in choice.items()}
+    # json.dumps keeps key order, so this compares the keys' order too.
+    assert json.dumps(printed) == json.dumps(expected)
+    assert (printed is None) == (argv[0] == "--menu-file")
 
 
 def test_output_file(tmp_path, capsys):

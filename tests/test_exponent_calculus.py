@@ -353,20 +353,20 @@ def test_corollary_exponent():
 
 def test_verify_choices_at_key_rhos():
     rep = verify_choices(F(25, 36))
-    assert rep.all_passed
-    assert rep.m0_floored  # 25/36 > 2/3, the constant floor is active
-    assert rep.n0_exponent == F(23, 96)
+    assert rep["all_passed"]
+    assert rep["m0_floored"]  # 25/36 > 2/3, the constant floor is active
+    assert rep["n0_exponent"] == F(23, 96)
 
     half = verify_choices(F(1, 2))
-    assert half.all_passed
-    assert not half.m0_floored
-    assert half.n0_exponent == F(5, 16)
-    assert half.m0_exponent == F(1, 4)
+    assert half["all_passed"]
+    assert not half["m0_floored"]
+    assert half["n0_exponent"] == F(5, 16)
+    assert half["m0_exponent"] == F(1, 4)
 
     boundary = verify_choices(F(2, 3))
-    assert boundary.all_passed and not boundary.m0_floored
+    assert boundary["all_passed"] and not boundary["m0_floored"]
     near_one = verify_choices(F(99, 100))
-    assert near_one.m0_floored and near_one.all_passed
+    assert near_one["m0_floored"] and near_one["all_passed"]
 
     with pytest.raises(ValueError):
         verify_choices(F(1, 4))
