@@ -1,12 +1,17 @@
 """Command-line surface: every subsystem as a subcommand with CSV/JSON output.
 
-Each `_cmd_*` returns its result, a JSON-ready payload or scan's CSV text,
-or raises.  `main` alone writes the result, through `_emit`, and maps
+Each `_cmd_*` returns its result or raises.  The result is a JSON-ready
+payload, or scan's CSV as a generator of chunks: the header with the rows
+of the first (x, q), then each later (x, q)'s rows, counted only as the
+generator reaches them.  `_cmd_scan` raises every refusal before it
+returns.  `main` alone writes the result, through `_emit`, and maps
 exceptions to exit codes: 0 success, 2 input validation failure (ValueError
 or OSError), 3 internal invariant violation (RuntimeError, such as a failed
 identity or symmetry check: a bug signal, distinct from misuse so CI can
-tell them apart).  Identical arguments and seed produce byte-identical
-output.
+tell them apart).  A failure writes nothing, except a scan that fails
+after its first rows (exit 3, or exit 2 on a closed stdout): the rows of
+each (x, q) that finished are already written.  Identical arguments and
+seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ import random
 import sys
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from sqflab.arith_core import (
     MOBIUS_SIEVE_MAX,
@@ -66,8 +72,8 @@ COUNT_BOX_WALK_MAX = 10**7
 SCAN_WINDOW_MAX = 10**6
 
 # Units of one q that `scan --a all` may list.  Every class is held, with its
-# columns and rows, until the scan ends: phi(q) = 1048572 (q = 1048573, one x)
-# peaks at about 666 MB max RSS.
+# columns, until the scan ends, and the rows of one (x, q) until they are
+# written: phi(q) = 1048572 (q = 1048573, one x) peaks at about 665 MB max RSS.
 SCAN_CLASSES_MAX = 2**20
 
 # Flags one error term may sieve: its progression n = a + q*k holds about
@@ -112,14 +118,27 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _emit(result: str | dict | list, output: str | None) -> None:
-    """Write a command's result: text as it is, anything else as indented JSON."""
-    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
+def _emit(result: Iterator[str] | dict | list, output: str | None) -> None:
+    """Write a command's result: scan's CSV chunks, each flushed as it
+    comes, or anything else as one indented JSON document.
+
+    An --output file is opened once scan's first chunk is ready, so a scan
+    that fails before its first rows leaves no file behind.
+    """
+    if not isinstance(result, Iterator):
+        text = json.dumps(result, indent=2) + "\n"
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return
+    first = next(result)
+    sink = nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8")
+    with sink as fh:
+        for text in chain([first], result):
             fh.write(text)
+            fh.flush()
 
 
 def _check_error_term_budget(x: int, q: int) -> None:
@@ -183,6 +202,22 @@ def _scan_policy(text: str) -> tuple[str, int]:
     return kind, value
 
 
+def _check_classes(modulus: Modulus, policy: tuple[str, int]) -> None:
+    """Refuse q under scan's --a before any class of any q is listed.
+
+    An integer a must be a unit of q, and `all` may list at most
+    SCAN_CLASSES_MAX units.
+    """
+    kind, value = policy
+    if kind == "unit" and modulus.q > 1:
+        _unit_residue(modulus, value)
+    if kind == "all" and modulus.phi > SCAN_CLASSES_MAX:
+        raise ValueError(
+            f"--a all at q = {modulus.q} lists phi(q) = {modulus.phi} units, "
+            f"above the budget of {SCAN_CLASSES_MAX}"
+        )
+
+
 def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[int]:
     """The classes scan evaluates for q, ascending: one unit, every unit or a sample.
 
@@ -201,11 +236,6 @@ def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[
     kind, value = policy
     if kind == "unit":
         return [_unit_residue(modulus, value)]
-    if kind == "all" and modulus.phi > SCAN_CLASSES_MAX:
-        raise ValueError(
-            f"--a all at q = {q} lists phi(q) = {modulus.phi} units, "
-            f"above the budget of {SCAN_CLASSES_MAX}"
-        )
     if kind == "sample" and value * q.bit_length() * len(modulus.squarefree_divisors) < q:
         ranks = sorted(random.Random(f"{seed}:{q}").sample(range(modulus.phi), value))
         count = partial(count_coprime, modulus=modulus)
@@ -216,16 +246,15 @@ def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[
     return sorted(random.Random(f"{seed}:{q}").sample(units, value))
 
 
-def _scan_classes(task: tuple[int, tuple[str, int], int]) -> tuple[Modulus, list[tuple[int, str]]]:
-    """The modulus q and its classes: each a with its x-free CSV columns, n_q_a and ratio."""
-    q, policy, seed = task
-    modulus = factor_modulus(q)
-    scale = float(q) ** float(COROLLARY)
+def _scan_classes(task: tuple[Modulus, tuple[str, int], int]) -> list[tuple[int, str]]:
+    """The classes of q: each a with its x-free CSV columns, n_q_a and ratio."""
+    modulus, policy, seed = task
+    scale = float(modulus.q) ** float(COROLLARY)
     classes = []
     for a in _residues_for(modulus, policy, seed):
         n_qa = least_squarefree(modulus, a)
         classes.append((a, f"{n_qa},{_fmt_float(n_qa / scale)}"))
-    return modulus, classes
+    return classes
 
 
 def _scan_rows(task: tuple[int, Modulus, list[tuple[int, str]]]) -> list[str]:
@@ -252,7 +281,61 @@ def _scan_rows(task: tuple[int, Modulus, list[tuple[int, str]]]) -> list[str]:
     ]
 
 
-def _cmd_scan(args: argparse.Namespace) -> str | list[dict]:
+def _scan_tasks(
+    args: argparse.Namespace,
+    policy: tuple[str, int],
+    x_values: tuple[int, ...],
+    q_values: list[int],
+) -> Iterator[list[str]]:
+    """scan's lines, one list per (x, q) task in (X, q) order, from --start-row on.
+
+    The first list is empty and marks the end of the plan: every q is
+    factored and checked in window order, and its classes are listed,
+    before it is yielded.  A task gives one line per class, so the tasks
+    wholly before --start-row are dropped uncounted and the first one kept
+    is sliced.
+    """
+    # More processes than q or cores would only wait.
+    workers = min(args.workers, len(q_values), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        # map yields in task order and raises the error of the first failing
+        # task in order, as the serial loop does, not of the first chunk to
+        # finish.  A worker that dies raises BrokenProcessPool (exit 3)
+        # rather than leaving scan waiting for its results.
+        run = partial(pool.map, chunksize=len(q_values) // (4 * workers) + 1) if pool else map
+        moduli = list(run(factor_modulus, q_values))
+        for modulus in moduli:
+            _check_classes(modulus, policy)
+        per_q = list(zip(moduli, run(_scan_classes, [(m, policy, args.seed) for m in moduli])))
+        # x in the outer loop: every q of one x reads the same squarefree
+        # table, and the rows come out in (X, q, a) order.
+        row_tasks = [(x, m, classes) for x in x_values for m, classes in per_q if m.q <= x]
+        first, skip = 0, args.start_row
+        while first < len(row_tasks) and skip >= len(row_tasks[first][2]):
+            skip -= len(row_tasks[first][2])
+            first += 1
+        yield []
+        for lines in run(_scan_rows, row_tasks[first:]):
+            yield lines[skip:]
+            skip = 0
+    finally:
+        if pool:
+            # After an error the tasks not yet started are dropped.
+            pool.shutdown(cancel_futures=True)
+
+
+def _csv_chunks(tasks: Iterator[list[str]]) -> Iterator[str]:
+    """scan's CSV text: the header with the first task's rows, then each later task's."""
+    header = [CSV_HEADER]
+    for lines in tasks:
+        yield "\n".join(header + lines) + "\n"
+        header = []
+    if header:
+        yield CSV_HEADER + "\n"
+
+
+def _cmd_scan(args: argparse.Namespace) -> Iterator[str] | list[dict]:
     if args.q_min < 1 or args.q_max < args.q_min:
         raise ValueError(f"bad q range [{args.q_min}, {args.q_max}]")
     if any(x < 1 for x in args.x):
@@ -270,31 +353,12 @@ def _cmd_scan(args: argparse.Namespace) -> str | list[dict]:
             f"{len(q_window)} integers, above the budget of {SCAN_WINDOW_MAX}"
         )
     flags = squarefree_flags(args.q_min, len(q_window))
-    q_tasks = [(q, policy, args.seed) for q in compress(q_window, flags)]
-    # More processes than q tasks or cores would only wait.
-    workers = min(args.workers, len(q_tasks), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        # map yields in task order and raises the error of the first failing
-        # task in order, as the serial loop does, not of the first chunk to
-        # finish.  A worker that dies raises BrokenProcessPool (exit 3)
-        # rather than leaving scan waiting for its results.
-        run = partial(pool.map, chunksize=len(q_tasks) // (4 * workers) + 1) if pool else map
-        per_q = list(run(_scan_classes, q_tasks))
-        # x in the outer loop: every q of one x reads the same squarefree
-        # table, and the rows come out in (X, q, a) order.
-        row_tasks = [(x, m, classes) for x in x_values for m, classes in per_q if m.q <= x]
-        lines = [line for chunk in run(_scan_rows, row_tasks) for line in chunk]
-    finally:
-        if pool:
-            # After an error the tasks not yet started are dropped.
-            pool.shutdown(cancel_futures=True)
-
-    lines = lines[args.start_row :]
+    tasks = _scan_tasks(args, policy, x_values, list(compress(q_window, flags)))
+    next(tasks)  # the plan: every refusal comes before the first row is counted
     if args.format == "json":
         keys = CSV_HEADER.split(",")
-        return [dict(zip(keys, line.split(","))) for line in lines]
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+        return [dict(zip(keys, line.split(","))) for lines in tasks for line in lines]
+    return _csv_chunks(tasks)
 
 
 # ---------------------------------------------------------------------------

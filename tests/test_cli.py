@@ -8,6 +8,7 @@ import random
 import signal
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -141,6 +142,22 @@ def test_count_over_its_cap_is_exit_3(capsys, monkeypatch, counts, message):
     assert f"internal error: {message}" in err
 
 
+# `scan --x 1000 --q-max 6 --a all`: the header and every row of q = 1..6.
+ROWS_OF_Q_UP_TO_6 = (
+    CSV_HEADER + "\n"
+    "1000,1,0,608,608,0,1,0,1,1\n"
+    "1000,2,1,404,404,0,1,0,1,0.368567304323\n"
+    "1000,3,1,227,456,-1,1,0.0500263403913,1,0.205563211114\n"
+    "1000,3,2,229,456,1,1,0.0500263403913,2,0.411126422228\n"
+    "1000,5,1,127,507,1,4,0.01526418929,1,0.0985106520605\n"
+    "1000,5,2,127,507,1,4,0.01526418929,2,0.197021304121\n"
+    "1000,5,3,127,507,1,4,0.01526418929,3,0.295531956181\n"
+    "1000,5,4,126,507,-3,4,0.0457925678701,14,1.37914912885\n"
+    "1000,6,1,148,303,-7,2,0.227872976801,1,0.0757638785882\n"
+    "1000,6,5,155,303,7,2,0.227872976801,5,0.378819392941\n"
+)
+
+
 def test_scan_class_counts_off_the_coprime_count_is_exit_3(capsys, monkeypatch):
     counts_of = progression_stats._class_counts
 
@@ -149,12 +166,16 @@ def test_scan_class_counts_off_the_coprime_count_is_exit_3(capsys, monkeypatch):
         return [counts[0] + (q == 7)] + counts[1:]
 
     monkeypatch.setattr(progression_stats, "_class_counts", one_too_many)
-    code, out, err = run_cli(capsys, "scan", "--x", "1000", "--q-max", "10", "--a", "all")
-    assert (code, out) == (3, "")
-    assert err == (
-        "internal error: class counts of q = 7 at x = 1000 sum to 532, "
-        "not to the coprime count 531\n"
-    )
+    for workers in ("1", "2"):
+        scan = ["scan", "--x", "1000", "--q-max", "10", "--a", "all", "--workers", workers]
+        with time_limit(60):
+            code, out, err = run_cli(capsys, *scan)
+        # The rows of every (x, q) before the failed one are already written.
+        assert (code, out) == (3, ROWS_OF_Q_UP_TO_6), workers
+        assert err == (
+            "internal error: class counts of q = 7 at x = 1000 sum to 532, "
+            "not to the coprime count 531\n"
+        )
     # A sample of the units has no sum to check.
     code, _, _ = run_cli(capsys, "scan", "--x", "1000", "--q-max", "10", "--a", "sample:2")
     assert code == 0
@@ -192,7 +213,7 @@ def test_scan_builds_no_task_above_the_largest_x(capsys, monkeypatch):
     classes_for_q = cli_runner._scan_classes
     rows_for_x_q = cli_runner._scan_rows
     monkeypatch.setattr(
-        cli_runner, "_scan_classes", lambda task: built.append(task[0]) or classes_for_q(task)
+        cli_runner, "_scan_classes", lambda task: built.append(task[0].q) or classes_for_q(task)
     )
     monkeypatch.setattr(
         cli_runner, "_scan_rows", lambda task: built.append(task[1].q) or rows_for_x_q(task)
@@ -275,6 +296,57 @@ def test_scan_deterministic_and_resumable(capsys):
     body = out1.strip().split("\n")[1:]
     resumed = out3.strip().split("\n")[1:]
     assert resumed == body[5:]
+
+
+def test_scan_writes_each_task_as_soon_as_it_is_counted(monkeypatch):
+    stdout = StringIO()
+    written_before = {}
+    count = cli_runner.error_terms
+
+    def noting(x, modulus, residues):
+        written_before[modulus.q] = stdout.getvalue()
+        return count(x, modulus, residues)
+
+    monkeypatch.setattr(cli_runner, "error_terms", noting)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["scan", "--x", "1000", "--q-max", "10", "--a", "all", "--workers", "1"]) == 0
+    header, *rows = stdout.getvalue().splitlines(keepends=True)
+    assert list(written_before) == [1, 2, 3, 5, 6, 7, 10]
+    # Nothing is written before the first (x, q) is counted.  The header goes
+    # out with its rows, and each later task's rows before the next is counted.
+    assert written_before[1] == ""
+    for q, before in written_before.items():
+        if q > 1:
+            assert before == header + "".join(r for r in rows if int(r.split(",")[1]) < q)
+
+
+RESUMED = ["scan", "--x", "300", "1000", "--q-max", "10", "--a", "all"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_start_row_counts_no_task_wholly_before_it(capsys, monkeypatch, tmp_path, workers):
+    full = run_cli(capsys, *RESUMED, "--workers", "1")[1]
+    header, *body = full.splitlines(keepends=True)
+    assert len(body) == 40  # 20 classes of q <= 10 at each of two x
+    # Worker processes are forked from this one, so the calls go to a file.
+    calls = tmp_path / "calls"
+    count = cli_runner.error_terms
+
+    def noting(x, modulus, residues):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{x},{modulus.q}\n")
+        return count(x, modulus, residues)
+
+    monkeypatch.setattr(cli_runner, "error_terms", noting)
+    # Task boundaries 0, 4, 20 and 40; rows inside a task 6 and 25; past the end 41.
+    for k in (0, 4, 6, 20, 25, 40, 41):
+        calls.write_text("")
+        with time_limit(60):
+            code, out, _ = run_cli(capsys, *RESUMED, "--workers", workers, "--start-row", str(k))
+        assert (code, out) == (0, header + "".join(body[k:])), k
+        # The (x, q) tasks counted are exactly those with a row from k on.
+        kept = dict.fromkeys(",".join(row.split(",")[:2]) + "\n" for row in body[k:])
+        assert sorted(calls.read_text().splitlines(keepends=True)) == sorted(kept), k
 
 
 def test_scan_sieves_only_its_q_window(capsys, monkeypatch):
@@ -471,6 +543,32 @@ def test_runs_on_the_standard_library_alone():
     assert json.loads(done.stdout)["theta"] == "25/36"
 
 
+def test_scan_into_a_closed_pipe_exits_2_with_one_line():
+    # At x = 10^10 these 6077 squarefree moduli take minutes; the reader stops after
+    # the header and two rows and closes the pipe.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        f"import sys\nsys.path.insert(0, {str(src)!r})\n"
+        "from sqflab.cli_runner import run\nrun()\n"
+    )
+    argv = "scan --x 10000000000 --q-min 10000 --q-max 20000 --a 1".split()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        with time_limit(30):
+            lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        assert proc.wait(timeout=10) == 2
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert lines[0].decode() == CSV_HEADER + "\n" and all(lines)
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_scan_bad_range(capsys):
     code, _, err = run_cli(capsys, "scan", "--x", "100", "--q-min", "9", "--q-max", "3")
     assert code == 2
@@ -607,6 +705,27 @@ def test_scan_all_classes_of_a_paper_scale_modulus_exit_2(capsys):
     assert err == (
         "error: --a all at q = 223092870 lists phi(q) = 36495360 units, "
         f"above the budget of {cli_runner.SCAN_CLASSES_MAX}\n"
+    )
+
+
+def test_scan_refuses_an_over_budget_q_before_listing_any_class(capsys, monkeypatch):
+    # q = 1048582 is within the budget, q = 1048583 is not: nothing of the
+    # first is listed before the second is refused.
+    listed = []
+    least = cli_runner.least_squarefree
+    monkeypatch.setattr(
+        cli_runner, "least_squarefree", lambda modulus, a: listed.append(a) or least(modulus, a)
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "scan", "--x", "1048583", "--q-min", "1048582", "--q-max", "1048583",
+        "--a", "all", "--workers", "1",
+    )
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, listed) == (2, "", [])
+    assert err == (
+        "error: --a all at q = 1048583 lists phi(q) = 1048582 units, "
+        "above the budget of 1048576\n"
     )
 
 
@@ -965,6 +1084,22 @@ def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, command):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and str(target) in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "scan --x 1000 300 --q-max 10 --a all",
+        "scan --x 1000 300 --q-max 10 --a all --start-row 13",
+        "scan --x 1000 --q-max 30 --a sample:2 --format json --start-row 5",
+        "scan --x 50 --q-min 60 --q-max 70",
+    ],
+)
+def test_scan_output_file_gets_the_bytes_of_stdout(tmp_path, capsys, command):
+    target = tmp_path / "out"
+    code, out, _ = run_cli(capsys, *command.split())
+    assert (code, run_cli(capsys, *command.split(), "--output", str(target))) == (0, (0, "", ""))
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize(
