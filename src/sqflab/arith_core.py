@@ -12,7 +12,7 @@ MOBIUS_SIEVE_MAX.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -61,36 +61,6 @@ def primes_up_to(n: int) -> list[int]:
     return list(_primes(n)) if n >= 2 else []
 
 
-# Bases of a Miller-Rabin test that is exact below 3.1 * 10^23.
-_WITNESSES = tuple(primes_up_to(37))
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the 12 primes up to 37: deterministic below 3.1 * 10^23.
-
-    The least composite that passes is 318665857834031151167461, above
-    every factor factor_modulus can return (a trial divisor, or a cofactor
-    below MOBIUS_SIEVE_MAX^2); above it a pass means a strong probable prime.
-    """
-    if n < 2:
-        return False
-    if n % 2 == 0 or n in _WITNESSES:
-        return n in _WITNESSES
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
-    d = (n - 1) >> s
-    for b in _WITNESSES:
-        y = pow(b, d, n)
-        if y in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            y = y * y % n
-            if y == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 _prime_cache: dict[int, array] = {}
 
 
@@ -135,23 +105,40 @@ def is_squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A squarefree modulus with its certificate of squarefreeness.
+    """A squarefree modulus q with its prime factors, found from q alone.
 
-    The factors ascend strictly, multiply to q and each pass _is_prime, so
-    no prime divides q twice: q is squarefree.  phi and omega, the Euler
-    totient and the number of prime factors, are read from them.
+    Trial division stops at MOBIUS_SIEVE_MAX, so every q <= 10^14 factors
+    completely.  A q < 1, a q with a square factor (NotSquarefreeError) and
+    a q left unfactored are refused: callers must not proceed with them.
+    phi and omega, the Euler totient and the number of prime factors, are
+    read from the factors.
     """
 
     q: int
-    prime_factors: tuple[int, ...]
+    prime_factors: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        factors = self.prime_factors
-        if any(p >= r for p, r in zip((1,) + factors, factors)) or prod(factors) != self.q:
-            raise InvariantError("prime_factors must ascend strictly and multiply to q")
-        for p in factors:
-            if not _is_prime(p):
-                raise InvariantError(f"prime factor {p} of {self.q} is not prime")
+        q = self.q
+        if q < 1:
+            raise ValueError(f"modulus must be a positive integer, got {q}")
+        factors = []
+        rest = q
+        p = 2
+        while p * p <= rest and p <= MOBIUS_SIEVE_MAX:
+            if rest % p == 0:
+                rest //= p
+                if rest % p == 0:
+                    raise NotSquarefreeError(f"{q} is divisible by {p}^2")
+                factors.append(p)
+            p += 1 if p == 2 else 2
+        if p * p <= rest:
+            raise ValueError(
+                f"{q} leaves {rest} unfactored by trial division up to MOBIUS_SIEVE_MAX = "
+                f"{MOBIUS_SIEVE_MAX}"
+            )
+        if rest > 1:
+            factors.append(rest)
+        object.__setattr__(self, "prime_factors", tuple(factors))
 
     @cached_property
     def phi(self) -> int:
@@ -181,32 +168,8 @@ class Modulus:
 
 
 def factor_modulus(q: int) -> Modulus:
-    """Factor a squarefree modulus; reject anything with a square factor.
-
-    Callers must not proceed with non-squarefree q, so the rejection is an
-    exception rather than a flag.  Trial division stops at MOBIUS_SIEVE_MAX:
-    every q <= 10^14 factors completely, and a q it leaves unfactored is refused.
-    """
-    if q < 1:
-        raise ValueError(f"modulus must be a positive integer, got {q}")
-    factors = []
-    rest = q
-    p = 2
-    while p * p <= rest and p <= MOBIUS_SIEVE_MAX:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                raise NotSquarefreeError(f"{q} is divisible by {p}^2")
-            factors.append(p)
-        p += 1 if p == 2 else 2
-    if p * p <= rest:
-        raise ValueError(
-            f"{q} leaves {rest} unfactored by trial division up to MOBIUS_SIEVE_MAX = "
-            f"{MOBIUS_SIEVE_MAX}"
-        )
-    if rest > 1:
-        factors.append(rest)
-    return Modulus(q=q, prime_factors=tuple(factors))
+    """The Modulus of q: its prime factors, or the refusal of q."""
+    return Modulus(q)
 
 
 def squarefree_progression(

@@ -4,7 +4,8 @@ Each `_cmd_*` returns its result or raises.  The result is a JSON-ready
 payload, or scan's CSV as a generator of chunks: the header with the rows
 of the first (x, q), then each later (x, q)'s rows, counted only as the
 generator reaches them.  `_cmd_scan` raises every refusal before it
-returns.  `main` alone writes the result, through `_emit`, and maps
+returns.  `main` refuses an --output that cannot be opened before the
+command runs; it alone writes the result, through `_emit`, and maps
 exceptions to exit codes: 0 success, 2 input validation failure (ValueError
 or OSError), 3 internal invariant violation (RuntimeError, such as a failed
 identity or symmetry check: a bug signal, distinct from misuse so CI can
@@ -17,6 +18,7 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -141,6 +143,27 @@ def _emit(result: Iterator[str] | dict | list, output: str | None) -> None:
             fh.flush()
 
 
+def _check_output(path: str) -> None:
+    """Raise the OSError that open(path, "w") would raise, creating nothing.
+
+    A file that exists must be writable and not a directory; one that does
+    not needs a writable directory to be created in.
+    """
+    try:
+        os.stat(path)
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise
+        writable = os.access(parent, os.W_OK | os.X_OK)
+    else:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        writable = os.access(path, os.W_OK)
+    if not writable:
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _check_error_term_budget(x: int, q: int) -> None:
     """Refuse an error term at (x, q) above the work budget, before any sieving."""
     if x // q > ERROR_TERM_WORK_MAX:
@@ -202,20 +225,22 @@ def _scan_policy(text: str) -> tuple[str, int]:
     return kind, value
 
 
-def _check_classes(modulus: Modulus, policy: tuple[str, int]) -> None:
-    """Refuse q under scan's --a before any class of any q is listed.
+def _check_classes(modulus: Modulus, policy: tuple[str, int]) -> int:
+    """The number of classes scan's --a lists for q, refused before any is listed.
 
     An integer a must be a unit of q, and `all` may list at most
-    SCAN_CLASSES_MAX units.
+    SCAN_CLASSES_MAX units; a sample of k lists min(k, phi(q)).
     """
     kind, value = policy
-    if kind == "unit" and modulus.q > 1:
+    if kind == "unit":
         _unit_residue(modulus, value)
+        return 1
     if kind == "all" and modulus.phi > SCAN_CLASSES_MAX:
         raise ValueError(
             f"--a all at q = {modulus.q} lists phi(q) = {modulus.phi} units, "
             f"above the budget of {SCAN_CLASSES_MAX}"
         )
+    return modulus.phi if kind == "all" else min(value, modulus.phi)
 
 
 def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[int]:
@@ -231,8 +256,6 @@ def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[
     is drawn from instead (always for k >= phi(q), as phi(q) * 2^omega >= q).
     """
     q = modulus.q
-    if q == 1:
-        return [0]
     kind, value = policy
     if kind == "unit":
         return [_unit_residue(modulus, value)]
@@ -240,18 +263,22 @@ def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[
         ranks = sorted(random.Random(f"{seed}:{q}").sample(range(modulus.phi), value))
         count = partial(count_coprime, modulus=modulus)
         return [bisect_left(range(q), j + 1, key=count) for j in ranks]
-    units = [a for a in range(1, q) if gcd(a, q) == 1]
+    units = [a for a in range(q) if gcd(a, q) == 1]
     if kind == "all" or len(units) <= value:
         return units
     return sorted(random.Random(f"{seed}:{q}").sample(units, value))
 
 
-def _scan_classes(task: tuple[Modulus, tuple[str, int], int]) -> list[tuple[int, str]]:
-    """The classes of q: each a with its x-free CSV columns, n_q_a and ratio."""
-    modulus, policy, seed = task
+def _scan_classes(task: tuple[Modulus, tuple[str, int], int, int]) -> list[tuple[int, str]]:
+    """The classes of q, as many as planned: each a with its x-free CSV
+    columns, n_q_a and ratio."""
+    modulus, policy, seed, size = task
+    residues = _residues_for(modulus, policy, seed)
+    if len(residues) != size:
+        raise InvariantError(f"q = {modulus.q} lists {len(residues)} classes, not {size}")
     scale = float(modulus.q) ** float(COROLLARY)
     classes = []
-    for a in _residues_for(modulus, policy, seed):
+    for a in residues:
         n_qa = least_squarefree(modulus, a)
         classes.append((a, f"{n_qa},{_fmt_float(n_qa / scale)}"))
     return classes
@@ -260,13 +287,12 @@ def _scan_classes(task: tuple[Modulus, tuple[str, int], int]) -> list[tuple[int,
 def _scan_rows(task: tuple[int, Modulus, list[tuple[int, str]]]) -> list[str]:
     """The CSV lines of one (x, q), ascending in a.
 
-    When the classes are every unit of q > 1, their counts, read from the
-    flags at stride q, must sum to the coprime count from the Legendre
-    recursion.
+    When the classes are every unit of q, their counts, read from the flags
+    at stride q, must sum to the coprime count from the Legendre recursion.
     """
     x, modulus, classes = task
     results = error_terms(x, modulus, [a for a, _ in classes])
-    if modulus.q > 1 and len(results) == modulus.phi:
+    if len(results) == modulus.phi:
         total = sum(res.progression_count for res in results)
         coprime = results[0].coprime_count
         if total != coprime:
@@ -290,10 +316,11 @@ def _scan_tasks(
     """scan's lines, one list per (x, q) task in (X, q) order, from --start-row on.
 
     The first list is empty and marks the end of the plan: every q is
-    factored and checked in window order, and its classes are listed,
-    before it is yielded.  A task gives one line per class, so the tasks
-    wholly before --start-row are dropped uncounted and the first one kept
-    is sliced.
+    factored and checked in window order, which gives its number of
+    classes, before it is yielded.  A task gives one line per class, so the
+    tasks wholly before --start-row are dropped before any class is listed,
+    and the first one kept is sliced.  Only the q of a kept task list their
+    classes, also before the first list.
     """
     # More processes than q or cores would only wait.
     workers = min(args.workers, len(q_values), os.cpu_count() or 1)
@@ -305,18 +332,20 @@ def _scan_tasks(
         # rather than leaving scan waiting for its results.
         run = partial(pool.map, chunksize=len(q_values) // (4 * workers) + 1) if pool else map
         moduli = list(run(factor_modulus, q_values))
-        for modulus in moduli:
-            _check_classes(modulus, policy)
-        per_q = list(zip(moduli, run(_scan_classes, [(m, policy, args.seed) for m in moduli])))
+        sizes = {m.q: _check_classes(m, policy) for m in moduli}
         # x in the outer loop: every q of one x reads the same squarefree
         # table, and the rows come out in (X, q, a) order.
-        row_tasks = [(x, m, classes) for x in x_values for m, classes in per_q if m.q <= x]
+        tasks = [(x, m) for x in x_values for m in moduli if m.q <= x]
         first, skip = 0, args.start_row
-        while first < len(row_tasks) and skip >= len(row_tasks[first][2]):
-            skip -= len(row_tasks[first][2])
+        while first < len(tasks) and skip >= sizes[tasks[first][1].q]:
+            skip -= sizes[tasks[first][1].q]
             first += 1
+        tasks = tasks[first:]
+        kept = {m.q for _, m in tasks}
+        to_list = [(m, policy, args.seed, sizes[m.q]) for m in moduli if m.q in kept]
+        classes = dict(zip(sorted(kept), run(_scan_classes, to_list)))
         yield []
-        for lines in run(_scan_rows, row_tasks[first:]):
+        for lines in run(_scan_rows, [(x, m, classes[m.q]) for x, m in tasks]):
             yield lines[skip:]
             skip = 0
     finally:
@@ -556,6 +585,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
+        if args.output is not None:
+            _check_output(args.output)
         _emit(args.func(args), args.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

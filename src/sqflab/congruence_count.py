@@ -108,8 +108,6 @@ def power_roots(
     """
     q = modulus.q
     c %= q
-    if q == 1:
-        return [0]
     per_prime = []
     for p, swept in zip(modulus.prime_factors, prime_roots):
         if swept is None:

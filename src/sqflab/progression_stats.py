@@ -56,19 +56,12 @@ class SearchCeilingError(RuntimeError):
 def count_ap(x: Real, q: int, a: int) -> int:
     """#{1 <= m <= x : m = a (mod q)}, exactly.
 
-    a is normalized into [0, q); no coprimality is required.
+    The least such m is a mod q, or q for a = 0 (mod q); no coprimality is
+    required.
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    fx = math.floor(x)
-    if fx < 1:
-        return 0
-    a %= q
-    if a == 0:
-        return fx // q
-    if fx < a:
-        return 0
-    return (fx - a) // q + 1
+    return (max(math.floor(x), 0) - (a % q or q)) // q + 1
 
 
 def count_coprime(x: Real, modulus: Modulus) -> int:

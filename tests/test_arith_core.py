@@ -1,5 +1,7 @@
 """Sieve and modulus correctness against independent oracles."""
 
+import dataclasses
+import pickle
 import random
 from math import gcd, isqrt, prod
 
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from sqflab import arith_core
 from sqflab.arith_core import (
-    InvariantError,
     Modulus,
     NotSquarefreeError,
     factor_modulus,
@@ -206,21 +207,25 @@ def test_factor_modulus_examples():
         factor_modulus(12)
     with pytest.raises(ValueError):
         factor_modulus(0)
-    # factor_modulus is the only builder in the package: factors that are not
-    # strictly ascending, or do not multiply to q, are a bug.
-    for q, factors in ((30, (2, 3)), (30, (3, 2, 5)), (30, (2, 3, 5, 1)), (4, (2, 2))):
-        with pytest.raises(InvariantError, match="ascend strictly and multiply to q"):
-            Modulus(q=q, prime_factors=factors)
-    # A composite factor: even, odd, a Fermat pseudoprime to base 2, and a
-    # strong pseudoprime to the bases 2, 3, 5 and 7.
-    for composite in (4, 6, 341, 3215031751):
-        with pytest.raises(InvariantError, match=f"prime factor {composite} of"):
-            Modulus(q=composite, prime_factors=(composite,))
+
+
+def test_modulus_is_built_from_q_alone():
+    assert Modulus(30).prime_factors == (2, 3, 5)
+    assert Modulus(30) == factor_modulus(30)
+    # The factors are derived, so a Modulus with wrong factors cannot be built.
+    with pytest.raises(TypeError):
+        Modulus(q=30, prime_factors=(2, 3, 5))
+    assert dataclasses.replace(factor_modulus(30), q=42).prime_factors == (2, 3, 7)
+    with pytest.raises(NotSquarefreeError, match="12 is divisible by 2"):
+        dataclasses.replace(factor_modulus(30), q=12)
+    m = factor_modulus(9999973 * 9999991)
+    m.crt_basis  # a cached property travels with the pickle
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert pickle.loads(pickle.dumps(m)).crt_basis == m.crt_basis
 
 
 def test_factor_modulus_results_pass_the_primality_check():
-    # Modulus refuses a composite factor, so each of these would raise if a
-    # prime factor failed the check.
+    # Every factor is checked against an independent list of primes.
     primes = set(primes_up_to(3000))
     for q in range(1, 3000):
         if is_squarefree(q):

@@ -1086,6 +1086,121 @@ def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, command):
     assert not target.parent.exists()
 
 
+# One (x, q) of phi(q) = 1048572 rows: before its first byte, scan lists
+# every class (5 s, 211 MB max RSS on a 2-core VM) and counts them (13 s and
+# 665 MB in all).
+ONE_LARGE_Q = "scan --x 4194304 --q-min 1048573 --q-max 1048573 --a all --workers 1".split()
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the command's work ran")
+
+
+@pytest.mark.parametrize("command", [
+    ONE_LARGE_Q, "pipeline --x 1000000000000 --q 223092870 --a 1".split()
+])
+def test_an_output_that_cannot_be_opened_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(cli_runner, "_scan_tasks", _unreachable)
+    monkeypatch.setattr(cli_runner, "pipeline_report", _unreachable)
+    (tmp_path / "file").touch()
+    for target, message in (
+        (tmp_path / "missing" / "out", "[Errno 2] No such file or directory"),
+        (tmp_path, "[Errno 21] Is a directory"),
+        (tmp_path / "file" / "out", "[Errno 20] Not a directory"),
+    ):
+        with time_limit(5):
+            code, out, err = run_cli(capsys, *command, "--output", str(target))
+        # open() raises the same error; without the check it came after the work.
+        assert (code, out, err) == (2, "", f"error: {message}: {str(target)!r}\n")
+        with pytest.raises(OSError, match=message.replace("[", r"\[")):
+            open(target, "w")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_an_output_in_a_directory_that_cannot_be_written_is_refused(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli_runner, "_scan_tasks", _unreachable)
+    read_only = tmp_path / "read-only"
+    read_only.mkdir()
+    read_only.chmod(0o555)
+    target = read_only / "out"
+    with monkeypatch.context() as m:
+        if os.access(read_only, os.W_OK):
+            # A privileged user writes there anyway: have scan see what others see.
+            m.setattr(os, "access", lambda path, mode: False)
+        else:
+            with pytest.raises(PermissionError, match=r"\[Errno 13\] Permission denied"):
+                open(target, "w")
+        code, out, err = run_cli(capsys, *ONE_LARGE_Q, "--output", str(target))
+    assert (code, out, err) == (2, "", f"error: [Errno 13] Permission denied: {str(target)!r}\n")
+    assert list(read_only.iterdir()) == []
+
+
+def test_a_command_that_fails_leaves_its_output_file_as_it_was(tmp_path, capsys):
+    target = tmp_path / "out"
+    command = ["error-term", "--x", "30", "--q", "12", "--a", "1", "--output", str(target)]
+    assert run_cli(capsys, *command) == (2, "", "error: 12 is divisible by 2^2\n")
+    assert not target.exists()
+    target.write_text("kept")
+    assert run_cli(capsys, *command) == (2, "", "error: 12 is divisible by 2^2\n")
+    assert target.read_text() == "kept"
+
+
+def test_start_row_past_every_row_lists_no_class(capsys, monkeypatch):
+    for name in ("_residues_for", "least_squarefree", "error_terms"):
+        monkeypatch.setattr(cli_runner, name, _unreachable)
+    with time_limit(5):
+        code, out, err = run_cli(capsys, *ONE_LARGE_Q, "--start-row", "2000000")
+    assert (code, out, err) == (0, CSV_HEADER + "\n", "")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_start_row_lists_the_classes_of_kept_tasks_only(capsys, monkeypatch, tmp_path, workers):
+    full = run_cli(capsys, *RESUMED, "--workers", "1")[1]
+    header, *body = full.splitlines(keepends=True)
+    # Worker processes are forked from this one, so the calls go to a file.
+    calls = tmp_path / "calls"
+    residues_for = cli_runner._residues_for
+
+    def noting(modulus, policy, seed):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{modulus.q}\n")
+        return residues_for(modulus, policy, seed)
+
+    monkeypatch.setattr(cli_runner, "_residues_for", noting)
+    # Rows 0-19 are x = 300, rows 20-39 x = 1000; row 25 is in (1000, 5).
+    for k, listed in ((0, [1, 2, 3, 5, 6, 7, 10]), (20, [1, 2, 3, 5, 6, 7, 10]),
+                      (25, [5, 6, 7, 10]), (40, []), (41, [])):
+        calls.write_text("")
+        with time_limit(60):
+            code, out, _ = run_cli(capsys, *RESUMED, "--workers", workers, "--start-row", str(k))
+        assert (code, out) == (0, header + "".join(body[k:])), k
+        assert sorted(int(q) for q in calls.read_text().split()) == listed, k
+
+
+def test_a_class_list_off_its_planned_count_is_exit_3(capsys, monkeypatch):
+    residues_for = cli_runner._residues_for
+
+    def one_short_at_7(modulus, policy, seed):
+        residues = residues_for(modulus, policy, seed)
+        return residues[:-1] if modulus.q == 7 else residues
+
+    monkeypatch.setattr(cli_runner, "_residues_for", one_short_at_7)
+    code, out, err = run_cli(capsys, "scan", "--x", "100", "--q-max", "30", "--a", "sample:3")
+    assert (code, out) == (3, "")
+    assert err == "internal error: q = 7 lists 2 classes, not 3\n"
+
+
+@pytest.mark.parametrize("policy", [("unit", 5), ("all", 0), ("sample", 1), ("sample", 4)])
+def test_q_1_lists_its_one_class_0(policy):
+    one = factor_modulus(1)
+    assert cli_runner._check_classes(one, policy) == 1
+    assert cli_runner._residues_for(one, policy, 0) == [0]
+
+
 @pytest.mark.parametrize(
     "command",
     [
