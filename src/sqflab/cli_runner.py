@@ -25,12 +25,12 @@ import os
 import random
 import sys
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from sqflab.arith_core import (
@@ -57,6 +57,8 @@ from sqflab.progression_stats import (
     count_coprime,
     error_term,
     error_terms,
+    host_counts,
+    host_moduli,
     least_squarefree,
 )
 
@@ -284,14 +286,16 @@ def _scan_classes(task: tuple[Modulus, tuple[str, int], int, int]) -> list[tuple
     return classes
 
 
-def _scan_rows(task: tuple[int, Modulus, list[tuple[int, str]]]) -> list[str]:
-    """The CSV lines of one (x, q), ascending in a.
+def _scan_rows(task: tuple[int, Modulus, list[tuple[int, str]], list[int] | None]) -> list[str]:
+    """The CSV lines of one (x, q), ascending in a, its classes counted alone
+    or folded from the host counts that the task carries.
 
     When the classes are every unit of q, their counts, read from the flags
-    at stride q, must sum to the coprime count from the Legendre recursion.
+    at stride q or folded from the host's, must sum to the coprime count
+    from the Legendre recursion.
     """
-    x, modulus, classes = task
-    results = error_terms(x, modulus, [a for a, _ in classes])
+    x, modulus, classes, shared = task
+    results = error_terms(x, modulus, [a for a, _ in classes], shared)
     if len(results) == modulus.phi:
         total = sum(res.progression_count for res in results)
         coprime = results[0].coprime_count
@@ -307,6 +311,38 @@ def _scan_rows(task: tuple[int, Modulus, list[tuple[int, str]]]) -> list[str]:
     ]
 
 
+def _shared_rows(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> Iterator[list[str]]:
+    """The lines of each (x, q) task, in order, the tasks of each x counted
+    through the host moduli that host_moduli plans for them.
+
+    A host's classes are counted when its first member's turn comes and
+    dropped after its last member's, so no host count outlives its x.
+    """
+    for x, group in groupby(tasks, key=itemgetter(0)):
+        group = list(group)
+        hosts = host_moduli(x, {m.q: len(classes) for _, m, classes in group})
+        members: dict[int, list[tuple[int, list[int]]]] = {}
+        for _, m, classes in group:
+            if m.q in hosts:
+                members.setdefault(hosts[m.q], []).append((m.q, [a for a, _ in classes]))
+        live: dict[int, list[int]] = {}
+        for _, modulus, classes in group:
+            host = hosts.get(modulus.q)
+            shared = None
+            if host is not None:
+                if host not in live:
+                    live[host] = host_counts(x, host, members[host])
+                shared = live[host]
+                if members[host][-1][0] == modulus.q:  # the host's last member
+                    del live[host]
+            yield _scan_rows((x, modulus, classes, shared))
+
+
+def _scan_chunk(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> list[list[str]]:
+    """The lines of each task of one worker call, its hosts planned among them."""
+    return list(_shared_rows(tasks))
+
+
 def _scan_tasks(
     args: argparse.Namespace,
     policy: tuple[str, int],
@@ -320,17 +356,25 @@ def _scan_tasks(
     classes, before it is yielded.  A task gives one line per class, so the
     tasks wholly before --start-row are dropped before any class is listed,
     and the first one kept is sliced.  Only the q of a kept task list their
-    classes, also before the first list.
+    classes, also before the first list.  The tasks of one x then share host
+    moduli (see _shared_rows): serially among all tasks but the first, in a
+    pool among the tasks of each worker call.
     """
     # More processes than q or cores would only wait.
     workers = min(args.workers, len(q_values), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # Imported only here: it adds about 14 ms to the start of every command.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+        chunk = len(q_values) // (4 * workers) + 1
     try:
         # map yields in task order and raises the error of the first failing
         # task in order, as the serial loop does, not of the first chunk to
         # finish.  A worker that dies raises BrokenProcessPool (exit 3)
         # rather than leaving scan waiting for its results.
-        run = partial(pool.map, chunksize=len(q_values) // (4 * workers) + 1) if pool else map
+        run = partial(pool.map, chunksize=chunk) if pool else map
         moduli = list(run(factor_modulus, q_values))
         sizes = {m.q: _check_classes(m, policy) for m in moduli}
         # x in the outer loop: every q of one x reads the same squarefree
@@ -345,7 +389,16 @@ def _scan_tasks(
         to_list = [(m, policy, args.seed, sizes[m.q]) for m in moduli if m.q in kept]
         classes = dict(zip(sorted(kept), run(_scan_classes, to_list)))
         yield []
-        for lines in run(_scan_rows, [(x, m, classes[m.q]) for x, m in tasks]):
+        tasks = [(x, m, classes[m.q]) for x, m in tasks]
+        if pool:
+            # Each worker call counts one chunk of tasks, sharing hosts within it.
+            chunks = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
+            counted = chain.from_iterable(pool.map(_scan_chunk, chunks))
+        else:
+            # The first task is counted on its own, so its rows come out
+            # before any host is planned or counted.
+            counted = chain(_shared_rows(tasks[:1]), _shared_rows(tasks[1:]))
+        for lines in counted:
             yield lines[skip:]
             skip = 0
     finally:

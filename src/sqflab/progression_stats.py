@@ -8,17 +8,20 @@ error envelope.
 `error_terms` counts the classes a mod q of a list of residues and the
 squarefree n <= x coprime to q.  The class counts have two routes.  For
 x <= 2^22 they read one cached flag prefix of [1, x] at stride q, block by
-block for every class at once.  Above 2^22 they count the flags of only
-each progression n = a + q*k, about x / q bytes, which arith_core's
-squarefree_progression sieves segment by segment.  The coprime count S has
-one route at every x (`_coprime_count`): every n coprime to q is d^2
-times a squarefree number in exactly one way, so S(y) is the count of
-integers in [1, y] coprime to q less the sum of S(y // d^2) over the
-d >= 2 coprime to q.  S is read from the first 2 * sqrt(x) flags (at
-most 2^22) with the multiples of the primes of q struck, and recursed
-above them.  Both counts use arith_core's squarefree sieve, but neither
-Mobius values nor the square-part decomposition, so the decomposition can
-be checked against them.
+block for every class at once.  There several q of one x can also share a
+read, as scan's do: `host_moduli` groups them under common multiples L,
+`host_counts` reads the classes mod L that lift theirs, and `error_terms`
+folds each class a mod q from those, the exact sum of the classes
+r = a (mod q).  Above 2^22 they count the flags of only each progression
+n = a + q*k, about x / q bytes, which arith_core's squarefree_progression
+sieves segment by segment.  The coprime count S has one route at every x
+(`_coprime_count`): every n coprime to q is d^2 times a squarefree number
+in exactly one way, so S(y) is the count of integers in [1, y] coprime to
+q less the sum of S(y // d^2) over the d >= 2 coprime to q.  S is read
+from the first 2 * sqrt(x) flags (at most 2^22) with the multiples of the
+primes of q struck, and recursed above them.  Both counts use arith_core's
+squarefree sieve, but neither Mobius values nor the square-part
+decomposition, so the decomposition can be checked against them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 from zlib import adler32
 
@@ -47,6 +50,17 @@ from sqflab.arith_core import (
 _FLAG_CACHE_MAX = 1 << 22
 # Flags of one block of the class count: half of a 2 MiB L2 cache.
 _BLOCK = 1 << 20
+# Flags, at least, in each slice of a host modulus L shared by several q:
+# L <= x // HOST_SLICE_MIN.  A larger L reads shorter slices for the same
+# Python call: at x = 2^22 (2-core x86_64, Python 3.11) a flag cost 0.9-1.2 ns
+# in slices of 2^15 or more and 1.6-2.7 ns in slices of 2^8-2^12, and a
+# round of the benchmark's scan --a all took the least time at 2^10 of 2^8-2^12.
+HOST_SLICE_MIN = 1 << 10
+# A q joins the host plan only when its classes alone read at least
+# x // HOST_JOIN_MIN flags.  Placing a q compares it with every group so far,
+# about 0.15 us each: with the 584 groups of q <= 2000 at x = 2^22 that is
+# about 90 us, what x // 64 flags take to read.
+HOST_JOIN_MIN = 64
 
 
 class SearchCeilingError(RuntimeError):
@@ -121,17 +135,18 @@ def _unit_residue(modulus: Modulus, a: int) -> int:
 
 
 def _class_counts(limit: int, q: int, residues: Sequence[int]) -> list[int]:
-    """Squarefree n <= limit with n = a (mod q), for each unit a of residues; q > 1.
+    """Squarefree n <= limit with n = a (mod q), for each a of residues; q > 1.
 
-    Up to _FLAG_CACHE_MAX every class is read off the one cached flag prefix
-    at stride q.  A class of at most _BLOCK // 64 members lies on at most
-    _BLOCK bytes of 64-byte cache lines, which stay in cache from one
-    residue to the next, so it is read in one slice.  A longer class is read
-    block by block: the prefix is cut into blocks of _BLOCK // q whole rows
-    of q flags, and every class takes its slice of a block while the block
-    is in cache.  Above the cache only each progression n = a + q*k is
-    sieved (a >= 1 and gcd(a, q) = 1, as q > 1 and a is a unit), segment by
-    segment through squarefree_progression.
+    Up to _FLAG_CACHE_MAX every class, a unit or not, is read off the one
+    cached flag prefix at stride q.  A class of at most _BLOCK // 64
+    members lies on at most _BLOCK bytes of 64-byte cache lines, which stay
+    in cache from one residue to the next, so it is read in one slice.  A
+    longer class is read block by block: the prefix is cut into blocks of
+    _BLOCK // q whole rows of q flags, and every class takes its slice of a
+    block while the block is in cache.  Above the cache every a must be a
+    unit, and only each progression n = a + q*k is sieved (a >= 1 and
+    gcd(a, q) = 1, as q > 1), segment by segment through
+    squarefree_progression.
     """
     if limit > _FLAG_CACHE_MAX:
         return [
@@ -144,6 +159,56 @@ def _class_counts(limit: int, q: int, residues: Sequence[int]) -> list[int]:
     counts = [0] * len(offsets)
     for start in range(0, limit, step):
         counts = [c + _ones(flags[start + i : start + step : q]) for c, i in zip(counts, offsets)]
+    return counts
+
+
+def host_moduli(limit: int, sizes: dict[int, int]) -> dict[int, int]:
+    """The host modulus L whose class counts serve q at x = limit, for each q
+    of sizes (q -> its number of classes) that shares one; any other q is
+    its own host.
+
+    Counting the classes of q alone reads about classes * (limit // q)
+    flags.  One read of the classes mod a multiple L of several q, those
+    that lift a class of one of them, reads at most limit flags for all of
+    them.  The q > 1 that read at least limit // HOST_JOIN_MIN flags alone
+    join groups in ascending order, each the group whose lcm grows least (a
+    new group if none stays within L <= limit // HOST_SLICE_MIN), and a
+    group shares its L only when its members' own reads add up to more than
+    limit.  Above the flag cache no q shares.
+    """
+    bound = limit // HOST_SLICE_MIN if limit <= _FLAG_CACHE_MAX else 0
+    groups: list[list] = []  # [L, the members' own reads, members]
+    for q in sorted(sizes):
+        if q == 1 or q > bound or sizes[q] * (limit // q) < limit // HOST_JOIN_MIN:
+            continue
+        # q joins the group whose L grows least, the smaller L first, or a new one.
+        fits = [(lcm(L, q) // L, L, i) for i, (L, _, _) in enumerate(groups) if lcm(L, q) <= bound]
+        growth, _, i = min(fits, default=(q, 1, len(groups)))
+        if i == len(groups):
+            groups.append([1, 0, []])
+        group = groups[i]
+        group[0] *= growth
+        group[1] += sizes[q] * (limit // q)
+        group[2].append(q)
+    return {q: host for host, reads, members in groups if reads > limit for q in members}
+
+
+def host_counts(limit: int, host: int, classes: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
+    """Squarefree n <= limit in each class r mod host, read where r lifts a
+    class a mod q of classes, (q, residues) with q | host, and 0 elsewhere.
+
+    error_terms folds the counts of each class a mod q from these: the sum
+    of every r = a (mod q).
+    """
+    lifts = bytearray(host)
+    for q, residues in classes:
+        ones = b"\x01" * (host // q)
+        for a in residues:
+            lifts[a % q :: q] = ones
+    lifted = list(compress(range(host), lifts))
+    counts = [0] * host
+    for r, count in zip(lifted, _class_counts(limit, host, lifted)):
+        counts[r] = count
     return counts
 
 
@@ -264,11 +329,15 @@ class ErrorTermResult:
         return abs(float(self.error)) / (math.sqrt(float(self.x) / q) + math.sqrt(q))
 
 
-def error_terms(x: Real, modulus: Modulus, residues: Iterable[int]) -> list[ErrorTermResult]:
+def error_terms(
+    x: Real, modulus: Modulus, residues: Iterable[int], shared: list[int] | None = None
+) -> list[ErrorTermResult]:
     """Exact errors of the squarefree counts in the classes a mod q of residues.
 
     Every residue must be a unit; a non-unit is refused before any count.
-    The coprime count is computed once and the classes are counted together.
+    The coprime count is computed once and the classes are counted together,
+    or, given the host_counts of a multiple of q that lift them, each class
+    is folded from them by an exact integer sum.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -277,7 +346,13 @@ def error_terms(x: Real, modulus: Modulus, residues: Iterable[int]) -> list[Erro
     # Neither count uses Mobius values or decomposition code, which keeps
     # this route independent of the one it is checked against.
     cop = _coprime_count(limit, modulus)
-    progs = [cop] * len(units) if modulus.q == 1 else _class_counts(limit, modulus.q, units)
+    q = modulus.q
+    if q == 1:
+        progs = [cop] * len(units)
+    elif shared is None:
+        progs = _class_counts(limit, q, units)
+    else:
+        progs = [sum(shared[a::q]) for a in units]
     phi = modulus.phi
     return [
         ErrorTermResult(

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, output schemas, determinism."""
 
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -303,9 +304,9 @@ def test_scan_writes_each_task_as_soon_as_it_is_counted(monkeypatch):
     written_before = {}
     count = cli_runner.error_terms
 
-    def noting(x, modulus, residues):
+    def noting(x, modulus, residues, shared=None):
         written_before[modulus.q] = stdout.getvalue()
-        return count(x, modulus, residues)
+        return count(x, modulus, residues, shared)
 
     monkeypatch.setattr(cli_runner, "error_terms", noting)
     monkeypatch.setattr(sys, "stdout", stdout)
@@ -332,10 +333,10 @@ def test_start_row_counts_no_task_wholly_before_it(capsys, monkeypatch, tmp_path
     calls = tmp_path / "calls"
     count = cli_runner.error_terms
 
-    def noting(x, modulus, residues):
+    def noting(x, modulus, residues, shared=None):
         with open(calls, "a", encoding="utf-8") as fh:
             fh.write(f"{x},{modulus.q}\n")
-        return count(x, modulus, residues)
+        return count(x, modulus, residues, shared)
 
     monkeypatch.setattr(cli_runner, "error_terms", noting)
     # Task boundaries 0, 4, 20 and 40; rows inside a task 6 and 25; past the end 41.
@@ -347,6 +348,82 @@ def test_start_row_counts_no_task_wholly_before_it(capsys, monkeypatch, tmp_path
         # The (x, q) tasks counted are exactly those with a row from k on.
         kept = dict.fromkeys(",".join(row.split(",")[:2]) + "\n" for row in body[k:])
         assert sorted(calls.read_text().splitlines(keepends=True)) == sorted(kept), k
+
+
+# At x = 2^20 the classes of these q share host moduli: 2, 3, 5, 6, 7 and more
+# are counted through 210.
+HOSTED = ["scan", "--x", "1048576", "--q-max", "60", "--a", "all"]
+HOSTED_ROWS = (
+    "1048576,1,0,637461,637461,0,1,0,1,1\n"
+    "1048576,2,1,424973,424973,0,1,0,1,0.368567304323\n"
+)
+
+
+def test_a_cached_x_counts_through_hosts_with_the_same_bytes_on_both_paths(
+    capsys, monkeypatch
+):
+    counted = []
+    count = progression_stats._class_counts
+    monkeypatch.setattr(
+        progression_stats, "_class_counts",
+        lambda limit, q, residues: counted.append(q) or count(limit, q, residues),
+    )
+    code, out, err = serial = run_cli(capsys, *HOSTED, "--workers", "1")
+    data = out.encode("utf-8")
+    assert (code, err, len(data), hashlib.sha256(data).hexdigest()) == (
+        0, "", 51064, "5ab3562fc129998d014a924f79e6b656f812c29df4e43453cbdd65795652e318"
+    )
+    assert out.startswith(CSV_HEADER + "\n" + HOSTED_ROWS)
+    # Hosts above the window were read, and the q they serve were not read alone.
+    assert 210 in counted and 2 not in counted and 3 not in counted
+    with time_limit(120):
+        assert run_cli(capsys, *HOSTED, "--workers", "2") == serial
+
+
+def test_two_scans_in_one_process_count_their_hosts_alike(capsys, monkeypatch):
+    # Host counts live only while their x's tasks are counted, so a second
+    # scan in the same process reads them again, as a fresh process would.
+    counted = []
+    count = progression_stats._class_counts
+    monkeypatch.setattr(
+        progression_stats, "_class_counts",
+        lambda limit, q, residues: counted.append((limit, q)) or count(limit, q, residues),
+    )
+    first = run_cli(capsys, *HOSTED, "--workers", "1")
+    calls = list(counted)
+    assert run_cli(capsys, *HOSTED, "--workers", "1") == first
+    assert counted == calls * 2 and (1048576, 210) in calls
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_start_row_inside_a_host_group_gives_the_tail(capsys, workers):
+    full = run_cli(capsys, *HOSTED, "--workers", "1")[1]
+    header, *body = full.splitlines(keepends=True)
+    # Rows 1, 2-3 and 4-7 are q = 2, 3 and 5, which share the host 210: k = 1
+    # starts at its first member, 3 and 6 inside later ones, and the last row
+    # is that of q = 59, counted alone.
+    for k in (1, 3, 6, 100, len(body) - 1):
+        with time_limit(120):
+            code, out, _ = run_cli(capsys, *HOSTED, "--workers", workers, "--start-row", str(k))
+        assert (code, out) == (0, header + "".join(body[k:])), k
+
+
+def test_scan_class_counts_folded_off_the_coprime_count_is_exit_3(capsys, monkeypatch):
+    counts_of = cli_runner.host_counts
+
+    def one_too_many(limit, host, classes):
+        counts = counts_of(limit, host, classes)
+        counts[4] += 1  # 4 mod 210 lifts 1 mod 3, and no class of q = 2
+        return counts
+
+    monkeypatch.setattr(cli_runner, "host_counts", one_too_many)
+    code, out, err = run_cli(capsys, *HOSTED, "--workers", "1")
+    # The rows of q = 1, counted alone, and of q = 2, folded right, are written.
+    assert (code, out) == (3, CSV_HEADER + "\n" + HOSTED_ROWS)
+    assert err == (
+        "internal error: class counts of q = 3 at x = 1048576 sum to 478087, "
+        "not to the coprime count 478086\n"
+    )
 
 
 def test_scan_sieves_only_its_q_window(capsys, monkeypatch):
@@ -490,7 +567,8 @@ class _SerialPool:
 )
 def test_scan_pool_is_capped_by_tasks_and_cores(capsys, monkeypatch, workers, q_max, cores, size):
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr(cli_runner, "ProcessPoolExecutor", _SerialPool)
+    # scan imports the pool only when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: cores)
     args = ["scan", "--x", "300", "--q-max", q_max, "--a", "all"]
     pooled = run_cli(capsys, *args, "--workers", workers)
@@ -541,6 +619,20 @@ def test_runs_on_the_standard_library_alone():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["theta"] == "25/36"
+
+
+def test_a_cold_start_loads_no_process_pool():
+    # The probe that the benchmark times as set-up: only a pooled scan imports the pool.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        f"import sys\nsys.path.insert(0, {str(src)!r})\n"
+        "from sqflab.cli_runner import build_parser\nbuild_parser()\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_scan_into_a_closed_pipe_exits_2_with_one_line():

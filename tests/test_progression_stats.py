@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqflab import arith_core, progression_stats
-from sqflab.arith_core import Modulus, NotCoprimeError, factor_modulus, squarefree_flags
+from sqflab.arith_core import (
+    Modulus,
+    NotCoprimeError,
+    factor_modulus,
+    is_squarefree,
+    squarefree_flags,
+)
 from sqflab.progression_stats import (
     SearchCeilingError,
     count_ap,
@@ -18,6 +24,8 @@ from sqflab.progression_stats import (
     discrepancy,
     error_term,
     error_terms,
+    host_counts,
+    host_moduli,
     least_squarefree,
     reference_ratio,
     squarefree_count_ap,
@@ -333,6 +341,52 @@ def test_class_counts_above_the_cache(q, monkeypatch):
     residues = [q - 1, 1, 1] + ([17, 23, 13] if q > 2 else [])
     want = [plain[(a - 1) % q :: q].count(1) for a in residues]
     assert progression_stats._class_counts(limit, q, residues) == want
+
+
+@pytest.fixture(scope="module")
+def squarefree_up_to_2_16():
+    """Trial-division flags of [0, 2^16]."""
+    return [False] + [squarefree_oracle(n) for n in range(1, 2**16 + 1)]
+
+
+@given(
+    x=st.integers(min_value=1, max_value=2**16),
+    q_max=st.integers(min_value=2, max_value=40),
+    slice_min=st.integers(min_value=1, max_value=64),
+    policy=st.sampled_from(["all", "unit", "sample"]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_classes_folded_from_hosts_match_lone_counts_and_trial_division(
+    x, q_max, slice_min, policy, seed, squarefree_up_to_2_16
+):
+    # A host bound of x // 64 or more forms hosts at x far below the cache.
+    rng = random.Random(seed)
+    unit = rng.choice([1, 41, 43, 1009, 2**31 - 1])  # a unit of every q <= 40
+    classes = {}
+    for q in range(2, q_max + 1):
+        units = [a for a in range(q) if gcd(a, q) == 1]
+        if is_squarefree(q):
+            classes[q] = {
+                "all": units,
+                "unit": [unit % q],
+                "sample": sorted(rng.sample(units, min(rng.randint(1, 5), len(units)))),
+            }[policy]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(progression_stats, "HOST_SLICE_MIN", slice_min)
+        hosts = host_moduli(x, {1: 1} | {q: len(c) for q, c in classes.items()})
+    members = {}
+    for q, host in hosts.items():
+        assert q > 1 and host % q == 0 and host <= x // slice_min
+        members.setdefault(host, []).append(q)
+    for host, qs in members.items():
+        assert sum(len(classes[q]) * (x // q) for q in qs) > x
+        shared = host_counts(x, host, [(q, classes[q]) for q in qs])
+        for q in qs:
+            results = error_terms(x, factor_modulus(q), classes[q], shared)
+            folded = [r.progression_count for r in results]
+            assert folded == progression_stats._class_counts(x, q, classes[q])
+            assert folded == [sum(squarefree_up_to_2_16[a : x + 1 : q]) for a in classes[q]]
 
 
 @pytest.mark.parametrize(
