@@ -315,27 +315,21 @@ def _shared_rows(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> Ite
     """The lines of each (x, q) task, in order, the tasks of each x counted
     through the host moduli that host_moduli plans for them.
 
-    A host's classes are counted when its first member's turn comes and
-    dropped after its last member's, so no host count outlives its x.
+    A host's classes are counted when its first member's turn comes, and
+    each member takes its reference to them when its own turn comes, so no
+    host count outlives its x.
     """
     for x, group in groupby(tasks, key=itemgetter(0)):
         group = list(group)
-        hosts = host_moduli(x, {m.q: len(classes) for _, m, classes in group})
-        members: dict[int, list[tuple[int, list[int]]]] = {}
-        for _, m, classes in group:
-            if m.q in hosts:
-                members.setdefault(hosts[m.q], []).append((m.q, [a for a, _ in classes]))
-        live: dict[int, list[int]] = {}
-        for _, modulus, classes in group:
-            host = hosts.get(modulus.q)
-            shared = None
-            if host is not None:
-                if host not in live:
-                    live[host] = host_counts(x, host, members[host])
-                shared = live[host]
-                if members[host][-1][0] == modulus.q:  # the host's last member
-                    del live[host]
-            yield _scan_rows((x, modulus, classes, shared))
+        classes = {m.q: [a for a, _ in listed] for _, m, listed in group}
+        firsts = {members[0]: (host, members) for host, members in host_moduli(x, classes)}
+        shared: dict[int, list[int]] = {}
+        for _, modulus, listed in group:
+            if modulus.q in firsts:
+                host, members = firsts[modulus.q]
+                counts = host_counts(x, host, [(q, classes[q]) for q in members])
+                shared.update(dict.fromkeys(members, counts))
+            yield _scan_rows((x, modulus, listed, shared.pop(modulus.q, None)))
 
 
 def _scan_chunk(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> list[list[str]]:

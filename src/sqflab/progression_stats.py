@@ -61,6 +61,11 @@ HOST_SLICE_MIN = 1 << 10
 # about 0.15 us each: with the 584 groups of q <= 2000 at x = 2^22 that is
 # about 90 us, what x // 64 flags take to read.
 HOST_JOIN_MIN = 64
+# A flag read at stride s costs about 1 + s / HOST_STRIDE_COST reads at a
+# stride below 64.  At x = 2^22 (same machine) reading every class cost
+# 0.75-1.05 ns a flag at strides below 64, 1.05-1.3 ns at 65-510, 1.5-1.7 ns
+# at 770-2310 and 1.9 ns at 3003-3965, where each flag lies on a page of its own.
+HOST_STRIDE_COST = 1 << 12
 
 
 class SearchCeilingError(RuntimeError):
@@ -162,35 +167,59 @@ def _class_counts(limit: int, q: int, residues: Sequence[int]) -> list[int]:
     return counts
 
 
-def host_moduli(limit: int, sizes: dict[int, int]) -> dict[int, int]:
-    """The host modulus L whose class counts serve q at x = limit, for each q
-    of sizes (q -> its number of classes) that shares one; any other q is
-    its own host.
+def host_moduli(
+    limit: int, classes: dict[int, Sequence[int]]
+) -> list[tuple[int, list[int]]]:
+    """The host moduli L that serve several q of classes (q -> its residues) at
+    x = limit, each with its members in ascending order; any other q is its
+    own host.
 
-    Counting the classes of q alone reads about classes * (limit // q)
-    flags.  One read of the classes mod a multiple L of several q, those
-    that lift a class of one of them, reads at most limit flags for all of
-    them.  The q > 1 that read at least limit // HOST_JOIN_MIN flags alone
-    join groups in ascending order, each the group whose lcm grows least (a
-    new group if none stays within L <= limit // HOST_SLICE_MIN), and a
-    group shares its L only when its members' own reads add up to more than
-    limit.  Above the flag cache no q shares.
+    Counting the classes of q alone reads classes * (limit // q) flags at
+    stride q.  One read of the classes mod a multiple L of several q, those
+    that lift a class of one of them, reads lifted * (limit // L) flags at
+    stride L for all of them.  The q > 1 that read at least
+    limit // HOST_JOIN_MIN flags alone join groups in ascending order, each
+    the group whose lcm grows least (a new group if none stays within
+    L <= limit // HOST_SLICE_MIN), and a group shares its L only when its
+    members' own reads cost more than its lifted read, each flag weighted by
+    1 + stride / HOST_STRIDE_COST.  Above the flag cache no q shares.
     """
     bound = limit // HOST_SLICE_MIN if limit <= _FLAG_CACHE_MAX else 0
-    groups: list[list] = []  # [L, the members' own reads, members]
-    for q in sorted(sizes):
-        if q == 1 or q > bound or sizes[q] * (limit // q) < limit // HOST_JOIN_MIN:
+    groups: list[tuple[int, list[int]]] = []  # (L, members)
+    for q in sorted(classes):
+        if q == 1 or q > bound or len(classes[q]) * (limit // q) < limit // HOST_JOIN_MIN:
             continue
         # q joins the group whose L grows least, the smaller L first, or a new one.
-        fits = [(lcm(L, q) // L, L, i) for i, (L, _, _) in enumerate(groups) if lcm(L, q) <= bound]
+        fits = [(lcm(L, q) // L, L, i) for i, (L, _) in enumerate(groups) if lcm(L, q) <= bound]
         growth, _, i = min(fits, default=(q, 1, len(groups)))
         if i == len(groups):
-            groups.append([1, 0, []])
-        group = groups[i]
-        group[0] *= growth
-        group[1] += sizes[q] * (limit // q)
-        group[2].append(q)
-    return {q: host for host, reads, members in groups if reads > limit for q in members}
+            groups.append((1, []))
+        L, members = groups[i]
+        members.append(q)
+        groups[i] = (L * growth, members)
+
+    def read_cost(residues: int, stride: int) -> int:
+        return residues * (limit // stride) * (HOST_STRIDE_COST + stride)
+
+    return [
+        (L, members)
+        for L, members in groups
+        if len(members) > 1
+        and sum(read_cost(len(classes[q]), q) for q in members)
+        > read_cost(_lifts(L, [(q, classes[q]) for q in members]).count(1), L)
+    ]
+
+
+def _lifts(host: int, classes: Iterable[tuple[int, Sequence[int]]]) -> bytes:
+    """One flag per residue r mod host: 1 where r lifts a class a mod q of
+    classes, (q, residues) with q | host."""
+    lifts = 0
+    for q, residues in classes:
+        mask = bytearray(q)
+        for a in residues:
+            mask[a % q] = 1
+        lifts |= int.from_bytes(mask * (host // q), "little")
+    return lifts.to_bytes(host, "little")
 
 
 def host_counts(limit: int, host: int, classes: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
@@ -200,12 +229,7 @@ def host_counts(limit: int, host: int, classes: Iterable[tuple[int, Sequence[int
     error_terms folds the counts of each class a mod q from these: the sum
     of every r = a (mod q).
     """
-    lifts = bytearray(host)
-    for q, residues in classes:
-        ones = b"\x01" * (host // q)
-        for a in residues:
-            lifts[a % q :: q] = ones
-    lifted = list(compress(range(host), lifts))
+    lifted = list(compress(range(host), _lifts(host, classes)))
     counts = [0] * host
     for r, count in zip(lifted, _class_counts(limit, host, lifted)):
         counts[r] = count

@@ -374,19 +374,33 @@ def test_classes_folded_from_hosts_match_lone_counts_and_trial_division(
             }[policy]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(progression_stats, "HOST_SLICE_MIN", slice_min)
-        hosts = host_moduli(x, {1: 1} | {q: len(c) for q, c in classes.items()})
-    members = {}
-    for q, host in hosts.items():
-        assert q > 1 and host % q == 0 and host <= x // slice_min
-        members.setdefault(host, []).append(q)
-    for host, qs in members.items():
-        assert sum(len(classes[q]) * (x // q) for q in qs) > x
+        hosts = host_moduli(x, {1: [0]} | classes)
+    served = [q for _, qs in hosts for q in qs]
+    assert len(served) == len(set(served))
+    for host, qs in hosts:
+        assert qs == sorted(qs) and len(qs) > 1
+        assert all(q > 1 and host % q == 0 for q in qs) and host <= x // slice_min
+        # A host never reads more flags than its members would alone.
         shared = host_counts(x, host, [(q, classes[q]) for q in qs])
+        lifted = sum(1 for r in range(host) if any(r % q in classes[q] for q in qs))
+        assert sum(len(classes[q]) * (x // q) for q in qs) > lifted * (x // host)
         for q in qs:
             results = error_terms(x, factor_modulus(q), classes[q], shared)
             folded = [r.progression_count for r in results]
             assert folded == progression_stats._class_counts(x, q, classes[q])
             assert folded == [sum(squarefree_up_to_2_16[a : x + 1 : q]) for a in classes[q]]
+
+
+def test_a_host_is_shared_only_where_its_strided_read_costs_less():
+    units = {q: [a for a in range(q) if gcd(a, q) == 1] for q in (31, 37, 61, 65)}
+    # Alone, 31 and 37 read 1.94 x flags at strides 31 and 37, and 1147 reads
+    # 0.999 x of them at stride 1147, worth 1.28 x.
+    assert host_moduli(2**22, {q: units[q] for q in (31, 37)}) == [(1147, [31, 37])]
+    # 61 and 65 read 1.72 x flags alone, but at stride 3965 the host's 0.996 x
+    # flags are worth 1.96 x.
+    assert host_moduli(2**22, {q: units[q] for q in (61, 65)}) == []
+    # Above the flag cache no q shares.
+    assert host_moduli(2**22 + 1, {q: units[q] for q in (31, 37)}) == []
 
 
 @pytest.mark.parametrize(
