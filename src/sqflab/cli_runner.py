@@ -28,7 +28,7 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, groupby
+from itertools import chain, compress, groupby, islice
 from math import gcd, isqrt
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
@@ -57,8 +57,6 @@ from sqflab.progression_stats import (
     count_coprime,
     error_term,
     error_terms,
-    host_counts,
-    host_moduli,
     least_squarefree,
 )
 
@@ -230,45 +228,48 @@ def _scan_policy(text: str) -> tuple[str, int]:
 def _check_classes(modulus: Modulus, policy: tuple[str, int]) -> int:
     """The number of classes scan's --a lists for q, refused before any is listed.
 
-    An integer a must be a unit of q, and `all` may list at most
-    SCAN_CLASSES_MAX units; a sample of k lists min(k, phi(q)).
+    An integer a must be a unit of q; `all` lists phi(q) units and a sample
+    of k min(k, phi(q)), neither of them more than SCAN_CLASSES_MAX.
     """
     kind, value = policy
     if kind == "unit":
         _unit_residue(modulus, value)
         return 1
-    if kind == "all" and modulus.phi > SCAN_CLASSES_MAX:
+    size = modulus.phi if kind == "all" else min(value, modulus.phi)
+    if size > SCAN_CLASSES_MAX:
+        option, listed = ("all", f"phi(q) = {size}") if kind == "all" else (f"sample:{value}", size)
         raise ValueError(
-            f"--a all at q = {modulus.q} lists phi(q) = {modulus.phi} units, "
+            f"--a {option} at q = {modulus.q} lists {listed} units, "
             f"above the budget of {SCAN_CLASSES_MAX}"
         )
-    return modulus.phi if kind == "all" else min(value, modulus.phi)
+    return size
 
 
 def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[int]:
     """The classes scan evaluates for q, ascending: one unit, every unit or a sample.
 
-    A sample of k units draws k ranks among the phi(q) units with
-    random.sample(range(phi(q)), k), and finds the unit of rank j, the
-    least a with count_coprime(a) = j + 1, by bisection.  random.sample
-    reads only its population's length and then indexes it, so these are
-    the units that the same draw from the list of every unit gives.  A
-    bisection counts about log2(q) times over the 2^omega divisors of q;
-    where k of them would cost more than the q gcds of that list, the list
-    is drawn from instead (always for k >= phi(q), as phi(q) * 2^omega >= q).
+    `all` and a sample of k >= phi(q) list every unit.  A smaller sample
+    draws k ranks with random.sample(range(phi(q)), k), which reads only its
+    population's length and then indexes it, so the units of these ranks are
+    those that the same draw from the list of every unit gives.  The unit of
+    rank j, the least a with count_coprime(a) = j + 1, is found by bisection,
+    about log2(q) counts over the 2^omega divisors of q, or, where k of them
+    would cost more than q gcds, by one sweep over the units that holds only
+    the ranked ones and stops at the last.
     """
     q = modulus.q
     kind, value = policy
     if kind == "unit":
         return [_unit_residue(modulus, value)]
-    if kind == "sample" and value * q.bit_length() * len(modulus.squarefree_divisors) < q:
-        ranks = sorted(random.Random(f"{seed}:{q}").sample(range(modulus.phi), value))
+    units = (a for a in range(q) if gcd(a, q) == 1)
+    if kind == "all" or value >= modulus.phi:
+        return list(units)
+    ranks = sorted(random.Random(f"{seed}:{q}").sample(range(modulus.phi), value))
+    if value * q.bit_length() * len(modulus.squarefree_divisors) < q:
         count = partial(count_coprime, modulus=modulus)
         return [bisect_left(range(q), j + 1, key=count) for j in ranks]
-    units = [a for a in range(q) if gcd(a, q) == 1]
-    if kind == "all" or len(units) <= value:
-        return units
-    return sorted(random.Random(f"{seed}:{q}").sample(units, value))
+    # Each rank skips the units between it and the rank before.
+    return [next(islice(units, j - i - 1, None)) for i, j in zip([-1, *ranks], ranks)]
 
 
 def _scan_classes(task: tuple[Modulus, tuple[str, int], int, int]) -> list[tuple[int, str]]:
@@ -286,55 +287,37 @@ def _scan_classes(task: tuple[Modulus, tuple[str, int], int, int]) -> list[tuple
     return classes
 
 
-def _scan_rows(task: tuple[int, Modulus, list[tuple[int, str]], list[int] | None]) -> list[str]:
-    """The CSV lines of one (x, q), ascending in a, its classes counted alone
-    or folded from the host counts that the task carries.
+def _scan_rows(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> Iterator[list[str]]:
+    """The CSV lines of each (x, q) task, in order, ascending in a, the tasks
+    of one x counted by one call of error_terms, which plans their hosts.
 
-    When the classes are every unit of q, their counts, read from the flags
-    at stride q or folded from the host's, must sum to the coprime count
-    from the Legendre recursion.
+    When a task's classes are every unit of q, their counts must sum to the
+    coprime count from the Legendre recursion.
     """
-    x, modulus, classes, shared = task
-    results = error_terms(x, modulus, [a for a, _ in classes], shared)
-    if len(results) == modulus.phi:
-        total = sum(res.progression_count for res in results)
-        coprime = results[0].coprime_count
-        if total != coprime:
-            raise InvariantError(
-                f"class counts of q = {modulus.q} at x = {x} sum to {total}, "
-                f"not to the coprime count {coprime}"
-            )
-    return [
-        f"{x},{modulus.q},{a},{res.progression_count},{res.coprime_count},"
-        f"{res.error.numerator},{res.error.denominator},{_fmt_float(res.reference_ratio)},{tail}"
-        for res, (a, tail) in zip(results, classes)
-    ]
-
-
-def _shared_rows(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> Iterator[list[str]]:
-    """The lines of each (x, q) task, in order, the tasks of each x counted
-    through the host moduli that host_moduli plans for them.
-
-    A host's classes are counted when its first member's turn comes, and
-    each member takes its reference to them when its own turn comes, so no
-    host count outlives its x.
-    """
-    for x, group in groupby(tasks, key=itemgetter(0)):
-        group = list(group)
-        classes = {m.q: [a for a, _ in listed] for _, m, listed in group}
-        firsts = {members[0]: (host, members) for host, members in host_moduli(x, classes)}
-        shared: dict[int, list[int]] = {}
-        for _, modulus, listed in group:
-            if modulus.q in firsts:
-                host, members = firsts[modulus.q]
-                counts = host_counts(x, host, [(q, classes[q]) for q in members])
-                shared.update(dict.fromkeys(members, counts))
-            yield _scan_rows((x, modulus, listed, shared.pop(modulus.q, None)))
+    counted = chain.from_iterable(
+        error_terms(x, [(m, [a for a, _ in classes]) for _, m, classes in group])
+        for x, group in groupby(tasks, key=itemgetter(0))
+    )
+    for (x, modulus, classes), results in zip(tasks, counted):
+        if len(results) == modulus.phi:
+            total = sum(res.progression_count for res in results)
+            coprime = results[0].coprime_count
+            if total != coprime:
+                raise InvariantError(
+                    f"class counts of q = {modulus.q} at x = {x} sum to {total}, "
+                    f"not to the coprime count {coprime}"
+                )
+        yield [
+            f"{x},{modulus.q},{a},{res.progression_count},{res.coprime_count},"
+            f"{res.error.numerator},{res.error.denominator},"
+            f"{_fmt_float(res.reference_ratio)},{tail}"
+            for res, (a, tail) in zip(results, classes)
+        ]
 
 
 def _scan_chunk(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> list[list[str]]:
     """The lines of each task of one worker call, its hosts planned among them."""
-    return list(_shared_rows(tasks))
+    return list(_scan_rows(tasks))
 
 
 def _scan_tasks(
@@ -351,7 +334,7 @@ def _scan_tasks(
     tasks wholly before --start-row are dropped before any class is listed,
     and the first one kept is sliced.  Only the q of a kept task list their
     classes, also before the first list.  The tasks of one x then share host
-    moduli (see _shared_rows): serially among all tasks but the first, in a
+    moduli (see _scan_rows): serially among all tasks but the first, in a
     pool among the tasks of each worker call.
     """
     # More processes than q or cores would only wait.
@@ -391,7 +374,7 @@ def _scan_tasks(
         else:
             # The first task is counted on its own, so its rows come out
             # before any host is planned or counted.
-            counted = chain(_shared_rows(tasks[:1]), _shared_rows(tasks[1:]))
+            counted = chain(_scan_rows(tasks[:1]), _scan_rows(tasks[1:]))
         for lines in counted:
             yield lines[skip:]
             skip = 0

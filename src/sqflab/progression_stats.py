@@ -5,13 +5,13 @@ downstream identity checks require exact equality.  The only floating-point
 output here is the monitoring ratio against the classical square-root
 error envelope.
 
-`error_terms` counts the classes a mod q of a list of residues and the
-squarefree n <= x coprime to q.  The class counts have two routes.  For
-x <= 2^22 they read one cached flag prefix of [1, x] at stride q, block by
-block for every class at once.  There several q of one x can also share a
-read, as scan's do: `host_moduli` groups them under common multiples L,
-`host_counts` reads the classes mod L that lift theirs, and `error_terms`
-folds each class a mod q from those, the exact sum of the classes
+`error_terms` counts, at one x, the classes a mod q of each task, a q with
+a list of residues, and the squarefree n <= x coprime to each q.  The class
+counts have two routes.  For x <= 2^22 they read one cached flag prefix of
+[1, x] at stride q, block by block for every class at once.  There the q of
+one call can also share a read: `host_moduli` groups them under common
+multiples L, `error_terms` reads the classes mod L that lift theirs once,
+and folds each class a mod q from those, the exact sum of the classes
 r = a (mod q).  Above 2^22 they count the flags of only each progression
 n = a + q*k, about x / q bytes, which arith_core's squarefree_progression
 sieves segment by segment.  The coprime count S has one route at every x
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 from zlib import adler32
 
 from sqflab.arith_core import (
@@ -169,10 +169,10 @@ def _class_counts(limit: int, q: int, residues: Sequence[int]) -> list[int]:
 
 def host_moduli(
     limit: int, classes: dict[int, Sequence[int]]
-) -> list[tuple[int, list[int]]]:
+) -> Iterator[tuple[int, list[int], bytes]]:
     """The host moduli L that serve several q of classes (q -> its residues) at
-    x = limit, each with its members in ascending order; any other q is its
-    own host.
+    x = limit, each with its members in ascending order and the _lifts of
+    their classes; any other q is its own host.
 
     Counting the classes of q alone reads classes * (limit // q) flags at
     stride q.  One read of the classes mod a multiple L of several q, those
@@ -201,13 +201,11 @@ def host_moduli(
     def read_cost(residues: int, stride: int) -> int:
         return residues * (limit // stride) * (HOST_STRIDE_COST + stride)
 
-    return [
-        (L, members)
-        for L, members in groups
-        if len(members) > 1
-        and sum(read_cost(len(classes[q]), q) for q in members)
-        > read_cost(_lifts(L, [(q, classes[q]) for q in members]).count(1), L)
-    ]
+    for L, members in groups:
+        if len(members) > 1:
+            lifts = _lifts(L, [(q, classes[q]) for q in members])
+            if sum(read_cost(len(classes[q]), q) for q in members) > read_cost(lifts.count(1), L):
+                yield L, members, lifts
 
 
 def _lifts(host: int, classes: Iterable[tuple[int, Sequence[int]]]) -> bytes:
@@ -220,20 +218,6 @@ def _lifts(host: int, classes: Iterable[tuple[int, Sequence[int]]]) -> bytes:
             mask[a % q] = 1
         lifts |= int.from_bytes(mask * (host // q), "little")
     return lifts.to_bytes(host, "little")
-
-
-def host_counts(limit: int, host: int, classes: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
-    """Squarefree n <= limit in each class r mod host, read where r lifts a
-    class a mod q of classes, (q, residues) with q | host, and 0 elsewhere.
-
-    error_terms folds the counts of each class a mod q from these: the sum
-    of every r = a (mod q).
-    """
-    lifted = list(compress(range(host), _lifts(host, classes)))
-    counts = [0] * host
-    for r, count in zip(lifted, _class_counts(limit, host, lifted)):
-        counts[r] = count
-    return counts
 
 
 def _coprime_count(limit: int, modulus: Modulus) -> int:
@@ -354,46 +338,67 @@ class ErrorTermResult:
 
 
 def error_terms(
-    x: Real, modulus: Modulus, residues: Iterable[int], shared: list[int] | None = None
-) -> list[ErrorTermResult]:
-    """Exact errors of the squarefree counts in the classes a mod q of residues.
+    x: Real, tasks: Sequence[tuple[Modulus, Sequence[int]]]
+) -> Iterator[list[ErrorTermResult]]:
+    """Exact errors of the squarefree counts at x in the classes a mod q of
+    each task (modulus, residues), one list per task, in order.
 
-    Every residue must be a unit; a non-unit is refused before any count.
-    The coprime count is computed once and the classes are counted together,
-    or, given the host_counts of a multiple of q that lift them, each class
-    is folded from them by an exact integer sum.
+    x < 1 and every non-unit residue are refused before any count.  Each
+    task's coprime count is computed once and its classes are counted
+    together, or, where host_moduli plans a host for its q among the tasks,
+    each class is folded from the host's counts by an exact integer sum.  A
+    host is counted at the turn of its first member and dropped after that
+    of its last.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    units = [_unit_residue(modulus, a) for a in residues]
+    # Residues are checked here but reduced at their task's turn: one task's units at a time.
+    for modulus, residues in tasks:
+        for a in residues:
+            _unit_residue(modulus, a)
     limit = math.floor(x)
-    # Neither count uses Mobius values or decomposition code, which keeps
-    # this route independent of the one it is checked against.
-    cop = _coprime_count(limit, modulus)
-    q = modulus.q
-    if q == 1:
-        progs = [cop] * len(units)
-    elif shared is None:
-        progs = _class_counts(limit, q, units)
-    else:
-        progs = [sum(shared[a::q]) for a in units]
-    phi = modulus.phi
-    return [
-        ErrorTermResult(
-            x=x,
-            modulus=modulus,
-            residue=a,
-            progression_count=prog,
-            coprime_count=cop,
-            error=Fraction(prog * phi - cop, phi),
-        )
-        for a, prog in zip(units, progs)
-    ]
+    # A q listed again is counted alone: the plan takes its first task's classes.
+    classes = {m.q: residues for m, residues in reversed(tasks)}
+    hosts = {q: group for group in host_moduli(limit, classes) for q in group[1]}
+    shared: dict[int, list[int]] = {}  # q -> its host's counts, read at its first member's turn
+    for modulus, residues in tasks:
+        q = modulus.q
+        units = [a % q for a in residues]
+        group = hosts.pop(q, None)
+        if group and q not in shared:
+            host, members, lifts = group
+            lifted = list(compress(range(host), lifts))
+            counts = [0] * host
+            for r, count in zip(lifted, _class_counts(limit, host, lifted)):
+                counts[r] = count
+            shared.update(dict.fromkeys(members, counts))
+        # Neither count uses Mobius values or decomposition code, which keeps
+        # this route independent of the one it is checked against.
+        cop = _coprime_count(limit, modulus)
+        if q == 1:
+            progs = [cop] * len(units)
+        elif q in shared:
+            counts = shared.pop(q)
+            progs = [sum(counts[a::q]) for a in units]
+        else:
+            progs = _class_counts(limit, q, units)
+        phi = modulus.phi
+        yield [
+            ErrorTermResult(
+                x=x,
+                modulus=modulus,
+                residue=a,
+                progression_count=prog,
+                coprime_count=cop,
+                error=Fraction(prog * phi - cop, phi),
+            )
+            for a, prog in zip(units, progs)
+        ]
 
 
 def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
     """Exact error of the squarefree count in a progression against the coprime average."""
-    return error_terms(x, modulus, (a,))[0]
+    return next(error_terms(x, [(modulus, [a])]))[0]
 
 
 def reference_ratio(x: Real, modulus: Modulus, a: int) -> float:

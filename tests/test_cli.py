@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -217,7 +218,8 @@ def test_scan_builds_no_task_above_the_largest_x(capsys, monkeypatch):
         cli_runner, "_scan_classes", lambda task: built.append(task[0].q) or classes_for_q(task)
     )
     monkeypatch.setattr(
-        cli_runner, "_scan_rows", lambda task: built.append(task[1].q) or rows_for_x_q(task)
+        cli_runner, "_scan_rows",
+        lambda tasks: built.extend(task[1].q for task in tasks) or rows_for_x_q(tasks),
     )
     _, small, _ = run_cli(capsys, "scan", "--x", "100", "--q-max", "100", "--workers", "1")
     built.clear()
@@ -302,13 +304,14 @@ def test_scan_deterministic_and_resumable(capsys):
 def test_scan_writes_each_task_as_soon_as_it_is_counted(monkeypatch):
     stdout = StringIO()
     written_before = {}
-    count = cli_runner.error_terms
+    count = progression_stats._coprime_count
 
-    def noting(x, modulus, residues, shared=None):
+    def noting(limit, modulus):
         written_before[modulus.q] = stdout.getvalue()
-        return count(x, modulus, residues, shared)
+        return count(limit, modulus)
 
-    monkeypatch.setattr(cli_runner, "error_terms", noting)
+    # The coprime count runs once per (x, q), as its classes are counted.
+    monkeypatch.setattr(progression_stats, "_coprime_count", noting)
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["scan", "--x", "1000", "--q-max", "10", "--a", "all", "--workers", "1"]) == 0
     header, *rows = stdout.getvalue().splitlines(keepends=True)
@@ -331,14 +334,15 @@ def test_start_row_counts_no_task_wholly_before_it(capsys, monkeypatch, tmp_path
     assert len(body) == 40  # 20 classes of q <= 10 at each of two x
     # Worker processes are forked from this one, so the calls go to a file.
     calls = tmp_path / "calls"
-    count = cli_runner.error_terms
+    count = progression_stats._coprime_count
 
-    def noting(x, modulus, residues, shared=None):
+    def noting(limit, modulus):
         with open(calls, "a", encoding="utf-8") as fh:
-            fh.write(f"{x},{modulus.q}\n")
-        return count(x, modulus, residues, shared)
+            fh.write(f"{limit},{modulus.q}\n")
+        return count(limit, modulus)
 
-    monkeypatch.setattr(cli_runner, "error_terms", noting)
+    # The coprime count runs once per (x, q), as its classes are counted.
+    monkeypatch.setattr(progression_stats, "_coprime_count", noting)
     # Task boundaries 0, 4, 20 and 40; rows inside a task 6 and 25; past the end 41.
     for k in (0, 4, 6, 20, 25, 40, 41):
         calls.write_text("")
@@ -409,14 +413,15 @@ def test_start_row_inside_a_host_group_gives_the_tail(capsys, workers):
 
 
 def test_scan_class_counts_folded_off_the_coprime_count_is_exit_3(capsys, monkeypatch):
-    counts_of = cli_runner.host_counts
+    counts_of = progression_stats._class_counts
 
-    def one_too_many(limit, host, classes):
-        counts = counts_of(limit, host, classes)
-        counts[4] += 1  # 4 mod 210 lifts 1 mod 3, and no class of q = 2
+    def one_too_many(limit, q, residues):
+        counts = counts_of(limit, q, residues)
+        if q == 210:
+            counts[residues.index(4)] += 1  # 4 mod 210 lifts 1 mod 3, and no class of q = 2
         return counts
 
-    monkeypatch.setattr(cli_runner, "host_counts", one_too_many)
+    monkeypatch.setattr(progression_stats, "_class_counts", one_too_many)
     code, out, err = run_cli(capsys, *HOSTED, "--workers", "1")
     # The rows of q = 1, counted alone, and of q = 2, folded right, are written.
     assert (code, out) == (3, CSV_HEADER + "\n" + HOSTED_ROWS)
@@ -424,6 +429,25 @@ def test_scan_class_counts_folded_off_the_coprime_count_is_exit_3(capsys, monkey
         "internal error: class counts of q = 3 at x = 1048576 sum to 478087, "
         "not to the coprime count 478086\n"
     )
+
+
+def test_each_host_modulus_is_lifted_once(capsys, monkeypatch):
+    lifted = []
+    lifts = progression_stats._lifts
+    monkeypatch.setattr(
+        progression_stats, "_lifts",
+        lambda host, classes: lifted.append(host) or lifts(host, classes),
+    )
+    read = []
+    count = progression_stats._class_counts
+    monkeypatch.setattr(
+        progression_stats, "_class_counts",
+        lambda limit, q, residues: read.append(q) or count(limit, q, residues),
+    )
+    assert run_cli(capsys, *HOSTED, "--workers", "1")[0] == 0
+    # The cost rule lifts each planned group once, and its read reuses the lift.
+    assert 210 in lifted and len(lifted) == len(set(lifted))
+    assert {q for q in read if q > 60} <= set(lifted)
 
 
 def test_scan_sieves_only_its_q_window(capsys, monkeypatch):
@@ -477,6 +501,19 @@ def test_sampled_residues_of_edge_moduli_match_a_listing(q):
             assert cli_runner._residues_for(modulus, ("sample", k), seed) == _listed_sample(
                 modulus, k, seed
             ), (k, seed)
+
+
+def test_a_sample_drawn_by_a_sweep_holds_only_its_units():
+    # At q = 510510 a sample of 1000 of its 92160 units is drawn by one sweep.
+    modulus = factor_modulus(510510)
+    tracemalloc.start()
+    try:
+        residues = cli_runner._residues_for(modulus, ("sample", 1000), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residues == _listed_sample(modulus, 1000, 0)
+    assert peak < 2**20
 
 
 def test_a_small_sample_of_a_paper_scale_modulus_lists_no_unit(monkeypatch):
@@ -785,6 +822,20 @@ def test_scan_all_classes_budget_refuses_before_listing(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *scan, "--q-min", "13", "--q-max", "13")
     assert (code, out) == (2, "")
     assert err == "error: --a all at q = 13 lists phi(q) = 12 units, above the budget of 10\n"
+
+
+def test_scan_sampled_classes_budget_refuses_before_listing(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("listed the classes of q")
+
+    monkeypatch.setattr(cli_runner, "SCAN_CLASSES_MAX", 10)
+    # A sample of 10 of the 12 units of 13 is at the budget; one of 11 is above it.
+    scan = ["scan", "--x", "100", "--q-min", "13", "--q-max", "13", "--workers", "1"]
+    assert run_cli(capsys, *scan, "--a", "sample:10")[0] == 0
+    monkeypatch.setattr(cli_runner, "_residues_for", unreachable)
+    code, out, err = run_cli(capsys, *scan, "--a", "sample:11")
+    assert (code, out) == (2, "")
+    assert err == "error: --a sample:11 at q = 13 lists 11 units, above the budget of 10\n"
 
 
 def test_scan_all_classes_of_a_paper_scale_modulus_exit_2(capsys):

@@ -24,7 +24,6 @@ from sqflab.progression_stats import (
     discrepancy,
     error_term,
     error_terms,
-    host_counts,
     host_moduli,
     least_squarefree,
     reference_ratio,
@@ -372,35 +371,45 @@ def test_classes_folded_from_hosts_match_lone_counts_and_trial_division(
                 "unit": [unit % q],
                 "sample": sorted(rng.sample(units, min(rng.randint(1, 5), len(units)))),
             }[policy]
+    tasks = [(factor_modulus(q), residues) for q, residues in ({1: [0]} | classes).items()]
+    hosts = []
+    plan = progression_stats.host_moduli
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(progression_stats, "HOST_SLICE_MIN", slice_min)
-        hosts = host_moduli(x, {1: [0]} | classes)
-    served = [q for _, qs in hosts for q in qs]
+        mp.setattr(progression_stats, "host_moduli", lambda *a: hosts.extend(plan(*a)) or hosts)
+        counted = {m.q: results for (m, _), results in zip(tasks, error_terms(x, tasks))}
+    served = [q for _, qs, _ in hosts for q in qs]
     assert len(served) == len(set(served))
-    for host, qs in hosts:
+    for host, qs, lifts in hosts:
         assert qs == sorted(qs) and len(qs) > 1
         assert all(q > 1 and host % q == 0 for q in qs) and host <= x // slice_min
         # A host never reads more flags than its members would alone.
-        shared = host_counts(x, host, [(q, classes[q]) for q in qs])
-        lifted = sum(1 for r in range(host) if any(r % q in classes[q] for q in qs))
-        assert sum(len(classes[q]) * (x // q) for q in qs) > lifted * (x // host)
+        lifted = [r for r in range(host) if any(r % q in classes[q] for q in qs)]
+        assert len(lifts) == host and [r for r in range(host) if lifts[r]] == lifted
+        assert sum(len(classes[q]) * (x // q) for q in qs) > len(lifted) * (x // host)
         for q in qs:
-            results = error_terms(x, factor_modulus(q), classes[q], shared)
+            results = counted[q]
             folded = [r.progression_count for r in results]
             assert folded == progression_stats._class_counts(x, q, classes[q])
             assert folded == [sum(squarefree_up_to_2_16[a : x + 1 : q]) for a in classes[q]]
+    # Each task's results are those of the task counted on its own.
+    for m, residues in tasks:
+        assert counted[m.q] == next(error_terms(x, [(m, residues)]))
 
 
 def test_a_host_is_shared_only_where_its_strided_read_costs_less():
     units = {q: [a for a in range(q) if gcd(a, q) == 1] for q in (31, 37, 61, 65)}
     # Alone, 31 and 37 read 1.94 x flags at strides 31 and 37, and 1147 reads
     # 0.999 x of them at stride 1147, worth 1.28 x.
-    assert host_moduli(2**22, {q: units[q] for q in (31, 37)}) == [(1147, [31, 37])]
+    def plan(x, qs):
+        return [(host, members) for host, members, _ in host_moduli(x, {q: units[q] for q in qs})]
+
+    assert plan(2**22, (31, 37)) == [(1147, [31, 37])]
     # 61 and 65 read 1.72 x flags alone, but at stride 3965 the host's 0.996 x
     # flags are worth 1.96 x.
-    assert host_moduli(2**22, {q: units[q] for q in (61, 65)}) == []
+    assert plan(2**22, (61, 65)) == []
     # Above the flag cache no q shares.
-    assert host_moduli(2**22 + 1, {q: units[q] for q in (31, 37)}) == []
+    assert plan(2**22 + 1, (31, 37)) == []
 
 
 @pytest.mark.parametrize(
@@ -409,7 +418,25 @@ def test_a_host_is_shared_only_where_its_strided_read_costs_less():
 @pytest.mark.parametrize("x", [1, 1000.5, 2**20 + 3, 2**22 + 1])
 def test_error_terms_equal_one_error_term_per_residue(x, q, residues):
     m = factor_modulus(q)
-    assert error_terms(x, m, residues) == [error_term(x, m, a) for a in residues]
+    assert list(error_terms(x, [(m, residues)])) == [[error_term(x, m, a) for a in residues]]
+
+
+def test_a_q_listed_again_is_counted_alone(monkeypatch):
+    # At x = 2^20, 2, 3, 5 and 6 share the host 30 (6 is listed before 5).
+    # Each task gives the counts it gives alone, also the second ones of 3 and 2.
+    x = 2**20
+    tasks = [(factor_modulus(q), residues) for q, residues in
+             [(2, [1]), (3, [1, 2]), (6, [5, 1]), (3, [2]), (5, [1, 2, 3, 4]), (2, [1])]]
+    alone = [next(error_terms(x, [task])) for task in tasks]
+    read = []
+    count = progression_stats._class_counts
+    monkeypatch.setattr(
+        progression_stats, "_class_counts",
+        lambda limit, q, residues: read.append(q) or count(limit, q, residues),
+    )
+    assert list(error_terms(x, tasks)) == alone
+    # The host is read once; the q listed again are read alone.
+    assert sorted(read) == [2, 3, 30]
 
 
 def test_error_terms_refuse_a_non_unit_before_counting(monkeypatch):
@@ -418,8 +445,10 @@ def test_error_terms_refuse_a_non_unit_before_counting(monkeypatch):
 
     monkeypatch.setattr(progression_stats, "_coprime_count", unreachable)
     monkeypatch.setattr(progression_stats, "_class_counts", unreachable)
+    # A later task's non-unit is refused before the first task is counted.
+    tasks = [(factor_modulus(7), [3]), (factor_modulus(30), [1, 7, 5, 11])]
     with pytest.raises(NotCoprimeError, match="residue 5 is not coprime to 30"):
-        error_terms(1000, factor_modulus(30), [1, 7, 5, 11])
+        next(error_terms(1000, tasks))
 
 
 @pytest.mark.parametrize("q", [1, 2, 30030, 1000003])
