@@ -292,7 +292,8 @@ def _scan_rows(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> Itera
     of one x counted by one call of error_terms, which plans their hosts.
 
     When a task's classes are every unit of q, their counts must sum to the
-    coprime count from the Legendre recursion.
+    coprime count: a Liouville sum of squarefree counts at x <= 2^22, whose
+    flags the recursion checks once per x, and the recursion above.
     """
     counted = chain.from_iterable(
         error_terms(x, [(m, [a for a, _ in classes]) for _, m, classes in group])

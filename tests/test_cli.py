@@ -239,6 +239,7 @@ def flag_tables(monkeypatch):
         lambda start, length: built.append(length) or flags_fn(start, length),
     )
     progression_stats._flag_prefix.cache_clear()
+    progression_stats._squarefree_counts.cache_clear()
     return built
 
 
@@ -254,7 +255,8 @@ def test_scan_at_one_x_builds_one_squarefree_table_for_every_q(capsys, monkeypat
     )
     assert code == 0 and len(out.splitlines()) > 200
     assert len(coprime_counts) == len(set(coprime_counts)) == 26  # one per q
-    # The classes read [1, x]; every coprime count reads t = 2 * isqrt(x) flags.
+    # The classes and every coprime count read [1, x]; the one recursion that
+    # checks the squarefree counts of x reads t = 2 * isqrt(x) flags.
     assert sorted(flag_tables) == [2048, 1048576]
 
 
@@ -266,6 +268,45 @@ def test_scan_builds_one_squarefree_table_per_x(capsys, flag_tables):
     )
     assert code == 0 and len(out.splitlines()) > 400
     assert sorted(flag_tables) == [2048, 2896, 1048576, 2097152]
+
+
+def test_scan_checks_the_squarefree_counts_once_per_x(capsys, monkeypatch, flag_tables):
+    checks = []
+    recursion = progression_stats._coprime_recursion
+    monkeypatch.setattr(
+        progression_stats, "_coprime_recursion",
+        lambda limit, primes: checks.append((limit, primes)) or recursion(limit, primes),
+    )
+    code, _, _ = run_cli(
+        capsys, "scan", "--x", "1048576", "2097152", "--q-max", "40", "--a", "1",
+        "--workers", "1",
+    )
+    assert code == 0
+    assert checks == [(1048576, ()), (2097152, ())]
+
+
+@pytest.fixture
+def corrupt_flag(flag_tables):
+    """Flip the cached flag of n = 5001 of [1, 2^20], above 2 * isqrt(2^20) = 2048."""
+    progression_stats._flag_prefix(2**20)[5000] ^= 1
+    yield
+    progression_stats._flag_prefix.cache_clear()
+    progression_stats._squarefree_counts.cache_clear()
+
+
+def test_a_wrong_cached_flag_is_exit_3(capsys, corrupt_flag):
+    # The class counts and the coprime count both read the corrupted flags, so
+    # only the recursion, which reads its own 2 * isqrt(x) flags, can tell.
+    message = (
+        "internal error: the flags of [1, 1048576] hold 637460 squarefree numbers, "
+        "the recursion counts 637461\n"
+    )
+    for argv in (
+        ["scan", "--x", "1048576", "--q-max", "10", "--a", "all", "--workers", "1"],
+        ["error-term", "--x", "1048576", "--q", "7", "--a", "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", message)
 
 
 def test_scan_header_and_rows(capsys):

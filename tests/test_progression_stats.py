@@ -267,6 +267,28 @@ def test_coprime_count_matches_a_running_flag_count(x, q, flags_past_the_cache):
     assert progression_stats._coprime_count(x, m) == want
 
 
+def _by_recursion(x, moduli, monkeypatch):
+    """_coprime_count(x, m) for each m, by the recursion: x is put above the cache."""
+    with monkeypatch.context() as mp:
+        mp.setattr(progression_stats, "_FLAG_CACHE_MAX", x - 1)
+        return [progression_stats._coprime_count(x, m) for m in moduli]
+
+
+def test_cached_route_equals_the_recursion_for_every_squarefree_q_to_4096(monkeypatch):
+    x = 2**22
+    moduli = squarefree_moduli(4096)
+    assert len(moduli) == 2491
+    cached = [progression_stats._coprime_count(x, m) for m in moduli]
+    assert cached == _by_recursion(x, moduli, monkeypatch)
+
+
+@pytest.mark.parametrize("x", [2**22 - 1, 2**22])
+def test_cached_route_equals_the_recursion_for_the_oracle_moduli(x, monkeypatch):
+    moduli = [factor_modulus(q) for q in _ORACLE_MODULI if q <= x]
+    cached = [progression_stats._coprime_count(x, m) for m in moduli]
+    assert cached == _by_recursion(x, moduli, monkeypatch)
+
+
 @pytest.mark.parametrize("q", [1, 2, 30, 2310])
 def test_class_counts_sum_to_coprime_count(q, monkeypatch):
     # Above the flag cache: every count below takes the sublinear route.
@@ -507,16 +529,19 @@ def test_flag_windows_above_the_cache_stay_within_t(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [3, 3981, 6469693230])
-@pytest.mark.parametrize("x", [2**22 - 1, 2**22 + 1])
+@pytest.mark.parametrize("x", [1000, 2**16, 2**22 - 1, 2**22, 2**22 + 1])
 def test_error_term_reads_no_divisor_or_mobius_value(x, q, flags_past_the_cache, monkeypatch):
     # identity_ok compares the decomposition with error_term, so error_term
-    # must not read what the decomposition reads.
+    # must not read what the decomposition reads.  Up to the cache the
+    # squarefree counts of x, and the recursion that checks them, are built
+    # under the same refusals.
     def refuse(*args):
         raise AssertionError("error_term read an input of the decomposition")
 
     monkeypatch.setattr(progression_stats, "count_coprime", refuse)
     monkeypatch.setattr(Modulus, "squarefree_divisors", property(refuse))
     monkeypatch.setattr(arith_core, "mobius_segment", refuse)
+    progression_stats._squarefree_counts.cache_clear()
     m = factor_modulus(q)
     flags = bytearray(flags_past_the_cache[:x])
     want_ap = flags[0::q].count(1)
