@@ -57,6 +57,7 @@ from sqflab.progression_stats import (
     count_coprime,
     error_term,
     error_terms,
+    hooley_envelope,
     least_squarefree,
 )
 
@@ -75,7 +76,7 @@ SCAN_WINDOW_MAX = 10**6
 
 # Units of one q that `scan --a all` may list.  Every class is held, with its
 # columns, until the scan ends, and the rows of one (x, q) until they are
-# written: phi(q) = 1048572 (q = 1048573, one x) peaks at about 665 MB max RSS.
+# written: phi(q) = 1048572 (q = 1048573, one x) peaks at about 613 MB max RSS.
 SCAN_CLASSES_MAX = 2**20
 
 # Flags one error term may sieve: its progression n = a + q*k holds about
@@ -299,20 +300,22 @@ def _scan_rows(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> Itera
         error_terms(x, [(m, [a for a, _ in classes]) for _, m, classes in group])
         for x, group in groupby(tasks, key=itemgetter(0))
     )
-    for (x, modulus, classes), results in zip(tasks, counted):
-        if len(results) == modulus.phi:
-            total = sum(res.progression_count for res in results)
-            coprime = results[0].coprime_count
-            if total != coprime:
-                raise InvariantError(
-                    f"class counts of q = {modulus.q} at x = {x} sum to {total}, "
-                    f"not to the coprime count {coprime}"
-                )
+    for x, modulus, classes in tasks:
+        coprime, counts = next(counted)
+        q, phi = modulus.q, modulus.phi
+        if len(counts) == phi and sum(counts) != coprime:
+            raise InvariantError(
+                f"class counts of q = {q} at x = {x} sum to {sum(counts)}, "
+                f"not to the coprime count {coprime}"
+            )
+        # E = e / phi in lowest terms; int / int rounds once, as float(E) does.
+        envelope = hooley_envelope(x, q)
         yield [
-            f"{x},{modulus.q},{a},{res.progression_count},{res.coprime_count},"
-            f"{res.error.numerator},{res.error.denominator},"
-            f"{_fmt_float(res.reference_ratio)},{tail}"
-            for res, (a, tail) in zip(results, classes)
+            f"{x},{q},{a},{count},{coprime},{e // g},{phi // g},"
+            f"{_fmt_float(abs(e) / phi / envelope)},{tail}"
+            for count, (a, tail) in zip(counts, classes)
+            for e in [count * phi - coprime]
+            for g in [gcd(e, phi)]
         ]
 
 
@@ -389,7 +392,7 @@ def _csv_chunks(tasks: Iterator[list[str]]) -> Iterator[str]:
     """scan's CSV text: the header with the first task's rows, then each later task's."""
     header = [CSV_HEADER]
     for lines in tasks:
-        yield "\n".join(header + lines) + "\n"
+        yield "\n".join([*header, *lines, ""])
         header = []
     if header:
         yield CSV_HEADER + "\n"

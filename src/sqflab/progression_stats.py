@@ -372,9 +372,14 @@ def squarefree_count_coprime(x: Real, modulus: Modulus) -> int:
     return _coprime_count(limit, modulus) if limit >= 1 else 0
 
 
+def hooley_envelope(x: Real, q: int) -> float:
+    """The classical square-root error envelope sqrt(x/q) + sqrt(q) of E(x; q, a)."""
+    return math.sqrt(float(x) / q) + math.sqrt(q)
+
+
 @dataclass(frozen=True)
 class ErrorTermResult:
-    """One exact evaluation of the progression error term.
+    """One exact error term, built by error_term from counts error_terms checked.
 
     error = progression_count - coprime_count / phi(q), held as a Fraction;
     reference_ratio is the one float read from it.
@@ -387,36 +392,31 @@ class ErrorTermResult:
     coprime_count: int
     error: Fraction
 
-    def __post_init__(self) -> None:
-        fx = math.floor(self.x)
-        if not 0 <= self.progression_count <= fx // self.modulus.q + 1:
-            raise InvariantError("progression count lies outside [0, x // q + 1]")
-        if not self.progression_count <= self.coprime_count <= fx:
-            raise InvariantError("coprime count lies outside [count_ap, x]")
-
     @property
     def reference_ratio(self) -> float:
-        """|error| divided by the classical envelope sqrt(x/q) + sqrt(q).
+        """|error| divided by the classical envelope (hooley_envelope).
 
         Monitoring quantity for the implied constant of the square-root
         error term; reported, never asserted against.
         """
-        q = self.modulus.q
-        return abs(float(self.error)) / (math.sqrt(float(self.x) / q) + math.sqrt(q))
+        return abs(float(self.error)) / hooley_envelope(self.x, self.modulus.q)
 
 
 def error_terms(
     x: Real, tasks: Sequence[tuple[Modulus, Sequence[int]]]
-) -> Iterator[list[ErrorTermResult]]:
-    """Exact errors of the squarefree counts at x in the classes a mod q of
-    each task (modulus, residues), one list per task, in order.
+) -> Iterator[tuple[int, list[int]]]:
+    """The squarefree counts at x in the classes a mod q of each task
+    (modulus, residues): one (coprime count, class counts) pair of ints per
+    task, in order, the class counts in the order of its residues.
 
     x < 1 and every non-unit residue are refused before any count.  Each
     task's coprime count is computed once and its classes are counted
     together, or, where host_moduli plans a host for its q among the tasks,
     each class is folded from the host's counts by an exact integer sum.  A
     host is counted at the turn of its first member and dropped after that
-    of its last.
+    of its last.  Each class count must lie in [0, x // q + 1] and the
+    coprime count in [count, x], checked class by class before the task is
+    yielded; a count outside raises InvariantError.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -450,23 +450,20 @@ def error_terms(
             progs = [sum(counts[a::q]) for a in units]
         else:
             progs = _class_counts(limit, q, units)
-        phi = modulus.phi
-        yield [
-            ErrorTermResult(
-                x=x,
-                modulus=modulus,
-                residue=a,
-                progression_count=prog,
-                coprime_count=cop,
-                error=Fraction(prog * phi - cop, phi),
-            )
-            for a, prog in zip(units, progs)
-        ]
+        cap = limit // q + 1
+        for prog in progs:
+            if not 0 <= prog <= cap:
+                raise InvariantError("progression count lies outside [0, x // q + 1]")
+            if not prog <= cop <= limit:
+                raise InvariantError("coprime count lies outside [count_ap, x]")
+        yield cop, progs
 
 
 def error_term(x: Real, modulus: Modulus, a: int) -> ErrorTermResult:
     """Exact error of the squarefree count in a progression against the coprime average."""
-    return next(error_terms(x, [(modulus, [a])]))[0]
+    cop, (prog,) = next(error_terms(x, [(modulus, [a])]))
+    phi = modulus.phi
+    return ErrorTermResult(x, modulus, a % modulus.q, prog, cop, Fraction(prog * phi - cop, phi))
 
 
 def reference_ratio(x: Real, modulus: Modulus, a: int) -> float:

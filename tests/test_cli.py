@@ -26,7 +26,7 @@ from sqflab.arith_core import factor_modulus, is_squarefree
 from sqflab.cli_runner import CSV_HEADER, main
 from sqflab.decomposition_pipeline import pipeline_report
 from sqflab.exponent_calculus import RHO_MIN, verify_choices
-from sqflab.progression_stats import count_coprime
+from sqflab.progression_stats import count_coprime, error_term
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 GRID = Path(__file__).with_name("cli_grid.json")
@@ -139,9 +139,14 @@ def test_count_over_its_cap_is_exit_3(capsys, monkeypatch, counts, message):
 
     monkeypatch.setattr(progression_stats, "_class_counts", lambda *a: [counts[0]])
     monkeypatch.setattr(progression_stats, "_coprime_count", lambda *a: counts[1])
-    code, out, err = run_cli(capsys, "error-term", "--x", "30", "--q", "5", "--a", "1")
-    assert (code, out) == (3, "")
-    assert f"internal error: {message}" in err
+    # Both commands read their counts through error_terms, which checks them.
+    for command in (
+        ["error-term", "--x", "30", "--q", "5", "--a", "1"],
+        ["scan", "--x", "30", "--q-min", "5", "--q-max", "5", "--a", "1"],
+    ):
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out) == (3, ""), command
+        assert f"internal error: {message}" in err, command
 
 
 # `scan --x 1000 --q-max 6 --a all`: the header and every row of q = 1..6.
@@ -208,6 +213,29 @@ def test_scan_computes_each_class_once(capsys, monkeypatch):
         3189, "4eb5e9fa391b14314127aa699d0e83cca7c544017cb1c357cedc1e4dfa01d2eb"
     )
     assert len(calls) == len(set(calls)) == 20  # one per (q, a); 60 rows
+
+
+def test_scan_rows_equal_one_error_term_each(capsys):
+    # Scan builds each row from the integer counts; error_term builds its
+    # Fraction.  x lies on both sides of the 2^22 flag cache, and at each x
+    # q = 1 has error 0 and the other q errors of both signs.
+    rng = random.Random(2026)
+    x_values = [rng.randrange(2**21, 2**22), rng.randrange(2**22 + 1, 2**22 + 2**20)]
+    code, out, _ = run_cli(
+        capsys, "scan", "--x", *map(str, x_values), "--q-max", "40", "--a", "sample:3",
+        "--seed", str(rng.randrange(2**16)), "--workers", "1",
+    )
+    assert code == 0
+    signs = set()
+    for row in out.splitlines()[1:]:
+        x, q, a, *columns = row.split(",")[:8]
+        res = error_term(int(x), factor_modulus(int(q)), int(a))
+        assert columns == [
+            str(res.progression_count), str(res.coprime_count), str(res.error.numerator),
+            str(res.error.denominator), cli_runner._fmt_float(res.reference_ratio),
+        ], row
+        signs.add((int(x) > 2**22, (res.error > 0) - (res.error < 0)))
+    assert signs == {(above, sign) for above in (False, True) for sign in (-1, 0, 1)}
 
 
 def test_scan_builds_no_task_above_the_largest_x(capsys, monkeypatch):
@@ -555,6 +583,38 @@ def test_a_sample_drawn_by_a_sweep_holds_only_its_units():
         tracemalloc.stop()
     assert residues == _listed_sample(modulus, 1000, 0)
     assert peak < 2**20
+
+
+class _CharCount:
+    """A stdout that keeps only the number of characters written to it, so
+    tracemalloc sees what the command holds, not a copy of its output."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_scan_of_one_large_q_holds_no_object_per_row():
+    # One (x, q) of 65536 rows: its lines, their joined chunk and the class
+    # columns are each about its output's size.  A record and a Fraction per
+    # row, held while the lines are built, took the peak to 9.8 times it.
+    progression_stats._flag_prefix.cache_clear()
+    progression_stats._squarefree_counts.cache_clear()
+    stdout = _CharCount()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(stdout):
+            code = main("scan --x 1048576 --q-min 65537 --q-max 65537 --a all --workers 1".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and stdout.chars > 5 * 10**6
+    assert peak < 7 * stdout.chars, peak / stdout.chars
 
 
 def test_a_small_sample_of_a_paper_scale_modulus_lists_no_unit(monkeypatch):
@@ -1271,8 +1331,8 @@ def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, command):
 
 
 # One (x, q) of phi(q) = 1048572 rows: before its first byte, scan lists
-# every class (5 s, 211 MB max RSS on a 2-core VM) and counts them (13 s and
-# 665 MB in all).
+# every class (4.5 s, 209 MB max RSS on a 2-core VM) and counts them (about 7 s
+# and 613 MB in all).
 ONE_LARGE_Q = "scan --x 4194304 --q-min 1048573 --q-max 1048573 --a all --workers 1".split()
 
 

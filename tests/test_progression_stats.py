@@ -399,7 +399,7 @@ def test_classes_folded_from_hosts_match_lone_counts_and_trial_division(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(progression_stats, "HOST_SLICE_MIN", slice_min)
         mp.setattr(progression_stats, "host_moduli", lambda *a: hosts.extend(plan(*a)) or hosts)
-        counted = {m.q: results for (m, _), results in zip(tasks, error_terms(x, tasks))}
+        counted = {m.q: counts for (m, _), counts in zip(tasks, error_terms(x, tasks))}
     served = [q for _, qs, _ in hosts for q in qs]
     assert len(served) == len(set(served))
     for host, qs, lifts in hosts:
@@ -410,11 +410,10 @@ def test_classes_folded_from_hosts_match_lone_counts_and_trial_division(
         assert len(lifts) == host and [r for r in range(host) if lifts[r]] == lifted
         assert sum(len(classes[q]) * (x // q) for q in qs) > len(lifted) * (x // host)
         for q in qs:
-            results = counted[q]
-            folded = [r.progression_count for r in results]
+            folded = counted[q][1]
             assert folded == progression_stats._class_counts(x, q, classes[q])
             assert folded == [sum(squarefree_up_to_2_16[a : x + 1 : q]) for a in classes[q]]
-    # Each task's results are those of the task counted on its own.
+    # Each task's counts are those of the task counted on its own.
     for m, residues in tasks:
         assert counted[m.q] == next(error_terms(x, [(m, residues)]))
 
@@ -440,7 +439,14 @@ def test_a_host_is_shared_only_where_its_strided_read_costs_less():
 @pytest.mark.parametrize("x", [1, 1000.5, 2**20 + 3, 2**22 + 1])
 def test_error_terms_equal_one_error_term_per_residue(x, q, residues):
     m = factor_modulus(q)
-    assert list(error_terms(x, [(m, residues)])) == [[error_term(x, m, a) for a in residues]]
+    singles = [error_term(x, m, a) for a in residues]
+    coprime = singles[0].coprime_count
+    assert list(error_terms(x, [(m, residues)])) == [
+        (coprime, [res.progression_count for res in singles])
+    ]
+    for a, res in zip(residues, singles):
+        assert (res.x, res.modulus, res.residue, res.coprime_count) == (x, m, a % q, coprime)
+        assert res.error == res.progression_count - Fraction(coprime, m.phi)
 
 
 def test_a_q_listed_again_is_counted_alone(monkeypatch):
