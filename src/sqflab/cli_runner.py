@@ -1,18 +1,19 @@
 """Command-line surface: every subsystem as a subcommand with CSV/JSON output.
 
 Each `_cmd_*` returns its result or raises.  The result is a JSON-ready
-payload, or scan's CSV as a generator of chunks: the header with the rows
-of the first (x, q), then each later (x, q)'s rows, counted only as the
-generator reaches them.  `_cmd_scan` raises every refusal before it
-returns.  `main` refuses an --output that cannot be opened before the
-command runs; it alone writes the result, through `_emit`, and maps
-exceptions to exit codes: 0 success, 2 input validation failure (ValueError
-or OSError), 3 internal invariant violation (RuntimeError, such as a failed
-identity or symmetry check: a bug signal, distinct from misuse so CI can
-tell them apart).  A failure writes nothing, except a scan that fails
-after its first rows (exit 3, or exit 2 on a closed stdout): the rows of
-each (x, q) that finished are already written.  Identical arguments and
-seed produce byte-identical output.
+payload, or scan's CSV or JSON text as a generator of chunks: the start of
+the document with the rows of the first (x, q), then each later chunk of
+at most 2^16 rows, counted only as the generator reaches them.
+`_cmd_scan` raises every refusal before it returns.  `main` refuses an
+--output that cannot be opened before the command runs; it alone writes
+the result, through `_emit`, and maps exceptions to exit codes: 0 success,
+2 input validation failure (ValueError or OSError), 3 internal invariant
+violation (RuntimeError, such as a failed identity or symmetry check: a
+bug signal, distinct from misuse so CI can tell them apart).  A failure
+writes nothing, except a scan that fails after its first rows (exit 3, or
+exit 2 on a closed stdout): the chunks written so far stay, as CSV rows or
+as a JSON document without its end.  Identical arguments and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import os
 import random
 import sys
+from array import array
 from bisect import bisect_left
 from contextlib import nullcontext
 from fractions import Fraction
@@ -58,7 +60,7 @@ from sqflab.progression_stats import (
     error_term,
     error_terms,
     hooley_envelope,
-    least_squarefree,
+    least_squarefree_members,
 )
 
 EXIT_OK = 0
@@ -74,9 +76,10 @@ COUNT_BOX_WALK_MAX = 10**7
 # and q task list take about 60 bytes per integer before any row is built.
 SCAN_WINDOW_MAX = 10**6
 
-# Units of one q that `scan --a all` may list.  Every class is held, with its
-# columns, until the scan ends, and the rows of one (x, q) until they are
-# written: phi(q) = 1048572 (q = 1048573, one x) peaks at about 613 MB max RSS.
+# Units of one q that `scan --a all` may list.  A q's classes are held as
+# 8-byte integers from its first x to its last, and its rows are built and
+# written 2^16 at a time: phi(q) = 1048572 (q = 1048573, one x) peaks at about
+# 124 MB max RSS.
 SCAN_CLASSES_MAX = 2**20
 
 # Flags one error term may sieve: its progression n = a + q*k holds about
@@ -122,8 +125,8 @@ def _worker_count(text: str) -> int:
 
 
 def _emit(result: Iterator[str] | dict | list, output: str | None) -> None:
-    """Write a command's result: scan's CSV chunks, each flushed as it
-    comes, or anything else as one indented JSON document.
+    """Write a command's result: scan's chunks of CSV or JSON text, each
+    flushed as it comes, or anything else as one indented JSON document.
 
     An --output file is opened once scan's first chunk is ready, so a scan
     that fails before its first rows leaves no file behind.
@@ -249,7 +252,9 @@ def _check_classes(modulus: Modulus, policy: tuple[str, int]) -> int:
 def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[int]:
     """The classes scan evaluates for q, ascending: one unit, every unit or a sample.
 
-    `all` and a sample of k >= phi(q) list every unit.  A smaller sample
+    `all` and a sample of k >= phi(q) list every unit, [0, q) with the
+    multiples of each prime of q struck out, in C loops over q flags rather
+    than a gcd per integer.  A smaller sample
     draws k ranks with random.sample(range(phi(q)), k), which reads only its
     population's length and then indexes it, so the units of these ranks are
     those that the same draw from the list of every unit gives.  The unit of
@@ -262,66 +267,93 @@ def _residues_for(modulus: Modulus, policy: tuple[str, int], seed: int) -> list[
     kind, value = policy
     if kind == "unit":
         return [_unit_residue(modulus, value)]
-    units = (a for a in range(q) if gcd(a, q) == 1)
     if kind == "all" or value >= modulus.phi:
-        return list(units)
+        units = bytearray(b"\x01") * q
+        for p in modulus.prime_factors:
+            units[::p] = bytes(len(range(0, q, p)))
+        return list(compress(range(q), units))
     ranks = sorted(random.Random(f"{seed}:{q}").sample(range(modulus.phi), value))
     if value * q.bit_length() * len(modulus.squarefree_divisors) < q:
         count = partial(count_coprime, modulus=modulus)
         return [bisect_left(range(q), j + 1, key=count) for j in ranks]
     # Each rank skips the units between it and the rank before.
+    units = (a for a in range(q) if gcd(a, q) == 1)
     return [next(islice(units, j - i - 1, None)) for i, j in zip([-1, *ranks], ranks)]
 
 
-def _scan_classes(task: tuple[Modulus, tuple[str, int], int, int]) -> list[tuple[int, str]]:
-    """The classes of q, as many as planned: each a with its x-free CSV
-    columns, n_q_a and ratio."""
-    modulus, policy, seed, size = task
-    residues = _residues_for(modulus, policy, seed)
-    if len(residues) != size:
-        raise InvariantError(f"q = {modulus.q} lists {len(residues)} classes, not {size}")
-    scale = float(modulus.q) ** float(COROLLARY)
-    classes = []
-    for a in residues:
-        n_qa = least_squarefree(modulus, a)
-        classes.append((a, f"{n_qa},{_fmt_float(n_qa / scale)}"))
-    return classes
+def _scan_rows(
+    x: int,
+    policy: tuple[str, int],
+    seed: int,
+    tasks: list[tuple[Modulus, int, bool]],
+    held: dict[int, tuple[array, list[int]]],
+    skip: int = 0,
+) -> Iterator[list[str]]:
+    """The CSV lines of the tasks (modulus, size, later) of one x, in order
+    and ascending in a, in lists of at most 2^16 lines; the first task's
+    from its row `skip` on.
 
-
-def _scan_rows(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> Iterator[list[str]]:
-    """The CSV lines of each (x, q) task, in order, ascending in a, the tasks
-    of one x counted by one call of error_terms, which plans their hosts.
-
-    When a task's classes are every unit of q, their counts must sum to the
-    coprime count: a Liouville sum of squarefree counts at x <= 2^22, whose
-    flags the recursion checks once per x, and the recursion above.
+    error_terms refuses every non-unit before its first count and plans host
+    moduli over all its tasks, so each q's classes are listed, or taken from
+    `held`, before the first task is counted.  At its turn a task's classes
+    must number its planned size, and when they are every unit of q their
+    counts must sum to the coprime count: a Liouville sum of squarefree
+    counts at x <= 2^22, whose flags the recursion checks once per x, and
+    the recursion above.  Its n_q_a are then found 2^16 classes at a time as
+    its rows are built, read off the flags its counts read where they reach.
+    A q with a `later` x finds them all at once and puts them in `held` with
+    its residues, as integers, for that x.
     """
-    counted = chain.from_iterable(
-        error_terms(x, [(m, [a for a, _ in classes]) for _, m, classes in group])
-        for x, group in groupby(tasks, key=itemgetter(0))
-    )
-    for x, modulus, classes in tasks:
-        coprime, counts = next(counted)
+    # Residues take 8 bytes each in an array: as lists of ints, the classes
+    # of every q <= 4096 at one x took 130 MB.
+    listed = [
+        held.pop(m.q, None) or (array("q", _residues_for(m, policy, seed)), None)
+        for m, _, _ in tasks
+    ]
+    counted = error_terms(x, [(m, residues) for (m, _, _), (residues, _) in zip(tasks, listed)])
+    for (modulus, size, later), (residues, least) in zip(tasks, listed):
         q, phi = modulus.q, modulus.phi
+        if len(residues) != size:
+            raise InvariantError(f"q = {q} lists {len(residues)} classes, not {size}")
+        coprime, counts = next(counted)
         if len(counts) == phi and sum(counts) != coprime:
             raise InvariantError(
                 f"class counts of q = {q} at x = {x} sum to {sum(counts)}, "
                 f"not to the coprime count {coprime}"
             )
+        if later:
+            if least is None:
+                least = least_squarefree_members(x, modulus, residues)
+            held[q] = residues, least
         # E = e / phi in lowest terms; int / int rounds once, as float(E) does.
         envelope = hooley_envelope(x, q)
-        yield [
-            f"{x},{q},{a},{count},{coprime},{e // g},{phi // g},"
-            f"{_fmt_float(abs(e) / phi / envelope)},{tail}"
-            for count, (a, tail) in zip(counts, classes)
-            for e in [count * phi - coprime]
-            for g in [gcd(e, phi)]
-        ]
+        scale = float(q) ** float(COROLLARY)
+        for start in range(skip, size, 1 << 16):
+            part = slice(start, start + (1 << 16))
+            members = (
+                least_squarefree_members(x, modulus, residues[part]) if least is None
+                else least[part]
+            )
+            yield [
+                f"{x},{q},{a},{count},{coprime},{e // g},{phi // g},"
+                f"{_fmt_float(abs(e) / phi / envelope)},{n},{_fmt_float(n / scale)}"
+                for a, count, n in zip(residues[part], counts[part], members)
+                for e in [count * phi - coprime]
+                for g in [gcd(e, phi)]
+            ]
+        skip = 0
 
 
-def _scan_chunk(tasks: list[tuple[int, Modulus, list[tuple[int, str]]]]) -> list[list[str]]:
-    """The lines of each task of one worker call, its hosts planned among them."""
-    return list(_scan_rows(tasks))
+def _scan_chunk(
+    x: int,
+    policy: tuple[str, int],
+    seed: int,
+    call: tuple[list[tuple[Modulus, int, bool]], dict[int, tuple[array, list[int]]], int],
+) -> tuple[list[list[str]], dict[int, tuple[array, list[int]]]]:
+    """The lines of one worker call (tasks, held, skip) of x, its hosts
+    planned among its tasks, and the classes it holds for a later x."""
+    tasks, held, skip = call
+    return list(_scan_rows(x, policy, seed, tasks, held, skip)), held
 
 
 def _scan_tasks(
@@ -330,16 +362,19 @@ def _scan_tasks(
     x_values: tuple[int, ...],
     q_values: list[int],
 ) -> Iterator[list[str]]:
-    """scan's lines, one list per (x, q) task in (X, q) order, from --start-row on.
+    """scan's lines in (X, q, a) order from --start-row on, in lists of at
+    most 2^16 lines, each (x, q)'s in lists of its own.
 
     The first list is empty and marks the end of the plan: every q is
     factored and checked in window order, which gives its number of
-    classes, before it is yielded.  A task gives one line per class, so the
-    tasks wholly before --start-row are dropped before any class is listed,
-    and the first one kept is sliced.  Only the q of a kept task list their
-    classes, also before the first list.  The tasks of one x then share host
-    moduli (see _scan_rows): serially among all tasks but the first, in a
-    pool among the tasks of each worker call.
+    classes, before it is yielded.  The plan keeps that one number per q.
+    A task (x, q) gives one line per class, so the tasks wholly before
+    --start-row are dropped unlisted and uncounted, and the first one kept
+    starts at its row.  The classes of a q and their n_q_a are listed at
+    its first kept x (see _scan_rows) and kept only until its last.  The
+    tasks of one x share host moduli: serially among all tasks but the
+    first, which is counted alone so that its rows come out before any
+    other q is listed, and in a pool among the tasks of each worker call.
     """
     # More processes than q or cores would only wait.
     workers = min(args.workers, len(q_values), os.cpu_count() or 1)
@@ -366,21 +401,33 @@ def _scan_tasks(
             skip -= sizes[tasks[first][1].q]
             first += 1
         tasks = tasks[first:]
-        kept = {m.q for _, m in tasks}
-        to_list = [(m, policy, args.seed, sizes[m.q]) for m in moduli if m.q in kept]
-        classes = dict(zip(sorted(kept), run(_scan_classes, to_list)))
+        last = {m.q: x for x, m in tasks}
         yield []
-        tasks = [(x, m, classes[m.q]) for x, m in tasks]
+        batches = [
+            (x, [(m, sizes[m.q], x < last[m.q]) for _, m in group])
+            for x, group in groupby(tasks, key=itemgetter(0))
+        ]
+        held: dict[int, tuple[array, list[int]]] = {}
         if pool:
-            # Each worker call counts one chunk of tasks, sharing hosts within it.
-            chunks = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
-            counted = chain.from_iterable(pool.map(_scan_chunk, chunks))
-        else:
-            # The first task is counted on its own, so its rows come out
-            # before any host is planned or counted.
-            counted = chain(_scan_rows(tasks[:1]), _scan_rows(tasks[1:]))
-        for lines in counted:
-            yield lines[skip:]
+            # The calls of one x run together, each with the classes that
+            # the calls of an earlier x hold for its q.
+            for x, group in batches:
+                calls = []
+                for i in range(0, len(group), chunk):
+                    part = group[i : i + chunk]
+                    calls.append((part, {m.q: held.pop(m.q) for m, _, _ in part if m.q in held}, skip))
+                    skip = 0
+                for lines, kept in pool.map(partial(_scan_chunk, x, policy, args.seed), calls):
+                    held.update(kept)
+                    yield from lines
+            return
+        # The first task is counted on its own, so its rows come out before
+        # any other q is listed or any host is planned.
+        if batches:
+            x, group = batches[0]
+            batches[:1] = [(x, group[:1]), (x, group[1:])]
+        for x, group in batches:
+            yield from _scan_rows(x, policy, args.seed, group, held, skip)
             skip = 0
     finally:
         if pool:
@@ -389,7 +436,7 @@ def _scan_tasks(
 
 
 def _csv_chunks(tasks: Iterator[list[str]]) -> Iterator[str]:
-    """scan's CSV text: the header with the first task's rows, then each later task's."""
+    """scan's CSV text: the header with the first list of lines, then each later list."""
     header = [CSV_HEADER]
     for lines in tasks:
         yield "\n".join([*header, *lines, ""])
@@ -398,7 +445,22 @@ def _csv_chunks(tasks: Iterator[list[str]]) -> Iterator[str]:
         yield CSV_HEADER + "\n"
 
 
-def _cmd_scan(args: argparse.Namespace) -> Iterator[str] | list[dict]:
+# One row as json.dumps(rows, indent=2) writes it inside the list: every
+# column a string of digits, signs, points and letters, none of them escaped.
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": "%s"' for key in CSV_HEADER.split(",")) + "\n  }"
+
+
+def _json_chunks(tasks: Iterator[list[str]]) -> Iterator[str]:
+    """scan's JSON text, the bytes of json.dumps(rows, indent=2) + "\\n" for
+    the list of its rows as objects of strings, one chunk per list of lines."""
+    opening = "[\n"
+    for lines in tasks:
+        yield opening + ",\n".join(_JSON_ROW % tuple(line.split(",")) for line in lines)
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
+
+
+def _cmd_scan(args: argparse.Namespace) -> Iterator[str]:
     if args.q_min < 1 or args.q_max < args.q_min:
         raise ValueError(f"bad q range [{args.q_min}, {args.q_max}]")
     if any(x < 1 for x in args.x):
@@ -418,10 +480,7 @@ def _cmd_scan(args: argparse.Namespace) -> Iterator[str] | list[dict]:
     flags = squarefree_flags(args.q_min, len(q_window))
     tasks = _scan_tasks(args, policy, x_values, list(compress(q_window, flags)))
     next(tasks)  # the plan: every refusal comes before the first row is counted
-    if args.format == "json":
-        keys = CSV_HEADER.split(",")
-        return [dict(zip(keys, line.split(","))) for lines in tasks for line in lines]
-    return _csv_chunks(tasks)
+    return (_json_chunks if args.format == "json" else _csv_chunks)(tasks)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 from zlib import adler32
@@ -142,6 +142,14 @@ def _unit_residue(modulus: Modulus, a: int) -> int:
     if gcd(a, modulus.q) != 1:
         raise NotCoprimeError(f"residue {a} is not coprime to {modulus.q}")
     return a
+
+
+def _check_units(modulus: Modulus, residues: Iterable[int]) -> None:
+    """Raise _unit_residue's NotCoprimeError at the first non-unit of residues."""
+    # The largest gcd(a, q) is 1 when every residue is a unit.
+    if max(map(gcd, residues, repeat(modulus.q)), default=1) > 1:
+        for a in residues:
+            _unit_residue(modulus, a)
 
 
 def _class_counts(limit: int, q: int, residues: Sequence[int]) -> list[int]:
@@ -422,8 +430,7 @@ def error_terms(
         raise ValueError(f"x must be >= 1, got {x}")
     # Residues are checked here but reduced at their task's turn: one task's units at a time.
     for modulus, residues in tasks:
-        for a in residues:
-            _unit_residue(modulus, a)
+        _check_units(modulus, residues)
     limit = math.floor(x)
     # A q listed again is counted alone: the plan takes its first task's classes.
     classes = {m.q: residues for m, residues in reversed(tasks)}
@@ -488,6 +495,43 @@ def least_squarefree(modulus: Modulus, a: int) -> int:
     raise SearchCeilingError(
         f"no squarefree member of {a} mod {q} found up to {ceiling}"
     )
+
+
+def least_squarefree_members(x: Real, modulus: Modulus, residues: Sequence[int]) -> list[int]:
+    """least_squarefree(modulus, a) for each a of residues, in order.
+
+    For 1 <= x <= _FLAG_CACHE_MAX the candidates n = a + k*q, a = q for
+    a = 0, up to min(x, max(q*q, 16)) are read off the cached flags of
+    [1, x] at stride q, one row of q flags at a time for every class still
+    without a member; the class counts at x read the same flags.  About 6/10
+    of the classes end in the first row.  A class with no squarefree
+    candidate in those flags, and every class above the cache, takes
+    least_squarefree's trial division, which stops at the same ceiling and
+    raises the same SearchCeilingError.
+    """
+    q = modulus.q
+    _check_units(modulus, residues)
+    limit = math.floor(x)
+    if not 1 <= limit <= _FLAG_CACHE_MAX:
+        return [least_squarefree(modulus, a) for a in residues]
+    flags = _flag_prefix(limit)
+    reach = min(limit, max(q * q, 16))
+    least = [0] * len(residues)
+    # Each class with the flag index of its first candidate, n - 1 = (a - 1) % q.
+    pending = [(i, (a - 1) % q) for i, a in enumerate(residues)]
+    for row in range(0, reach, q):
+        left = []
+        for i, index in pending:
+            if row + index < reach and flags[row + index]:
+                least[i] = row + index + 1
+            else:
+                left.append((i, index))
+        pending = left
+        if not pending:
+            break
+    for i, _ in pending:
+        least[i] = least_squarefree(modulus, residues[i])
+    return least
 
 
 def squarefree_moduli(q_max: int) -> list[Modulus]:

@@ -198,11 +198,12 @@ def test_box_count_over_its_cap_is_exit_3(capsys, monkeypatch):
 
 def test_scan_computes_each_class_once(capsys, monkeypatch):
     calls = []
-    least = cli_runner.least_squarefree
+    least = cli_runner.least_squarefree_members
     monkeypatch.setattr(
         cli_runner,
-        "least_squarefree",
-        lambda modulus, a: calls.append((modulus.q, a)) or least(modulus, a),
+        "least_squarefree_members",
+        lambda x, modulus, residues: calls.extend((modulus.q, a) for a in residues)
+        or least(x, modulus, residues),
     )
     code, out, _ = run_cli(
         capsys, "scan", "--x", "1000", "2000", "5000", "--q-max", "10", "--a", "all"
@@ -240,14 +241,15 @@ def test_scan_rows_equal_one_error_term_each(capsys):
 
 def test_scan_builds_no_task_above_the_largest_x(capsys, monkeypatch):
     built = []
-    classes_for_q = cli_runner._scan_classes
-    rows_for_x_q = cli_runner._scan_rows
+    residues_for = cli_runner._residues_for
+    counted = cli_runner.error_terms
     monkeypatch.setattr(
-        cli_runner, "_scan_classes", lambda task: built.append(task[0].q) or classes_for_q(task)
+        cli_runner, "_residues_for",
+        lambda modulus, policy, seed: built.append(modulus.q) or residues_for(modulus, policy, seed),
     )
     monkeypatch.setattr(
-        cli_runner, "_scan_rows",
-        lambda tasks: built.extend(task[1].q for task in tasks) or rows_for_x_q(tasks),
+        cli_runner, "error_terms",
+        lambda x, tasks: built.extend(m.q for m, _ in tasks) or counted(x, tasks),
     )
     _, small, _ = run_cli(capsys, "scan", "--x", "100", "--q-max", "100", "--workers", "1")
     built.clear()
@@ -396,6 +398,62 @@ def test_scan_writes_each_task_as_soon_as_it_is_counted(monkeypatch):
 RESUMED = ["scan", "--x", "300", "1000", "--q-max", "10", "--a", "all"]
 
 
+def _json_of(csv):
+    """The JSON document of a CSV scan: its rows as objects of strings, dumped with indent 2."""
+    keys = CSV_HEADER.split(",")
+    return json.dumps([dict(zip(keys, line.split(","))) for line in csv.splitlines()[1:]], indent=2)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "scan --x 1000 300 --q-max 10 --a all",
+        "scan --x 1000 300 --q-max 10 --a all --start-row 13",
+        "scan --x 1000 300 --q-max 10 --a all --start-row 40",
+        "scan --x 50 --q-min 60 --q-max 70",
+        "scan --x 1048576 --q-max 40 --a sample:3 --seed 4 --workers 2",
+        "scan --x 4194300 4194310 --q-max 30 --a sample:2 --start-row 7",
+    ],
+)
+def test_scan_json_is_the_indented_dump_of_its_rows(capsys, command):
+    code, csv, _ = run_cli(capsys, *command.split())
+    with time_limit(60):
+        assert run_cli(capsys, *command.split(), "--format", "json") == (0, _json_of(csv) + "\n", "")
+
+
+def test_a_json_scan_writes_each_task_as_soon_as_it_is_counted(monkeypatch):
+    # The same class count off by one at q = 7 as in
+    # test_scan_class_counts_off_the_coprime_count_is_exit_3.
+    counts_of = progression_stats._class_counts
+
+    def one_too_many(limit, q, residues):
+        counts = counts_of(limit, q, residues)
+        return [counts[0] + (q == 7)] + counts[1:]
+
+    stdout = StringIO()
+    written_before = {}
+    count = progression_stats._coprime_count
+
+    def noting(limit, modulus):
+        written_before[modulus.q] = stdout.getvalue()
+        return count(limit, modulus)
+
+    monkeypatch.setattr(progression_stats, "_coprime_count", noting)
+    monkeypatch.setattr(progression_stats, "_class_counts", one_too_many)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    scan = ["scan", "--x", "1000", "--q-max", "10", "--a", "all", "--format", "json"]
+    assert main([*scan, "--workers", "1"]) == 3
+    # Each task's rows are out before the next is counted, and a failure
+    # leaves the rows of the tasks before it: a document without its end.
+    rows = json.loads(_json_of(ROWS_OF_Q_UP_TO_6))
+    assert list(written_before) == [1, 2, 3, 5, 6, 7]
+    assert written_before[1] == ""
+    for q, before in written_before.items():
+        if q > 1:
+            assert json.loads(before + "\n]") == [row for row in rows if int(row["q"]) < q]
+    assert stdout.getvalue() == written_before[7]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_start_row_counts_no_task_wholly_before_it(capsys, monkeypatch, tmp_path, workers):
     full = run_cli(capsys, *RESUMED, "--workers", "1")[1]
@@ -451,6 +509,26 @@ def test_a_cached_x_counts_through_hosts_with_the_same_bytes_on_both_paths(
     assert 210 in counted and 2 not in counted and 3 not in counted
     with time_limit(120):
         assert run_cli(capsys, *HOSTED, "--workers", "2") == serial
+
+
+def test_scan_writes_its_first_rows_before_listing_any_later_q(monkeypatch):
+    stdout = StringIO()
+    written_before = {}
+    residues_for = cli_runner._residues_for
+
+    def noting(modulus, policy, seed):
+        written_before[modulus.q] = stdout.getvalue()
+        return residues_for(modulus, policy, seed)
+
+    monkeypatch.setattr(cli_runner, "_residues_for", noting)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*HOSTED, "--workers", "1"]) == 0
+    # q = 1 is listed and counted alone; the other q of x are listed together
+    # for their host plan, once its rows are out.
+    assert written_before.pop(1) == ""
+    assert sorted(written_before) == [q for q in range(2, 61) if is_squarefree(q)]
+    first_rows = CSV_HEADER + "\n" + HOSTED_ROWS.splitlines(keepends=True)[0]
+    assert set(written_before.values()) == {first_rows}
 
 
 def test_two_scans_in_one_process_count_their_hosts_alike(capsys, monkeypatch):
@@ -599,22 +677,88 @@ class _CharCount:
         pass
 
 
-def test_a_scan_of_one_large_q_holds_no_object_per_row():
-    # One (x, q) of 65536 rows: its lines, their joined chunk and the class
-    # columns are each about its output's size.  A record and a Fraction per
-    # row, held while the lines are built, took the peak to 9.8 times it.
+def _traced_peak(command):
+    """(exit code, characters written, tracemalloc peak) of one command, from cold flag caches."""
     progression_stats._flag_prefix.cache_clear()
     progression_stats._squarefree_counts.cache_clear()
     stdout = _CharCount()
     tracemalloc.start()
     try:
         with redirect_stdout(stdout):
-            code = main("scan --x 1048576 --q-min 65537 --q-max 65537 --a all --workers 1".split())
+            code = main(command.split())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and stdout.chars > 5 * 10**6
-    assert peak < 7 * stdout.chars, peak / stdout.chars
+    return code, stdout.chars, peak
+
+
+def test_a_scan_of_many_q_holds_no_string_per_class():
+    # 77,164 rows over 366 q: each q's classes are held as 8-byte integers
+    # for its x, and its lines only until they are written (0.31 times the
+    # output).  When every class of every q was listed with its CSV columns
+    # before the first row, and held to the end, the peak was 2.4 times it.
+    code, chars, peak = _traced_peak("scan --x 262144 --q-max 600 --a all --workers 1")
+    assert code == 0 and chars > 5 * 10**6
+    assert peak < chars / 2, peak / chars
+
+
+def test_a_json_scan_of_one_large_q_holds_one_chunk():
+    # The JSON document is written one chunk of rows at a time (3.2 times
+    # the output at this q); as one dump of every row it peaked at 10.6 times.
+    code, chars, peak = _traced_peak(
+        "scan --x 1048576 --q-min 65537 --q-max 65537 --a all --format json --workers 1"
+    )
+    assert code == 0 and chars > 15 * 10**6
+    assert peak < 3.5 * chars, peak / chars
+
+
+class _Writes:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_large_q_is_built_and_written_2_16_rows_at_a_time(monkeypatch):
+    # q = 131071 has 131070 classes; --start-row starts the first chunk.
+    scan = "scan --x 131072 --q-min 131071 --q-max 131071 --a all --workers 1".split()
+    least = cli_runner.least_squarefree_members
+    full = None
+    for start, sizes in ((0, [65536, 65534]), (65535, [65535]), (70000, [61070])):
+        calls = []
+        monkeypatch.setattr(
+            cli_runner, "least_squarefree_members",
+            lambda x, modulus, residues: calls.append(len(residues)) or least(x, modulus, residues),
+        )
+        stdout = _Writes()
+        with redirect_stdout(stdout):
+            assert main([*scan, "--start-row", str(start)]) == 0
+        # n_q_a is found per chunk, and each chunk is one write.
+        assert calls == sizes, start
+        assert [text.count("\n") for text in stdout.writes] == [sizes[0] + 1, *sizes[1:]]
+        header, *rows = "".join(stdout.writes).splitlines(keepends=True)
+        full = full or rows
+        assert (header, rows) == (CSV_HEADER + "\n", full[start:]), start
+
+
+def test_a_scan_of_one_large_q_holds_no_object_per_row():
+    # One (x, q) of 65536 rows: its lines, their joined chunk and its
+    # integer columns are each about its output's size (4.2 times it in
+    # all).  A record and a Fraction per row, held while the lines were
+    # built, took the peak to 9.8 times it, and the CSV columns of every
+    # class, listed before the first row, to 5.9 times.
+    code, chars, peak = _traced_peak(
+        "scan --x 1048576 --q-min 65537 --q-max 65537 --a all --workers 1"
+    )
+    assert code == 0 and chars > 5 * 10**6
+    assert peak < 4.5 * chars, peak / chars
 
 
 def test_a_small_sample_of_a_paper_scale_modulus_lists_no_unit(monkeypatch):
@@ -956,9 +1100,10 @@ def test_scan_refuses_an_over_budget_q_before_listing_any_class(capsys, monkeypa
     # q = 1048582 is within the budget, q = 1048583 is not: nothing of the
     # first is listed before the second is refused.
     listed = []
-    least = cli_runner.least_squarefree
+    residues_for = cli_runner._residues_for
     monkeypatch.setattr(
-        cli_runner, "least_squarefree", lambda modulus, a: listed.append(a) or least(modulus, a)
+        cli_runner, "_residues_for",
+        lambda modulus, policy, seed: listed.append(modulus.q) or residues_for(modulus, policy, seed),
     )
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -1330,9 +1475,9 @@ def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, command):
     assert not target.parent.exists()
 
 
-# One (x, q) of phi(q) = 1048572 rows: before its first byte, scan lists
-# every class (4.5 s, 209 MB max RSS on a 2-core VM) and counts them (about 7 s
-# and 613 MB in all).
+# One (x, q) of phi(q) = 1048572 rows: before its first byte, scan lists and
+# counts every class (1.6-2.3 s on a 2-core VM), and it ends after 5.3-7.3 s
+# at 124 MB max RSS.
 ONE_LARGE_Q = "scan --x 4194304 --q-min 1048573 --q-max 1048573 --a all --workers 1".split()
 
 
@@ -1394,7 +1539,7 @@ def test_a_command_that_fails_leaves_its_output_file_as_it_was(tmp_path, capsys)
 
 
 def test_start_row_past_every_row_lists_no_class(capsys, monkeypatch):
-    for name in ("_residues_for", "least_squarefree", "error_terms"):
+    for name in ("_residues_for", "least_squarefree_members", "error_terms"):
         monkeypatch.setattr(cli_runner, name, _unreachable)
     with time_limit(5):
         code, out, err = run_cli(capsys, *ONE_LARGE_Q, "--start-row", "2000000")
@@ -1425,6 +1570,20 @@ def test_start_row_lists_the_classes_of_kept_tasks_only(capsys, monkeypatch, tmp
         assert sorted(int(q) for q in calls.read_text().split()) == listed, k
 
 
+ROWS_OF_Q_UP_TO_6_AT_100 = (
+    CSV_HEADER + "\n"
+    "100,1,0,61,61,0,1,0,1,1\n"
+    "100,2,1,41,41,0,1,0,1,0.368567304323\n"
+    "100,3,1,23,46,0,1,0,1,0.205563211114\n"
+    "100,3,2,23,46,0,1,0,2,0.411126422228\n"
+    "100,5,1,14,51,5,4,0.186338998125,1,0.0985106520605\n"
+    "100,5,2,14,51,5,4,0.186338998125,2,0.197021304121\n"
+    "100,5,3,12,51,-3,4,0.111803398875,3,0.295531956181\n"
+    "100,6,1,15,31,-1,2,0.076546554462,1,0.0757638785882\n"
+    "100,6,5,16,31,1,2,0.076546554462,5,0.378819392941\n"
+)
+
+
 def test_a_class_list_off_its_planned_count_is_exit_3(capsys, monkeypatch):
     residues_for = cli_runner._residues_for
 
@@ -1434,7 +1593,8 @@ def test_a_class_list_off_its_planned_count_is_exit_3(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_runner, "_residues_for", one_short_at_7)
     code, out, err = run_cli(capsys, "scan", "--x", "100", "--q-max", "30", "--a", "sample:3")
-    assert (code, out) == (3, "")
+    # Each q's classes are checked at its turn, after the rows before it are written.
+    assert (code, out) == (3, ROWS_OF_Q_UP_TO_6_AT_100)
     assert err == "internal error: q = 7 lists 2 classes, not 3\n"
 
 

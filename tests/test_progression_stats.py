@@ -26,6 +26,7 @@ from sqflab.progression_stats import (
     error_terms,
     host_moduli,
     least_squarefree,
+    least_squarefree_members,
     reference_ratio,
     squarefree_count_ap,
     squarefree_count_coprime,
@@ -613,3 +614,44 @@ def test_least_squarefree_validation(monkeypatch):
     monkeypatch.setattr(progression_stats, "is_squarefree", lambda n: False)
     with pytest.raises(SearchCeilingError):
         least_squarefree(factor_modulus(7), 4)
+
+
+@pytest.mark.parametrize(
+    "x, trial", [(30, True), (47, True), (300, True), (2**16, False), (2**22, False)]
+)
+def test_least_members_off_the_flags_equal_trial_division(monkeypatch, x, trial):
+    # Every unit class of every squarefree q <= 300.  Below q^2 the flags of
+    # [1, x] miss some least members (x = 30 misses every class of q > 30),
+    # and those classes take trial division.  47 is squarefree and 48 is
+    # not, so no class a = 48 may take its member from the flag of x.
+    moduli = squarefree_moduli(300)
+    expected = [
+        [least_squarefree(m, a) for a in range(m.q) if gcd(a, m.q) == 1] for m in moduli
+    ]
+    calls = []
+    least = progression_stats.least_squarefree
+    monkeypatch.setattr(
+        progression_stats, "least_squarefree",
+        lambda modulus, a: calls.append(a) or least(modulus, a),
+    )
+    found = [
+        least_squarefree_members(x, m, [a for a in range(m.q) if gcd(a, m.q) == 1])
+        for m in moduli
+    ]
+    assert found == expected
+    assert bool(calls) == trial
+
+
+def test_least_members_refuse_as_trial_division_does(monkeypatch):
+    with pytest.raises(NotCoprimeError):
+        least_squarefree_members(1000, factor_modulus(10), [3, 5])
+    # A class with no squarefree flag up to max(q^2, 16) falls to trial
+    # division, which raises at that ceiling, though the flags of [1, x] set
+    # its next member: 50 = 1 and 53 = 4 (mod 7).
+    flags = bytearray(1000)
+    flags[49] = flags[52] = 1
+    monkeypatch.setattr(progression_stats, "_flag_prefix", lambda limit: flags)
+    monkeypatch.setattr(progression_stats, "is_squarefree", lambda n: False)
+    for a in (1, 4):
+        with pytest.raises(SearchCeilingError, match="found up to 49"):
+            least_squarefree_members(1000, factor_modulus(7), [a])
