@@ -285,13 +285,11 @@ def _scan_rows(
     x: int,
     policy: tuple[str, int],
     seed: int,
-    tasks: list[tuple[Modulus, int, bool]],
-    held: dict[int, tuple[array, list[int]]],
-    skip: int = 0,
+    call: tuple[list[tuple[Modulus, int]], dict[int, tuple[array, list[int]]], int, bool],
 ) -> Iterator[list[str]]:
-    """The CSV lines of the tasks (modulus, size, later) of one x, in order
-    and ascending in a, in lists of at most 2^16 lines; the first task's
-    from its row `skip` on.
+    """The CSV lines of one call (tasks, held, skip, later) of x, in order
+    and ascending in a, in lists of at most 2^16 lines: those of its tasks
+    (modulus, size), the first task's from its row `skip` on.
 
     error_terms refuses every non-unit before its first count and plans host
     moduli over all its tasks, so each q's classes are listed, or taken from
@@ -301,17 +299,18 @@ def _scan_rows(
     counts at x <= 2^22, whose flags the recursion checks once per x, and
     the recursion above.  Its n_q_a are then found 2^16 classes at a time as
     its rows are built, read off the flags its counts read where they reach.
-    A q with a `later` x finds them all at once and puts them in `held` with
-    its residues, as integers, for that x.
+    When the q of the call have a `later` x, each finds them all at once and
+    puts them in `held` with its residues, as integers, for that x.
     """
+    tasks, held, skip, later = call
     # Residues take 8 bytes each in an array: as lists of ints, the classes
     # of every q <= 4096 at one x took 130 MB.
     listed = [
         held.pop(m.q, None) or (array("q", _residues_for(m, policy, seed)), None)
-        for m, _, _ in tasks
+        for m, _ in tasks
     ]
-    counted = error_terms(x, [(m, residues) for (m, _, _), (residues, _) in zip(tasks, listed)])
-    for (modulus, size, later), (residues, least) in zip(tasks, listed):
+    counted = error_terms(x, [(m, residues) for (m, _), (residues, _) in zip(tasks, listed)])
+    for (modulus, size), (residues, least) in zip(tasks, listed):
         q, phi = modulus.q, modulus.phi
         if len(residues) != size:
             raise InvariantError(f"q = {q} lists {len(residues)} classes, not {size}")
@@ -344,16 +343,10 @@ def _scan_rows(
         skip = 0
 
 
-def _scan_chunk(
-    x: int,
-    policy: tuple[str, int],
-    seed: int,
-    call: tuple[list[tuple[Modulus, int, bool]], dict[int, tuple[array, list[int]]], int],
-) -> tuple[list[list[str]], dict[int, tuple[array, list[int]]]]:
-    """The lines of one worker call (tasks, held, skip) of x, its hosts
-    planned among its tasks, and the classes it holds for a later x."""
-    tasks, held, skip = call
-    return list(_scan_rows(x, policy, seed, tasks, held, skip)), held
+def _scan_call(collect: Callable, x: int, policy: tuple[str, int], seed: int, call: tuple) -> tuple:
+    """The lines of one call of x (see _scan_rows), as `collect` gives them,
+    and the classes it holds for a later x once they are read."""
+    return collect(_scan_rows(x, policy, seed, call)), call[1]
 
 
 def _scan_tasks(
@@ -370,28 +363,31 @@ def _scan_tasks(
     classes, before it is yielded.  The plan keeps that one number per q.
     A task (x, q) gives one line per class, so the tasks wholly before
     --start-row are dropped unlisted and uncounted, and the first one kept
-    starts at its row.  The classes of a q and their n_q_a are listed at
-    its first kept x (see _scan_rows) and kept only until its last.  The
-    tasks of one x share host moduli: serially among all tasks but the
-    first, which is counted alone so that its rows come out before any
-    other q is listed, and in a pool among the tasks of each worker call.
+    starts at its row.  Each x's tasks are then cut into calls, each with
+    its own host plan: the first task alone, so that its rows come out
+    before any other q is listed, then one call per x, or in a pool calls
+    of `chunk` tasks that run together.  The classes of a q and their n_q_a
+    are listed at its first kept x and kept until its last: each q of an x
+    below the largest has a task at every larger x.
     """
     # More processes than q or cores would only wait.
     workers = min(args.workers, len(q_values), os.cpu_count() or 1)
-    pool = None
+    # Serially a call takes the rest of an x and streams its lines; in a pool
+    # it takes `chunk` tasks and lists them, to be pickled.
+    pool, run, collect, chunk = None, map, iter, max(len(q_values), 1)
     if workers > 1:
         # Imported only here: it adds about 14 ms to the start of every command.
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-        chunk = len(q_values) // (4 * workers) + 1
+        run, collect, chunk = pool.map, list, len(q_values) // (4 * workers) + 1
     try:
         # map yields in task order and raises the error of the first failing
-        # task in order, as the serial loop does, not of the first chunk to
+        # task in order, as a serial scan does, not of the first chunk to
         # finish.  A worker that dies raises BrokenProcessPool (exit 3)
         # rather than leaving scan waiting for its results.
-        run = partial(pool.map, chunksize=chunk) if pool else map
-        moduli = list(run(factor_modulus, q_values))
+        factor = partial(pool.map, chunksize=chunk) if pool else map
+        moduli = list(factor(factor_modulus, q_values))
         sizes = {m.q: _check_classes(m, policy) for m in moduli}
         # x in the outer loop: every q of one x reads the same squarefree
         # table, and the rows come out in (X, q, a) order.
@@ -400,35 +396,23 @@ def _scan_tasks(
         while first < len(tasks) and skip >= sizes[tasks[first][1].q]:
             skip -= sizes[tasks[first][1].q]
             first += 1
-        tasks = tasks[first:]
-        last = {m.q: x for x, m in tasks}
         yield []
-        batches = [
-            (x, [(m, sizes[m.q], x < last[m.q]) for _, m in group])
-            for x, group in groupby(tasks, key=itemgetter(0))
-        ]
         held: dict[int, tuple[array, list[int]]] = {}
-        if pool:
-            # The calls of one x run together, each with the classes that
-            # the calls of an earlier x hold for its q.
-            for x, group in batches:
-                calls = []
-                for i in range(0, len(group), chunk):
-                    part = group[i : i + chunk]
-                    calls.append((part, {m.q: held.pop(m.q) for m, _, _ in part if m.q in held}, skip))
-                    skip = 0
-                for lines, kept in pool.map(partial(_scan_chunk, x, policy, args.seed), calls):
-                    held.update(kept)
-                    yield from lines
-            return
-        # The first task is counted on its own, so its rows come out before
-        # any other q is listed or any host is planned.
-        if batches:
-            x, group = batches[0]
-            batches[:1] = [(x, group[:1]), (x, group[1:])]
-        for x, group in batches:
-            yield from _scan_rows(x, policy, args.seed, group, held, skip)
-            skip = 0
+        alone = 1  # the first task is a call of its own
+        for x, group in groupby(tasks[first:], key=itemgetter(0)):
+            group = [(m, sizes[m.q]) for _, m in group]
+            cuts = [*range(alone), *range(alone, len(group), chunk), len(group)]
+            calls = []
+            for i, j in zip(cuts, cuts[1:]):
+                part = group[i:j]
+                held_part = {m.q: held.pop(m.q) for m, _ in part if m.q in held}
+                calls.append((part, held_part, skip, x < x_values[-1]))
+                skip = alone = 0
+            # pool.map's default chunksize makes each call a job of its own,
+            # so the first call's lines wait for no batch of later calls.
+            for lines, kept in run(partial(_scan_call, collect, x, policy, args.seed), calls):
+                yield from lines
+                held.update(kept)
     finally:
         if pool:
             # After an error the tasks not yet started are dropped.

@@ -205,15 +205,22 @@ def test_scan_computes_each_class_once(capsys, monkeypatch):
         lambda x, modulus, residues: calls.extend((modulus.q, a) for a in residues)
         or least(x, modulus, residues),
     )
-    code, out, _ = run_cli(
-        capsys, "scan", "--x", "1000", "2000", "5000", "--q-max", "10", "--a", "all"
-    )
-    assert code == 0
-    data = out.encode("utf-8")
-    assert (len(data), hashlib.sha256(data).hexdigest()) == (
-        3189, "4eb5e9fa391b14314127aa699d0e83cca7c544017cb1c357cedc1e4dfa01d2eb"
-    )
-    assert len(calls) == len(set(calls)) == 20  # one per (q, a); 60 rows
+    # A pool of two runs its calls in this process, one q each, and hands
+    # each q's classes from the call of one x to that of the next.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: 2)
+    for workers in ("1", "2"):
+        calls.clear()
+        code, out, _ = run_cli(
+            capsys, "scan", "--x", "1000", "2000", "5000", "--q-max", "10", "--a", "all",
+            "--workers", workers,
+        )
+        assert code == 0
+        data = out.encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            3189, "4eb5e9fa391b14314127aa699d0e83cca7c544017cb1c357cedc1e4dfa01d2eb"
+        )
+        assert len(calls) == len(set(calls)) == 20  # one per (q, a); 60 rows
 
 
 def test_scan_rows_equal_one_error_term_each(capsys):
@@ -511,7 +518,8 @@ def test_a_cached_x_counts_through_hosts_with_the_same_bytes_on_both_paths(
         assert run_cli(capsys, *HOSTED, "--workers", "2") == serial
 
 
-def test_scan_writes_its_first_rows_before_listing_any_later_q(monkeypatch):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_writes_its_first_rows_before_listing_any_later_q(monkeypatch, workers):
     stdout = StringIO()
     written_before = {}
     residues_for = cli_runner._residues_for
@@ -522,13 +530,20 @@ def test_scan_writes_its_first_rows_before_listing_any_later_q(monkeypatch):
 
     monkeypatch.setattr(cli_runner, "_residues_for", noting)
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert main([*HOSTED, "--workers", "1"]) == 0
-    # q = 1 is listed and counted alone; the other q of x are listed together
-    # for their host plan, once its rows are out.
+    # A pool of two runs its calls in this process, in order.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli_runner.os, "cpu_count", lambda: 2)
+    assert main([*HOSTED, "--workers", workers]) == 0
+    # q = 1 is listed and counted alone.  The other 36 q are listed once its
+    # rows are out, call by call for the host plan of each: serially in one
+    # call, and in a pool of two in 8 calls of at most 37 // 8 + 1 = 5 q.
     assert written_before.pop(1) == ""
     assert sorted(written_before) == [q for q in range(2, 61) if is_squarefree(q)]
     first_rows = CSV_HEADER + "\n" + HOSTED_ROWS.splitlines(keepends=True)[0]
-    assert set(written_before.values()) == {first_rows}
+    listed_after = sorted(set(written_before.values()), key=len)
+    assert listed_after[0] == first_rows
+    assert all(text.startswith(first_rows) for text in listed_after)
+    assert len(listed_after) == {"1": 1, "2": 8}[workers]
 
 
 def test_two_scans_in_one_process_count_their_hosts_alike(capsys, monkeypatch):
